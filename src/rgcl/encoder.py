@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,6 +111,7 @@ class EmbeddingBatch:
 
     embeddings: np.ndarray  # (n, d_embed)
     indices: np.ndarray  # (n,) dataset indices
+    cache: tuple | None = field(default=None, repr=False)  # encode's forward intermediates
 
     def __post_init__(self):
         norms = np.linalg.norm(self.embeddings, axis=1)
@@ -148,20 +149,23 @@ def _forward(params: EncoderParams, inputs: np.ndarray):
 
 
 def encode(params: EncoderParams, inputs: np.ndarray, indices=None) -> EmbeddingBatch:
-    y, _ = _forward(params, inputs)
+    y, cache = _forward(params, inputs)
     if indices is None:
         indices = np.arange(y.shape[0])
-    return EmbeddingBatch(y, np.asarray(indices))
+    return EmbeddingBatch(y, np.asarray(indices), cache)
 
 
-def encode_backward(
-    params: EncoderParams, inputs: np.ndarray, grad_embeddings: np.ndarray
-) -> EncoderParams:
+def encode_backward(params: EncoderParams, inputs, grad_embeddings: np.ndarray) -> EncoderParams:
     """Exact parameter gradient of sum(grad_embeddings * encode(inputs)).
 
+    inputs may instead be the EmbeddingBatch that encode(params, inputs)
+    returned; its forward cache then spares a second forward pass.
     Returns an EncoderParams holding the gradients (same shapes as params).
     """
-    y, (x, a1, z2, norms) = _forward(params, inputs)
+    if isinstance(inputs, EmbeddingBatch):
+        y, (x, a1, z2, norms) = inputs.embeddings, inputs.cache
+    else:
+        y, (x, a1, z2, norms) = _forward(params, inputs)
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != y.shape:
         raise ValueError("grad_embeddings shape mismatch")

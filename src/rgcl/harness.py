@@ -89,6 +89,9 @@ class ExperimentConfig:
     held_out_fraction: float = 0.25
 
     def __post_init__(self):
+        loss.require_finite(self)
+        if not isinstance(self.mirrored, bool):
+            raise ValueError("mirrored must be a boolean, not %r" % (self.mirrored,))
         if self.mode not in ("isogclr", "sogclr-baseline", "bimodal"):
             raise ValueError("unknown mode %r" % self.mode)
         if self.param_update not in ("momentum", "adam"):
@@ -114,6 +117,7 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
+_BOOLEANS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
 def _coerce(key: str, value):
@@ -124,9 +128,9 @@ def _coerce(key: str, value):
             return None
         return float(value)
     if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        return str(value).lower() in ("true", "1", "yes")
+        if str(value).lower() in _BOOLEANS:  # also True and False themselves
+            return _BOOLEANS[str(value).lower()]
+        raise ValueError("%s must be one of %s, not %r" % (key, "/".join(_BOOLEANS), value))
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):
@@ -206,14 +210,15 @@ def knn_accuracy(embeddings, labels, k: int, held_out_fraction: float, stream: R
         raise ValueError("fewer than k training points")
 
     sims = emb[test_idx] @ emb[train_idx].T
-    correct = 0
-    for r in range(len(test_idx)):
-        nn = np.argsort(-sims[r], kind="stable")[:k]
-        votes = labels[train_idx[nn]]
-        classes, counts = np.unique(votes, return_counts=True)
-        pred = classes[counts == counts.max()].min()
-        correct += int(pred == labels[test_idx[r]])
-    return correct / len(test_idx)
+    np.negative(sims, out=sims)  # ascending order is nearest first
+    # sorting blocks of rows keeps the index array small next to sims
+    nn = np.empty((len(sims), k), dtype=np.intp)
+    for r in range(0, len(sims), 64):
+        nn[r : r + 64] = np.argsort(sims[r : r + 64], axis=1, kind="stable")[:, :k]
+    # classes ascend, so the first of the tied maxima is the lowest class id
+    classes, votes = np.unique(labels[train_idx[nn]], return_inverse=True)
+    counts = (votes.reshape(nn.shape)[:, :, None] == np.arange(len(classes))).sum(axis=1)
+    return float(np.mean(classes[counts.argmax(axis=1)] == labels[test_idx]))
 
 
 def export_tau_csv(opt, labels, path: str) -> None:

@@ -12,13 +12,16 @@ learnable temperature.
 
 This module also provides the exact full-batch gradients of the objective
 with respect to encoder parameters and temperatures, computed analytically
-through the hardness scores and the encoder backward pass.
+through the hardness scores and the encoder backward pass.  The evaluation
+runs one row kernel, shared with the stochastic step, over fixed blocks of
+anchors, so its memory is O(n^2) only for the two (n, n) weight matrices
+(and the score matrices they come from); everything else is O(n) per block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +52,14 @@ __all__ = [
 HARDNESS_BOUND = 2.0
 
 
+def require_finite(config) -> None:
+    """Reject NaN and infinite values in a config dataclass's float fields."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError("%s must be finite, not %r" % (f.name, value))
+
+
 @dataclass
 class RgclConfig:
     """Loss and optimizer hyperparameters with their derived bounds.
@@ -73,6 +84,7 @@ class RgclConfig:
     log_epsilon: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.tau0 <= 0:
@@ -234,6 +246,40 @@ def pair_weights_for_w_grad(h, tau: float, g_or_s: float, n: int) -> np.ndarray:
     return np.exp(v / tau) / (m * g_or_s * n)
 
 
+# Anchors per block of the full-batch evaluation.  Blocks change only the
+# order in which independent rows are processed, never an operand or a
+# reduction, so results do not depend on it; 64 to 512 rows run alike.
+_EVAL_ROWS = 256
+
+
+def _offdiag_rows(mats, lo: int, hi: int, rows: np.ndarray, scatter: bool = False, tmp=None) -> None:
+    """Gather the off-diagonal entries of rows lo..hi-1 of each square
+    C-ordered matrix in mats side by side into rows (hi-lo, len(mats)*(n-1)),
+    or scatter rows back into them.  Row-major, those entries are the head of
+    row lo, hi-lo-1 stretches of n entries between consecutive diagonal
+    entries (over all rows: a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]), and
+    the tail of row hi-1.  tmp is optional contiguous (hi-lo, n-1) scratch."""
+    n = mats[0].shape[0]
+    tmp = np.empty((hi - lo, n - 1)) if tmp is None else tmp
+    buf, k = tmp.reshape(-1), lo + (hi - lo - 1) * n
+    for j, a in enumerate(mats):
+        flat = a.reshape(-1)
+        block = rows[:, j * (n - 1) : (j + 1) * (n - 1)]
+        if scatter:
+            np.copyto(tmp, block)
+        for part, tmp_part in (
+            (flat[lo * n : lo * (n + 1)], buf[:lo]),
+            (flat[lo * (n + 1) + 1 : (hi - 1) * (n + 1) + 1].reshape(-1, n + 1)[:, :n], buf[lo:k].reshape(-1, n)),
+            (flat[(hi - 1) * (n + 1) + 1 : hi * n], buf[k:]),
+        ):
+            if scatter:
+                part[...] = tmp_part
+            else:
+                tmp_part[...] = part
+        if not scatter:
+            np.copyto(block, tmp)
+
+
 def _anchor_h_rows(ya: np.ndarray, yb: np.ndarray):
     """Hardness rows for every anchor over the full negative sets.
 
@@ -242,13 +288,88 @@ def _anchor_h_rows(ya: np.ndarray, yb: np.ndarray):
     Returns (H, pos) where H is (n, 2(n-1)).
     """
     n = ya.shape[0]
-    saa = ya @ ya.T
     sab = ya @ yb.T
     pos = np.diag(sab).copy()
-    off = ~np.eye(n, dtype=bool)
-    ha = saa[off].reshape(n, n - 1)
-    hb = sab[off].reshape(n, n - 1)
-    return np.concatenate([ha, hb], axis=1) - pos[:, None], pos
+    hmat = np.empty((n, 2 * (n - 1)))
+    _offdiag_rows([ya @ ya.T, sab], 0, n, hmat)
+    hmat -= pos[:, None]
+    return hmat, pos
+
+
+def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
+    """The row kernel of every full-batch evaluation and stochastic step.
+
+    h (k, m) holds each anchor's hardness scores over its m negatives and is
+    overwritten.  With p the row softmax of h / tau and mean_exp the
+    max-shifted mean_j exp(h_ij / tau_i), returns (g, d, ratio, eph, w):
+    g = mean_exp + log_epsilon; d = denom(g), or g when denom is None (the
+    step passes its moving-average update of s); ratio = mean_exp / d;
+    eph = E_p[h]; and the pair weights w = p * ratio / count of the
+    parameter gradient, written into out (k, m) when it is given.
+    """
+    m = h.shape[1]
+    z = np.divide(h, taus[:, None], out=out)
+    shift = z.max(axis=1, keepdims=True)
+    np.subtract(z, shift, out=z)
+    np.exp(z, out=z)
+    sez = z.sum(axis=1)
+    mean_exp = np.exp((shift[:, 0] + np.log(sez)) - math.log(m))
+    g = mean_exp + log_epsilon
+    d = g if denom is None else denom(g)
+    ratio = mean_exp / d
+    np.divide(z, sez[:, None], out=z)
+    eph = np.multiply(z, h, out=h).sum(axis=1)
+    np.multiply(z, ratio[:, None], out=z)
+    np.divide(z, count, out=z)
+    return g, d, ratio, eph, z
+
+
+def _eval_rows(mats, pos, taus, cfg: RgclConfig):
+    """The row kernel over all anchors, in blocks of _EVAL_ROWS.  Anchor i's
+    negatives are the off-diagonal entries of row i of each (n, n) score
+    matrix in mats, side by side, less pos[i].  Returns the objective terms
+    tau log g + (tau - tau0) rho, the temperature gradient, and per score
+    matrix the (n, n) pair weights; other memory is O(_EVAL_ROWS * n)."""
+    n = pos.shape[0]
+    c = min(_EVAL_ROWS, n)
+    h, z, tmp = np.empty((c, len(mats) * (n - 1))), np.empty((c, len(mats) * (n - 1))), np.empty((c, n - 1))
+    g, ratio, eph = np.empty(n), np.empty(n), np.empty(n)
+    weights = [np.zeros((n, n)) for _ in mats]
+    for lo in range(0, n, c):
+        hi = min(lo + c, n)
+        r = hi - lo
+        _offdiag_rows(mats, lo, hi, h[:r], tmp=tmp[:r])
+        h[:r] -= pos[lo:hi, None]
+        g[lo:hi], _, ratio[lo:hi], eph[lo:hi], w = _softmax_rows(
+            h[:r], taus[lo:hi], cfg.log_epsilon, n, out=z[:r]
+        )
+        _offdiag_rows(weights, lo, hi, w, scatter=True, tmp=tmp[:r])
+    log_g = np.log(g)
+    grad_tau = (-ratio * eph / taus + log_g + cfg.rho) / n
+    return taus * log_g + (taus - cfg.tau0) * cfg.rho, grad_tau, weights
+
+
+def _unimodal_embedding_grads(wa, wb, ya, yb):
+    """Embedding gradients of sum_ij w_ij h_ij in the two-view layout, where
+    wa and wb weight anchor i's a-view and b-view negatives."""
+    rs = wa.sum(axis=1) + wb.sum(axis=1)
+    # anchor role: dL/d ya_i += sum_j w_ij (neg_j - pos_i); then the negative
+    # role of the a-views; the b-views take the positive and negative roles
+    dya = wa @ ya + wb @ yb - rs[:, None] * yb + wa.T @ ya
+    dyb = -rs[:, None] * ya + wb.T @ ya
+    return dya, dyb
+
+
+def _bimodal_embedding_grads(wv, wt, x_emb, t_emb):
+    """Embedding gradients of both directions' weighted hardness, where wv
+    weights image anchors over texts and wt text anchors over images."""
+    rv = wv.sum(axis=1)
+    rt = wt.sum(axis=1)
+    # anchor-role term first, negative/positive-role term second, in the
+    # same order for both towers so mirrored inputs stay bitwise symmetric
+    dx = (wv @ t_emb - rv[:, None] * t_emb) + (wt.T @ t_emb - rt[:, None] * t_emb)
+    dt = (wt @ x_emb - rt[:, None] * x_emb) + (wv.T @ x_emb - rv[:, None] * x_emb)
+    return dx, dt
 
 
 def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
@@ -273,49 +394,14 @@ def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg:
     if n < 2:
         raise ValueError("need at least 2 samples")
     taus = np.asarray(taus, dtype=np.float64)
-    ya = encode(params, views.views_a).embeddings
-    yb = encode(params, views.views_b).embeddings
-    hmat, _ = _anchor_h_rows(ya, yb)
-    m = 2 * (n - 1)
-    eps = cfg.log_epsilon
-
-    hz = hmat / taus[:, None]
-    shift = hz.max(axis=1, keepdims=True)
-    ez = np.exp(hz - shift)
-    sez = ez.sum(axis=1)
-    lme = (shift[:, 0] + np.log(sez)) - math.log(m)  # log mean exp per anchor
-    mean_exp = np.exp(lme)
-    g = mean_exp + eps
-    log_g = np.log(g)
-
-    value = float(np.mean(taus * log_g + (taus - cfg.tau0) * cfg.rho))
-
-    p = ez / sez[:, None]  # softmax rows
-    eph = np.sum(p * hmat, axis=1)
-    grad_tau = (-(mean_exp / g) * eph / taus + log_g + cfg.rho) / n
-
-    # weights_ij = exp(h_ij/tau_i) / (m * g_i * n), split back into the
-    # a-view and b-view negative blocks
-    w = p * (mean_exp / g)[:, None] / n
-    wa = np.zeros((n, n))
-    wb = np.zeros((n, n))
-    off = ~np.eye(n, dtype=bool)
-    wa[off] = w[:, : n - 1].ravel()
-    wb[off] = w[:, n - 1 :].ravel()
-
-    row_a = wa.sum(axis=1)
-    row_b = wb.sum(axis=1)
-    rs = row_a + row_b
-    # anchor role: dL/d ya_i += sum_j w_ij (neg_j - pos_i)
-    dya = wa @ ya + wb @ yb - rs[:, None] * yb
-    # negative role of the a-views
-    dya += wa.T @ ya
-    # positive role and negative role of the b-views
-    dyb = -rs[:, None] * ya + wb.T @ ya
-
-    ga = encode_backward(params, views.views_a, dya)
-    gb = encode_backward(params, views.views_b, dyb)
-    grad_w = ga.flatten() + gb.flatten()
+    ea = encode(params, views.views_a)
+    eb = encode(params, views.views_b)
+    ya, yb = ea.embeddings, eb.embeddings
+    sab = ya @ yb.T
+    terms, grad_tau, (wa, wb) = _eval_rows([ya @ ya.T, sab], np.diag(sab).copy(), taus, cfg)
+    value = float(np.mean(terms))
+    dya, dyb = _unimodal_embedding_grads(wa, wb, ya, yb)
+    grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
     return value, grad_w, grad_tau
 
 
@@ -331,9 +417,11 @@ def _bimodal_h_rows(x_emb: np.ndarray, t_emb: np.ndarray):
     sx = x_emb @ t_emb.T
     st = t_emb @ x_emb.T
     pos = np.diag(sx).copy()
-    off = ~np.eye(n, dtype=bool)
-    hx = sx[off].reshape(n, n - 1) - pos[:, None]
-    ht = st[off].reshape(n, n - 1) - np.diag(st)[:, None]
+    hx, ht = np.empty((n, n - 1)), np.empty((n, n - 1))
+    _offdiag_rows([sx], 0, n, hx)
+    _offdiag_rows([st], 0, n, ht)
+    hx -= pos[:, None]
+    ht -= np.diag(st)[:, None]
     return hx, ht, pos
 
 
@@ -362,27 +450,6 @@ def objective_bimodal(
     return total / n
 
 
-def _direction_grads(hmat, taus, cfg, n):
-    """Shared per-direction weight computation: softmax-style weights and
-    the temperature gradient, for hardness rows over m negatives."""
-    m = hmat.shape[1]
-    eps = cfg.log_epsilon
-    hz = hmat / taus[:, None]
-    shift = hz.max(axis=1, keepdims=True)
-    ez = np.exp(hz - shift)
-    sez = ez.sum(axis=1)
-    lme = (shift[:, 0] + np.log(sez)) - math.log(m)
-    mean_exp = np.exp(lme)
-    g = mean_exp + eps
-    log_g = np.log(g)
-    p = ez / sez[:, None]
-    eph = np.sum(p * hmat, axis=1)
-    grad_tau = (-(mean_exp / g) * eph / taus + log_g + cfg.rho) / n
-    weights = p * (mean_exp / g)[:, None] / n
-    value_terms = taus * log_g + (taus - cfg.tau0) * cfg.rho
-    return weights, grad_tau, value_terms
-
-
 def bimodal_value_and_grads(
     params_img: EncoderParams,
     params_txt: EncoderParams,
@@ -401,27 +468,15 @@ def bimodal_value_and_grads(
         raise ValueError("need at least 2 pairs")
     taus_v = np.asarray(taus_v, dtype=np.float64)
     taus_t = np.asarray(taus_t, dtype=np.float64)
-    x_emb = encode(params_img, images).embeddings
-    t_emb = encode(params_txt, texts).embeddings
-    hx, ht, _ = _bimodal_h_rows(x_emb, t_emb)
-
-    wv, grad_tau_v, terms_v = _direction_grads(hx, taus_v, cfg, n)
-    wt, grad_tau_t, terms_t = _direction_grads(ht, taus_t, cfg, n)
+    ex = encode(params_img, images)
+    et = encode(params_txt, texts)
+    x_emb, t_emb = ex.embeddings, et.embeddings
+    sx = x_emb @ t_emb.T
+    st = t_emb @ x_emb.T
+    terms_v, grad_tau_v, (wv,) = _eval_rows([sx], np.diag(sx).copy(), taus_v, cfg)
+    terms_t, grad_tau_t, (wt,) = _eval_rows([st], np.diag(st).copy(), taus_t, cfg)
     value = float(np.mean(terms_v + terms_t))
-
-    off = ~np.eye(n, dtype=bool)
-    wvm = np.zeros((n, n))
-    wtm = np.zeros((n, n))
-    wvm[off] = wv.ravel()
-    wtm[off] = wt.ravel()
-    rv = wvm.sum(axis=1)
-    rt = wtm.sum(axis=1)
-
-    # anchor-role term first, negative/positive-role term second, in the
-    # same order for both towers so mirrored inputs stay bitwise symmetric
-    dx = (wvm @ t_emb - rv[:, None] * t_emb) + (wtm.T @ t_emb - rt[:, None] * t_emb)
-    dt = (wtm @ x_emb - rt[:, None] * x_emb) + (wvm.T @ x_emb - rv[:, None] * x_emb)
-
-    gx = encode_backward(params_img, images, dx).flatten()
-    gt = encode_backward(params_txt, texts, dt).flatten()
+    dx, dt = _bimodal_embedding_grads(wv, wt, x_emb, t_emb)
+    gx = encode_backward(params_img, ex, dx).flatten()
+    gt = encode_backward(params_txt, et, dt).flatten()
     return value, gx, gt, grad_tau_v, grad_tau_t

@@ -8,6 +8,7 @@ representable in float64 (max ~ exp(709)) but not in float32.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -85,7 +86,8 @@ class RandomStream:
     perturbs draws of existing ones.  Same (seed, path) gives a bit-identical
     sequence on every platform numpy supports.
 
-    A stream is single-owner: share work across threads by splitting.
+    A stream is single-owner: share work across threads by splitting.  Its
+    generator is built on the first draw, so a stream only split builds none.
     """
 
     algorithm = "philox4x64"
@@ -93,9 +95,12 @@ class RandomStream:
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(path)
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
         material = ("%d/" % self.seed + "/".join(self.path)).encode()
         key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=key))
 
     def split(self, name: str) -> "RandomStream":
         """Derive an independent sub-stream; does not advance this stream."""

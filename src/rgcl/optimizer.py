@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import EncoderParams, encode, encode_backward
-from .loss import RgclConfig, _anchor_h_rows, _bimodal_h_rows
+from .loss import RgclConfig, _anchor_h_rows, _bimodal_h_rows, _offdiag_rows, _softmax_rows
+from .loss import _bimodal_embedding_grads, _unimodal_embedding_grads
 from .numerics import RandomStream
 
 __all__ = [
@@ -216,22 +217,6 @@ def update_s(state: AnchorState, g_batch: float, beta0: float) -> float:
     return float((1.0 - beta0) * state.s + beta0 * g_batch)
 
 
-def _batch_g_terms(hmat: np.ndarray, taus: np.ndarray, log_epsilon: float):
-    """Shared per-row quantities: batch g, softmax rows, E_p[h], log-mean-exp
-    kept shift-stable for temperatures down to the floor."""
-    m = hmat.shape[1]
-    hz = hmat / taus[:, None]
-    shift = hz.max(axis=1, keepdims=True)
-    ez = np.exp(hz - shift)
-    sez = ez.sum(axis=1)
-    lme = (shift[:, 0] + np.log(sez)) - math.log(m)
-    mean_exp = np.exp(lme)
-    g = mean_exp + log_epsilon
-    p = ez / sez[:, None]
-    eph = np.sum(p * hmat, axis=1)
-    return g, mean_exp, p, eph
-
-
 def grad_tau_estimator(
     state: AnchorState, h_batch, rho: float, n: int, tau_grad_scale: float, log_epsilon: float = 0.0
 ) -> float:
@@ -241,10 +226,10 @@ def grad_tau_estimator(
         raise ValueError("anchor state not initialized")
     if state.s <= 0:
         raise ValueError("s must be positive")
-    hv = np.asarray(getattr(h_batch, "values", h_batch), dtype=np.float64)
-    g, mean_exp, p, eph = _batch_g_terms(hv[None, :], np.array([state.tau]), log_epsilon)
-    # tau * dg/dtau = -mean_exp * E_p[h] / tau
-    term = -(float(mean_exp[0]) / state.s) * float(eph[0]) / state.tau
+    hv = np.array(getattr(h_batch, "values", h_batch), dtype=np.float64)
+    _, _, ratio, eph, _ = _softmax_rows(hv[None, :], np.array([state.tau]), log_epsilon, 1, lambda g: state.s)
+    # tau * dg/dtau / s = -(mean_exp / s) * E_p[h] / tau
+    term = -float(ratio[0]) * float(eph[0]) / state.tau
     return (term + math.log(state.s) + rho) / n * tau_grad_scale
 
 
@@ -268,25 +253,15 @@ def grad_w_estimator(
         raise ValueError("per-anchor state length does not match the batch")
     if np.any(s_values <= 0):
         raise ValueError("s must be positive")
-    ya = encode(params, views_a).embeddings
-    yb = encode(params, views_b).embeddings
-    hmat, _ = _anchor_h_rows(ya, yb)
-    _, mean_exp, p, _ = _batch_g_terms(hmat, taus, log_epsilon)
-
+    ea = encode(params, views_a)
+    eb = encode(params, views_b)
+    hmat, _ = _anchor_h_rows(ea.embeddings, eb.embeddings)
     # pair weight exp(h_ij/tau_i) / (m * s_i * B) = p_ij * mean_exp_i / (s_i B)
-    w = p * (mean_exp / s_values)[:, None] / batch
-    wa = np.zeros((batch, batch))
-    wb = np.zeros((batch, batch))
-    off = ~np.eye(batch, dtype=bool)
-    wa[off] = w[:, : batch - 1].ravel()
-    wb[off] = w[:, batch - 1 :].ravel()
-    row_sum = wa.sum(axis=1) + wb.sum(axis=1)
-
-    dya = wa @ ya + wb @ yb - row_sum[:, None] * yb + wa.T @ ya
-    dyb = -row_sum[:, None] * ya + wb.T @ ya
-    ga = encode_backward(params, views_a, dya)
-    gb = encode_backward(params, views_b, dyb)
-    return ga.flatten() + gb.flatten()
+    w = _softmax_rows(hmat, taus, log_epsilon, batch, lambda g: s_values)[-1]
+    wa, wb = np.zeros((batch, batch)), np.zeros((batch, batch))
+    _offdiag_rows([wa, wb], 0, batch, w, scatter=True)
+    dya, dyb = _unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
+    return encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
 
 
 def project_tau(tau: float, cfg: RgclConfig) -> float:
@@ -307,23 +282,26 @@ def _param_update(opt, params_flat: np.ndarray, grad: np.ndarray, cfg: RgclConfi
     return params_flat - cfg.eta_w * opt.v
 
 
-def _tau_side_update(
-    opt, idx, taus, s_arr, u_arr, tau_arr, g, mean_exp, eph, cfg: RgclConfig, eta_tau: float
-):
-    """Shared per-anchor updates for one direction: s, u, and projected tau.
-
-    Returns the fresh s values for the batch (used by the parameter
-    gradient).  Mutates the state arrays in place.
-    """
+def _side_step(opt, idx, hmat, s_arr, u_arr, tau_arr, cfg: RgclConfig, eta_tau: float):
+    """One direction's share of a step: the row kernel on the batch hardness
+    rows, then in-place updates of the batch anchors' s, u and projected tau.
+    Returns the (B, B) pair-weight matrices, one per score matrix the rows
+    came from, computed with the temperatures the batch was scored with and
+    the fresh s."""
     n = s_arr.shape[0]
     scale = cfg.resolved_tau_grad_scale(n)
+    taus = tau_arr[idx].copy()
     init = opt.initialized[idx]
-    s_new = np.where(init, (1.0 - cfg.beta0) * s_arr[idx] + cfg.beta0 * g, g)
+    s_old = s_arr[idx]
+    g, s_new, ratio, eph, w = _softmax_rows(
+        hmat, taus, cfg.log_epsilon, len(idx),
+        lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g),
+    )
     s_arr[idx] = s_new
     opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
     opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
 
-    grad_tau = (-(mean_exp / s_new) * eph / taus + np.log(s_new) + cfg.rho) / n * scale
+    grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / n * scale
     u_new = (1.0 - cfg.beta1) * u_arr[idx] + cfg.beta1 * grad_tau
     u_arr[idx] = u_new
     tau_new = taus - eta_tau * u_new
@@ -332,7 +310,9 @@ def _tau_side_update(
     tau_arr[idx] = tau_new
     opt.min_tau_seen = min(opt.min_tau_seen, float(np.min(tau_new)))
     opt.max_tau_seen = max(opt.max_tau_seen, float(np.max(tau_new)))
-    return s_new
+    mats = [np.zeros((len(idx), len(idx))) for _ in range(hmat.shape[1] // (len(idx) - 1))]
+    _offdiag_rows(mats, 0, len(idx), w, scatter=True)
+    return mats
 
 
 def _step_unimodal_core(
@@ -350,32 +330,14 @@ def _step_unimodal_core(
     views_a = inputs[idx] + aug_strength * noise_a
     views_b = inputs[idx] + aug_strength * noise_b
 
-    ya = encode(params, views_a).embeddings
-    yb = encode(params, views_b).embeddings
-    hmat, _ = _anchor_h_rows(ya, yb)
-    taus = opt.tau[idx].copy()
-    g, mean_exp, p, eph = _batch_g_terms(hmat, taus, cfg.log_epsilon)
-
-    s_new = _tau_side_update(
-        opt, idx, taus, opt.s, opt.u, opt.tau, g, mean_exp, eph, cfg, eta_tau
-    )
+    ea = encode(params, views_a)
+    eb = encode(params, views_b)
+    hmat, _ = _anchor_h_rows(ea.embeddings, eb.embeddings)
+    wa, wb = _side_step(opt, idx, hmat, opt.s, opt.u, opt.tau, cfg, eta_tau)
     opt.initialized[idx] = True
 
-    # parameter gradient uses the temperatures the batch was scored with
-    # and the freshly updated s
-    w = p * (mean_exp / s_new)[:, None] / batch_size
-    wa = np.zeros((batch_size, batch_size))
-    wb = np.zeros((batch_size, batch_size))
-    off = ~np.eye(batch_size, dtype=bool)
-    wa[off] = w[:, : batch_size - 1].ravel()
-    wb[off] = w[:, batch_size - 1 :].ravel()
-    row_sum = wa.sum(axis=1) + wb.sum(axis=1)
-    dya = wa @ ya + wb @ yb - row_sum[:, None] * yb + wa.T @ ya
-    dyb = -row_sum[:, None] * ya + wb.T @ ya
-    grad_w = (
-        encode_backward(params, views_a, dya).flatten()
-        + encode_backward(params, views_b, dyb).flatten()
-    )
+    dya, dyb = _unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
+    grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
 
     new_flat = _param_update(opt, params.flatten(), grad_w, cfg)
     opt.t += 1
@@ -436,40 +398,17 @@ def step_bimodal(
         raise ValueError("need 2 <= batch_size <= n")
     idx = np.sort(step_stream.split("indices").choice_without_replacement(n, batch_size))
 
-    x_emb = encode(params_img, images[idx]).embeddings
-    t_emb = encode(params_txt, texts[idx]).embeddings
-    hx, ht, _ = _bimodal_h_rows(x_emb, t_emb)
-
-    taus_v = opt.tau_v[idx].copy()
-    taus_t = opt.tau_t[idx].copy()
-    gv, mev, pv, ephv = _batch_g_terms(hx, taus_v, cfg.log_epsilon)
-    gt_, met, pt, epht = _batch_g_terms(ht, taus_t, cfg.log_epsilon)
-
-    sv_new = _tau_side_update(
-        opt, idx, taus_v, opt.s_v, opt.u_v, opt.tau_v, gv, mev, ephv, cfg, cfg.eta_tau
-    )
-    st_new = _tau_side_update(
-        opt, idx, taus_t, opt.s_t, opt.u_t, opt.tau_t, gt_, met, epht, cfg, cfg.eta_tau
-    )
+    ex = encode(params_img, images[idx])
+    et = encode(params_txt, texts[idx])
+    hx, ht, _ = _bimodal_h_rows(ex.embeddings, et.embeddings)
+    (wv,) = _side_step(opt, idx, hx, opt.s_v, opt.u_v, opt.tau_v, cfg, cfg.eta_tau)
+    (wt,) = _side_step(opt, idx, ht, opt.s_t, opt.u_t, opt.tau_t, cfg, cfg.eta_tau)
     opt.initialized[idx] = True
 
-    wv = pv * (mev / sv_new)[:, None] / batch_size
-    wt = pt * (met / st_new)[:, None] / batch_size
-    off = ~np.eye(batch_size, dtype=bool)
-    wvm = np.zeros((batch_size, batch_size))
-    wtm = np.zeros((batch_size, batch_size))
-    wvm[off] = wv.ravel()
-    wtm[off] = wt.ravel()
-    rv = wvm.sum(axis=1)
-    rt = wtm.sum(axis=1)
-
-    # mirror-symmetric evaluation order (see bimodal_value_and_grads)
-    dx = (wvm @ t_emb - rv[:, None] * t_emb) + (wtm.T @ t_emb - rt[:, None] * t_emb)
-    dt = (wtm @ x_emb - rt[:, None] * x_emb) + (wvm.T @ x_emb - rv[:, None] * x_emb)
-
-    gx = encode_backward(params_img, images[idx], dx).flatten()
-    gtx = encode_backward(params_txt, texts[idx], dt).flatten()
-    grad = np.concatenate([gx, gtx])
+    dx, dt = _bimodal_embedding_grads(wv, wt, ex.embeddings, et.embeddings)
+    grad = np.concatenate(
+        [encode_backward(params_img, ex, dx).flatten(), encode_backward(params_txt, et, dt).flatten()]
+    )
 
     flat = np.concatenate([params_img.flatten(), params_txt.flatten()])
     new_flat = _param_update(opt, flat, grad, cfg)
@@ -478,18 +417,22 @@ def step_bimodal(
     return params_img.from_flat(new_flat[:n_img]), params_txt.from_flat(new_flat[n_img:])
 
 
+# per-anchor arrays in checkpoint order
+_ANCHOR_ARRAYS = {_MAGIC_UNI: ("s", "u", "tau"), _MAGIC_BI: ("s_v", "u_v", "tau_v", "s_t", "u_t", "tau_t")}
+_HEADER_BYTES = 8 + 6 * 8 + 4 * 8
+
+
 def save_optimizer_state(opt, path: str) -> None:
     """Binary checkpoint.  Layout: 8-byte magic, little-endian int64 header
-    (mode flag, seed, step, n, len(v), adam flag), two float64 extrema, then
+    (mode flag, seed, step, n, len(v), adam flag), four float64 extrema, then
     the flat float64 arrays in a fixed order with initialized as uint8."""
-    mode_flag = _MODES.index(opt.mode)
-    bimodal = isinstance(opt, BimodalOptimizerState)
+    magic = _MAGIC_BI if isinstance(opt, BimodalOptimizerState) else _MAGIC_UNI
     with open(path, "wb") as fh:
-        fh.write(_MAGIC_BI if bimodal else _MAGIC_UNI)
+        fh.write(magic)
         fh.write(
             struct.pack(
                 "<qqqqqq",
-                mode_flag,
+                _MODES.index(opt.mode),
                 opt.seed,
                 opt.t,
                 opt.n,
@@ -499,68 +442,55 @@ def save_optimizer_state(opt, path: str) -> None:
         )
         fh.write(struct.pack("<dddd", opt.min_g_seen, opt.min_s_seen, opt.min_tau_seen, opt.max_tau_seen))
         fh.write(opt.v.astype("<f8").tobytes())
-        if bimodal:
-            for arr in (opt.s_v, opt.u_v, opt.tau_v, opt.s_t, opt.u_t, opt.tau_t):
-                fh.write(arr.astype("<f8").tobytes())
-        else:
-            for arr in (opt.s, opt.u, opt.tau):
-                fh.write(arr.astype("<f8").tobytes())
+        for name in _ANCHOR_ARRAYS[magic]:
+            fh.write(getattr(opt, name).astype("<f8").tobytes())
         fh.write(opt.initialized.astype(np.uint8).tobytes())
         if opt.adam_m2 is not None:
             fh.write(opt.adam_m2.astype("<f8").tobytes())
 
 
 def load_optimizer_state(path: str):
+    """Read a checkpoint written by save_optimizer_state.  The header fixes
+    the exact file size; any other size, an unknown magic or mode flag, a
+    negative size or a malformed flag is rejected with ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic not in (_MAGIC_UNI, _MAGIC_BI):
-            raise ValueError("not an optimizer checkpoint")
-        mode_flag, seed, t, n, nv, has_adam = struct.unpack("<qqqqqq", fh.read(48))
-        min_g, min_s, min_tau, max_tau = struct.unpack("<dddd", fh.read(32))
+        data = fh.read()
+    magic = data[:8]
+    if len(data) < _HEADER_BYTES or magic not in _ANCHOR_ARRAYS:
+        raise ValueError("not an optimizer checkpoint")
+    mode_flag, seed, t, n, nv, has_adam = struct.unpack_from("<qqqqqq", data, 8)
+    min_g, min_s, min_tau, max_tau = struct.unpack_from("<dddd", data, 56)
+    if not (0 <= mode_flag < len(_MODES) and n >= 0 and nv >= 0 and has_adam in (0, 1)):
+        raise ValueError("corrupt checkpoint header: mode %d, n %d, len(v) %d, adam flag %d"
+                         % (mode_flag, n, nv, has_adam))
+    names = _ANCHOR_ARRAYS[magic]
+    size = _HEADER_BYTES + 8 * nv * (1 + has_adam) + 8 * n * len(names) + n
+    if len(data) != size:
+        raise ValueError("checkpoint is %d bytes, its header implies %d" % (len(data), size))
+    offset = _HEADER_BYTES
 
-        def arr(count):
-            return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
+    def take(count, dtype="<f8"):
+        nonlocal offset
+        out = np.frombuffer(data, dtype, count, offset)
+        offset += out.nbytes
+        return out
 
-        v = arr(nv)
-        if magic == _MAGIC_BI:
-            s_v, u_v, tau_v = arr(n), arr(n), arr(n)
-            s_t, u_t, tau_t = arr(n), arr(n), arr(n)
-        else:
-            s, u, tau = arr(n), arr(n), arr(n)
-        initialized = np.frombuffer(fh.read(n), dtype=np.uint8).astype(bool)
-        adam_m2 = arr(nv) if has_adam else None
-
-    if magic == _MAGIC_BI:
-        return BimodalOptimizerState(
-            mode=_MODES[mode_flag],
-            seed=seed,
-            t=t,
-            s_v=s_v,
-            u_v=u_v,
-            tau_v=tau_v,
-            s_t=s_t,
-            u_t=u_t,
-            tau_t=tau_t,
-            initialized=initialized,
-            v=v,
-            adam_m2=adam_m2,
-            min_g_seen=min_g,
-            min_s_seen=min_s,
-            min_tau_seen=min_tau,
-            max_tau_seen=max_tau,
-        )
-    return OptimizerState(
+    v = take(nv).astype(np.float64)
+    arrays = {name: take(n).astype(np.float64) for name in names}
+    flags = take(n, np.uint8)
+    if np.any(flags > 1):
+        raise ValueError("checkpoint initialized flags must be 0 or 1")
+    cls = BimodalOptimizerState if magic == _MAGIC_BI else OptimizerState
+    return cls(
         mode=_MODES[mode_flag],
         seed=seed,
         t=t,
-        s=s,
-        u=u,
-        tau=tau,
-        initialized=initialized,
+        initialized=flags.astype(bool),
         v=v,
-        adam_m2=adam_m2,
+        adam_m2=take(nv).astype(np.float64) if has_adam else None,
         min_g_seen=min_g,
         min_s_seen=min_s,
         min_tau_seen=min_tau,
         max_tau_seen=max_tau,
+        **arrays,
     )

@@ -59,6 +59,11 @@ class TestConfig:
         assert cfg.mirrored is True and cfg.tau_grad_scale is None
         cfg = apply_overrides(cfg, ["tau_grad_scale=2.5"])
         assert cfg.tau_grad_scale == 2.5
+        for text, value in [("FALSE", False), ("0", False), ("no", False), ("Yes", True), ("1", True)]:
+            assert apply_overrides(cfg, ["mirrored=" + text]).mirrored is value
+        for text in ["ture", "", "2", "on", "y"]:
+            with pytest.raises(ValueError, match="mirrored"):
+                apply_overrides(cfg, ["mirrored=" + text])
 
     def test_json_file_merge(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -77,6 +82,15 @@ class TestConfig:
             ExperimentConfig(held_out_fraction=1.5)
         with pytest.raises(ValueError):
             ExperimentConfig(rho=-1.0)  # loss hyperparameters validated too
+        for key in ["eta_w", "eta_tau", "rho", "beta0", "log_epsilon", "tau_grad_scale",
+                    "ratio", "noise", "aug_strength"]:
+            for bad in [float("nan"), float("inf"), -float("inf")]:
+                with pytest.raises(ValueError, match=key):
+                    ExperimentConfig(**{key: bad})
+            with pytest.raises(ValueError, match=key):
+                apply_overrides(ExperimentConfig(), ["%s=nan" % key])
+        with pytest.raises(ValueError, match="mirrored"):
+            load_config(data={"mirrored": "ture"})
 
 
 class TestThreads:
@@ -125,6 +139,33 @@ class TestKnn:
     def test_even_k_rejected(self):
         with pytest.raises(ValueError):
             knn_accuracy(np.eye(4), np.arange(4), 2, 0.25, RandomStream(0))
+
+    @staticmethod
+    def loop_knn(embeddings, labels, k, held_out_fraction, stream):
+        """The per-row reference: stable argsort, np.unique vote count,
+        lowest class id among tied counts."""
+        n = embeddings.shape[0]
+        n_test = max(1, int(round(held_out_fraction * n)))
+        test_idx = np.sort(stream.choice_without_replacement(n, n_test))
+        train_idx = np.setdiff1d(np.arange(n), test_idx)
+        sims = embeddings[test_idx] @ embeddings[train_idx].T
+        correct = 0
+        for r in range(len(test_idx)):
+            nn = np.argsort(-sims[r], kind="stable")[:k]
+            classes, counts = np.unique(labels[train_idx[nn]], return_counts=True)
+            correct += int(classes[counts == counts.max()].min() == labels[test_idx[r]])
+        return correct / len(test_idx)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_on_ties(self, seed):
+        # few distinct integer embeddings: many tied similarities and votes
+        stream = RandomStream(seed, ("knn-ties",))
+        emb = stream.integers(0, 3, size=(90, 3)).astype(float)
+        labels = np.array([2, 5, 9, 11])[stream.integers(0, 4, size=90)]
+        for k in (1, 3, 5, 7, 15):
+            got = knn_accuracy(emb, labels, k, 0.3, RandomStream(seed, ("split",)))
+            want = self.loop_knn(emb, labels, k, 0.3, RandomStream(seed, ("split",)))
+            assert got == want
 
 
 class TestTrainUnimodal:

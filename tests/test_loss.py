@@ -55,6 +55,11 @@ class TestConfig:
             RgclConfig(beta0=0.0)
         with pytest.raises(ValueError):
             RgclConfig(rho=2.0, tau0=0.05, tau_init=5.0)  # above tau_max
+        for key in ["rho", "tau0", "tau_init", "beta0", "beta1", "eta_w", "eta_tau",
+                    "tau_grad_scale", "log_epsilon"]:
+            for bad in [float("nan"), float("inf")]:
+                with pytest.raises(ValueError, match=key):
+                    RgclConfig(**{key: bad})
 
     def test_resolved_scale(self):
         assert RgclConfig(tau_grad_scale=None).resolved_tau_grad_scale(37) == 37.0

@@ -142,6 +142,15 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0).choice_without_replacement(5, 6)
 
+    def test_sequence_contract_pinned(self):
+        # (seed, path) -> sequence is a stored-artifact contract: these are
+        # the draws every earlier release produced
+        s = RandomStream(7, ("x",))
+        assert s.split("a").normal(3).tolist() == [
+            -0.34122217882673894, -0.9996372011916617, -1.4704222998182679]
+        assert s.uniform(2).tolist() == [0.41248182325444405, 0.33126025851423013]
+        assert RandomStream(0).choice_without_replacement(10, 4).tolist() == [1, 8, 9, 3]
+
     def test_draw_gaussian(self):
         s = RandomStream(0, ("g",))
         assert draw_gaussian(s, 4).shape == (4,)

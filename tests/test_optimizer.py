@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -364,3 +366,61 @@ class TestCheckpoint:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             init_optimizer_state(4, 10, RgclConfig(), 0, mode="sgd")
+
+    @staticmethod
+    def checkpoint_sections(tmp_path, bimodal):
+        """Bytes of an adam-mode checkpoint and the offsets where its
+        sections end: magic, int header, extrema, v, each per-anchor
+        array, initialized flags, adam second moments."""
+        n, nv = 10, 7
+        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6)
+        if bimodal:
+            opt = init_bimodal_optimizer_state(n, 3, 4, cfg, seed=1, mode="adam")
+        else:
+            opt = init_optimizer_state(n, nv, cfg, seed=1, mode="adam")
+        path = tmp_path / "opt.ckpt"
+        save_optimizer_state(opt, str(path))
+        sizes = [8, 48, 32, 8 * nv] + [8 * n] * (6 if bimodal else 3) + [n, 8 * nv]
+        return path, path.read_bytes(), np.cumsum(sizes)
+
+    @pytest.mark.parametrize("bimodal", [False, True])
+    def test_truncated_at_every_section_rejected(self, tmp_path, bimodal):
+        path, data, ends = self.checkpoint_sections(tmp_path, bimodal)
+        assert ends[-1] == len(data)
+        for end in ends[:-1]:
+            for cut in (end, end - 1, end + 1):
+                path.write_bytes(data[:cut])
+                with pytest.raises(ValueError):
+                    load_optimizer_state(str(path))
+
+    @pytest.mark.parametrize("bimodal", [False, True])
+    def test_appended_bytes_rejected(self, tmp_path, bimodal):
+        path, data, _ = self.checkpoint_sections(tmp_path, bimodal)
+        for extra in (b"\x00", b"\x00" * 8, b"RGCLOPT1"):
+            path.write_bytes(data + extra)
+            with pytest.raises(ValueError, match="header implies"):
+                load_optimizer_state(str(path))
+
+    def test_cut_short_by_300_bytes_rejected(self, tmp_path):
+        path = tmp_path / "opt.ckpt"
+        save_optimizer_state(init_optimizer_state(100, 30, RgclConfig(), seed=0), str(path))
+        path.write_bytes(path.read_bytes()[:-300])
+        with pytest.raises(ValueError, match="header implies"):
+            load_optimizer_state(str(path))
+
+    @pytest.mark.parametrize("field,value", [(0, 3), (0, -1), (3, -1), (4, -1), (5, 2)])
+    def test_corrupt_header_rejected(self, tmp_path, field, value):
+        # field indexes (mode flag, seed, step, n, len(v), adam flag)
+        path, data, _ = self.checkpoint_sections(tmp_path, False)
+        header = list(struct.unpack_from("<qqqqqq", data, 8))
+        header[field] = value
+        path.write_bytes(data[:8] + struct.pack("<qqqqqq", *header) + data[56:])
+        with pytest.raises(ValueError, match="corrupt checkpoint header"):
+            load_optimizer_state(str(path))
+
+    def test_initialized_flags_must_be_boolean(self, tmp_path):
+        path, data, ends = self.checkpoint_sections(tmp_path, False)
+        flags_at = ends[-3]
+        path.write_bytes(data[:flags_at] + b"\x02" + data[flags_at + 1 :])
+        with pytest.raises(ValueError, match="0 or 1"):
+            load_optimizer_state(str(path))
