@@ -15,7 +15,6 @@ in fixed index order so results are deterministic.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 
@@ -29,10 +28,8 @@ __all__ = [
     "init_encoder_params",
     "encode",
     "encode_backward",
-    "cosine_sim",
     "save_params",
     "load_params",
-    "params_to_json",
 ]
 
 _ACTIVATIONS = ("identity", "tanh")
@@ -106,11 +103,10 @@ class EncoderParams:
 
 @dataclass
 class EmbeddingBatch:
-    """Row embeddings, each unit l2 norm, with the dataset indices they
-    came from."""
+    """Row embeddings, each unit l2 norm, with encode's forward cache for
+    encode_backward."""
 
     embeddings: np.ndarray  # (n, d_embed)
-    indices: np.ndarray  # (n,) dataset indices
     cache: tuple | None = field(default=None, repr=False)  # encode's forward intermediates
 
     def __post_init__(self):
@@ -148,11 +144,9 @@ def _forward(params: EncoderParams, inputs: np.ndarray):
     return y, (x, a1, z2, norms)
 
 
-def encode(params: EncoderParams, inputs: np.ndarray, indices=None) -> EmbeddingBatch:
+def encode(params: EncoderParams, inputs: np.ndarray) -> EmbeddingBatch:
     y, cache = _forward(params, inputs)
-    if indices is None:
-        indices = np.arange(y.shape[0])
-    return EmbeddingBatch(y, np.asarray(indices), cache)
+    return EmbeddingBatch(y, cache)
 
 
 def encode_backward(params: EncoderParams, inputs, grad_embeddings: np.ndarray) -> EncoderParams:
@@ -180,11 +174,6 @@ def encode_backward(params: EncoderParams, inputs, grad_embeddings: np.ndarray) 
     return EncoderParams(dw1, db1, dw2, db2, params.activation)
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of unit vectors."""
-    return float(np.dot(a, b))
-
-
 def save_params(params: EncoderParams, path: str) -> None:
     """Binary layout: magic 'RGCLENC1', four little-endian int64
     (d_in, d_hidden, d_embed, activation flag 0=identity 1=tanh),
@@ -202,6 +191,8 @@ def load_params(path: str) -> EncoderParams:
         if magic != _MAGIC:
             raise ValueError("not an encoder checkpoint")
         d_in, d_hidden, d_embed, act = struct.unpack("<qqqq", fh.read(32))
+        if not 0 <= act < len(_ACTIVATIONS):
+            raise ValueError("unknown activation flag %d in encoder checkpoint" % act)
         flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
     template = EncoderParams(
         np.zeros((d_hidden, d_in)),
@@ -211,16 +202,3 @@ def load_params(path: str) -> EncoderParams:
         _ACTIVATIONS[act],
     )
     return template.from_flat(flat)
-
-
-def params_to_json(params: EncoderParams) -> str:
-    """JSON export for inspection; full float precision."""
-    return json.dumps(
-        {
-            "activation": params.activation,
-            "w1": params.w1.tolist(),
-            "b1": params.b1.tolist(),
-            "w2": params.w2.tolist(),
-            "b2": params.b2.tolist(),
-        }
-    )

@@ -222,25 +222,21 @@ def knn_accuracy(embeddings, labels, k: int, held_out_fraction: float, stream: R
 
 
 def export_tau_csv(opt, labels, path: str) -> None:
-    """CSV with header index,label,tau,s; one row per sample, sorted by
-    index; values printed with repr so parsing round-trips exactly."""
+    """CSV with header index,label,tau,s (plus tau_t,s_t for the text side
+    of a bimodal state); one row per sample, sorted by index; values printed
+    with repr so parsing round-trips exactly.  labels must hold one label
+    per anchor."""
     labels = np.asarray(labels)
-    bimodal = hasattr(opt, "tau_v")
+    if len(labels) != opt.n:
+        raise ValueError("%d labels for %d anchors" % (len(labels), opt.n))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if bimodal:
-            writer.writerow(["index", "label", "tau", "s", "tau_t", "s_t"])
-            for i in range(opt.n):
-                writer.writerow(
-                    [i, int(labels[i]), repr(float(opt.tau_v[i])), repr(float(opt.s_v[i])),
-                     repr(float(opt.tau_t[i])), repr(float(opt.s_t[i]))]
-                )
-        else:
-            writer.writerow(["index", "label", "tau", "s"])
-            for i in range(opt.n):
-                writer.writerow(
-                    [i, int(labels[i]), repr(float(opt.tau[i])), repr(float(opt.s[i]))]
-                )
+        writer.writerow(["index", "label"] + ["tau", "s", "tau_t", "s_t"][: 2 * opt.sides])
+        for i in range(opt.n):
+            row = [i, int(labels[i])]
+            for side in range(opt.sides):
+                row += [repr(float(opt.tau[side, i])), repr(float(opt.s[side, i]))]
+            writer.writerow(row)
 
 
 def _per_cluster_mean(values: np.ndarray, labels: np.ndarray, k: int) -> list[float]:
@@ -277,20 +273,19 @@ def _write_metrics_csv(out_dir: str, series: dict[str, list]) -> None:
 
 def _objective_estimate(opt, cfg: RgclConfig):
     """Cheap objective proxy from the moving averages: mean over touched
-    anchors of tau log s + (tau - tau0) rho."""
+    anchors of tau log s + (tau - tau0) rho, summed over the sides."""
     init = opt.initialized
     if not np.any(init):
         return None
-    if hasattr(opt, "tau_v"):
-        terms = (
-            opt.tau_v[init] * np.log(opt.s_v[init])
-            + (opt.tau_v[init] - cfg.tau0) * cfg.rho
-            + opt.tau_t[init] * np.log(opt.s_t[init])
-            + (opt.tau_t[init] - cfg.tau0) * cfg.rho
-        )
-    else:
-        terms = opt.tau[init] * np.log(opt.s[init]) + (opt.tau[init] - cfg.tau0) * cfg.rho
+    terms = 0.0
+    for tau, s in zip(opt.tau[:, init], opt.s[:, init]):
+        # left to right, so two sides add as ((A + B) + C) + D
+        terms = terms + tau * np.log(s) + (tau - cfg.tau0) * cfg.rho
     return float(terms.mean())
+
+
+def _tau_summary(tau: np.ndarray) -> dict:
+    return {"min": float(tau.min()), "max": float(tau.max()), "mean": float(tau.mean())}
 
 
 def _grad_mapping_sq(params, eval_views, taus, rcfg: RgclConfig):
@@ -327,14 +322,15 @@ def run_train_unimodal(cfg: ExperimentConfig) -> dict:
     step_fn = optimizer.step_sogclr_baseline if cfg.mode == "sogclr-baseline" else optimizer.step_unimodal
     steps_per_epoch = max(1, cfg.n // cfg.batch_size)
 
-    initial_objective, initial_gm = _grad_mapping_sq(params, eval_views, opt.tau, rcfg)
+    tau = opt.tau[0]
+    initial_objective, initial_gm = _grad_mapping_sq(params, eval_views, tau, rcfg)
     series = {"objective_estimate": [], "exact_objective": [], "grad_mapping_sq": []}
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(steps_per_epoch):
             params = step_fn(opt, params, data.inputs, rcfg, cfg.batch_size, cfg.aug_strength)
         series["objective_estimate"].append(_objective_estimate(opt, rcfg))
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            value, gm = _grad_mapping_sq(params, eval_views, opt.tau, rcfg)
+            value, gm = _grad_mapping_sq(params, eval_views, tau, rcfg)
             series["exact_objective"].append(value)
             series["grad_mapping_sq"].append(gm)
         else:
@@ -343,8 +339,8 @@ def run_train_unimodal(cfg: ExperimentConfig) -> dict:
 
     emb = encode(params, data.inputs).embeddings
     acc = knn_accuracy(emb, data.labels, cfg.knn_k, cfg.held_out_fraction, RandomStream(cfg.seed, ("eval", "knn")))
-    cluster_tau = _per_cluster_mean(opt.tau, data.labels, cfg.k)
-    if opt.tau.min() == opt.tau.max():
+    cluster_tau = _per_cluster_mean(tau, data.labels, cfg.k)
+    if tau.min() == tau.max():
         spearman = None  # constant temperatures have no ranking
     else:
         spearman = _safe_spearman(data.cluster_sizes.astype(float), np.asarray(cluster_tau))
@@ -364,11 +360,7 @@ def run_train_unimodal(cfg: ExperimentConfig) -> dict:
         "cluster_sizes": data.cluster_sizes.tolist(),
         "per_cluster_mean_tau": cluster_tau,
         "spearman_size_tau": spearman,
-        "tau_summary": {
-            "min": float(opt.tau.min()),
-            "max": float(opt.tau.max()),
-            "mean": float(opt.tau.mean()),
-        },
+        "tau_summary": _tau_summary(tau),
         "min_g_seen": None if math.isinf(opt.min_g_seen) else opt.min_g_seen,
         "min_s_seen": None if math.isinf(opt.min_s_seen) else opt.min_s_seen,
         "g_floor": rcfg.g_floor,
@@ -400,9 +392,9 @@ def run_train_bimodal(cfg: ExperimentConfig) -> dict:
         init_txt = RandomStream(cfg.seed, ("init", "txt"))
     params_img = init_encoder_params(cfg.d_img, cfg.d_hidden, cfg.d_embed, cfg.activation, init_img)
     params_txt = init_encoder_params(cfg.d_txt, cfg.d_hidden, cfg.d_embed, cfg.activation, init_txt)
-    opt = optimizer.init_bimodal_optimizer_state(
-        cfg.n, params_img.n_params, params_txt.n_params, rcfg, cfg.seed,
-        "adam" if cfg.param_update == "adam" else "momentum",
+    opt = optimizer.init_optimizer_state(
+        cfg.n, params_img.n_params + params_txt.n_params, rcfg, cfg.seed,
+        "adam" if cfg.param_update == "adam" else "momentum", sides=2,
     )
 
     steps_per_epoch = max(1, cfg.n // cfg.batch_size)
@@ -416,8 +408,6 @@ def run_train_bimodal(cfg: ExperimentConfig) -> dict:
 
     emb = encode(params_img, data.image_views).embeddings
     acc = knn_accuracy(emb, data.labels, cfg.knn_k, cfg.held_out_fraction, RandomStream(cfg.seed, ("eval", "knn")))
-    cluster_tau_v = _per_cluster_mean(opt.tau_v, data.labels, cfg.k)
-    cluster_tau_t = _per_cluster_mean(opt.tau_t, data.labels, cfg.k)
     sizes = data.cluster_sizes.astype(float)
 
     report = {
@@ -429,25 +419,17 @@ def run_train_bimodal(cfg: ExperimentConfig) -> dict:
         "objective_estimate": series["objective_estimate"],
         "knn_accuracy": acc,
         "cluster_sizes": data.cluster_sizes.tolist(),
-        "per_cluster_mean_tau_v": cluster_tau_v,
-        "per_cluster_mean_tau_t": cluster_tau_t,
-        "spearman_size_tau_v": _safe_spearman(sizes, np.asarray(cluster_tau_v)),
-        "spearman_size_tau_t": _safe_spearman(sizes, np.asarray(cluster_tau_t)),
-        "tau_v_summary": {
-            "min": float(opt.tau_v.min()),
-            "max": float(opt.tau_v.max()),
-            "mean": float(opt.tau_v.mean()),
-        },
-        "tau_t_summary": {
-            "min": float(opt.tau_t.min()),
-            "max": float(opt.tau_t.max()),
-            "mean": float(opt.tau_t.mean()),
-        },
         "min_g_seen": None if math.isinf(opt.min_g_seen) else opt.min_g_seen,
         "min_s_seen": None if math.isinf(opt.min_s_seen) else opt.min_s_seen,
         "g_floor": rcfg.g_floor,
-        "wall_clock_sec": time.monotonic() - t_start,
     }
+    # per side: v for image anchors, t for text anchors
+    for side, tau in zip("vt", opt.tau):
+        cluster_tau = _per_cluster_mean(tau, data.labels, cfg.k)
+        report["per_cluster_mean_tau_" + side] = cluster_tau
+        report["spearman_size_tau_" + side] = _safe_spearman(sizes, np.asarray(cluster_tau))
+        report["tau_%s_summary" % side] = _tau_summary(tau)
+    report["wall_clock_sec"] = time.monotonic() - t_start
     _write_report(report, cfg.out)
     _write_metrics_csv(cfg.out, series)
     export_tau_csv(opt, data.labels, os.path.join(cfg.out, "tau.csv"))
@@ -467,9 +449,22 @@ def run_gen_data(cfg: ExperimentConfig) -> str:
 
 
 def run_dump_tau(cfg: ExperimentConfig) -> str:
-    """Rewrite tau.csv from the optimizer checkpoint in cfg.out."""
+    """Rewrite tau.csv from the optimizer checkpoint in cfg.out.  The labels
+    come from the dataset of the config recorded in the run's report.json,
+    not from cfg, so overrides given now cannot mislabel the rows."""
     opt = optimizer.load_optimizer_state(os.path.join(cfg.out, "optimizer.ckpt"))
-    data = datasynth.gen_longtail_clusters(cfg.k, cfg.n, cfg.ratio, cfg.d_in, cfg.noise, cfg.seed)
+    report_path = os.path.join(cfg.out, "report.json")
+    if not os.path.exists(report_path):
+        raise ValueError("%s is missing; the labels of tau.csv come from the run's config" % report_path)
+    with open(report_path) as fh:
+        run = load_config(data=json.load(fh)["config"])
+    if opt.sides == 2:
+        data = datasynth.gen_bimodal_pairs(
+            run.k, run.n, run.ratio, run.d_latent, run.d_img, run.d_txt, run.noise, run.seed,
+            mirrored=run.mirrored,
+        )
+    else:
+        data = datasynth.gen_longtail_clusters(run.k, run.n, run.ratio, run.d_in, run.noise, run.seed)
     path = os.path.join(cfg.out, "tau.csv")
     export_tau_csv(opt, data.labels, path)
     return path
@@ -589,21 +584,20 @@ def _vcheck_degeneration(seed):
     cfg = RgclConfig(rho=cfg0.rho, tau0=cfg0.tau0, tau_init=0.6, beta0=1.0, beta1=1.0,
                      eta_w=0.05, eta_tau=0.05, tau_grad_scale=1.0)
     n = views.n
-    opt = optimizer.init_optimizer_state(n, params.n_params, cfg, seed)
+    tau = np.full(n, cfg.tau_init)
     p = params.copy()
     worst = 0.0
     for _ in range(5):
-        _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, opt.tau, cfg)
+        _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
         before_v = p.flatten()
-        before_tau = opt.tau.copy()
         # full batch with zero augmentation noise would change the views;
         # feed the fixed views through a one-step manual equivalent instead
-        gw = optimizer.grad_w_estimator(p, views.views_a, views.views_b, opt.tau,
-                                        _exact_s(p, views, opt.tau, cfg))
+        gw = optimizer.grad_w_estimator(p, views.views_a, views.views_b, tau,
+                                        _exact_s(p, views, tau, cfg))
         rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))
         worst = max(worst, rel)
         p = p.from_flat(before_v - cfg.eta_w * gw)
-        opt.tau = np.clip(before_tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max)
+        tau = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max)
     return _check("estimator_degeneration", worst <= 1e-10, {"worst_rel_err": worst})
 
 

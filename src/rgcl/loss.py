@@ -31,7 +31,6 @@ from .numerics import log_sum_exp, softmax_shifted
 __all__ = [
     "HARDNESS_BOUND",
     "RgclConfig",
-    "HardnessVector",
     "DistributionalWeights",
     "ViewPairs",
     "hardness_scores",
@@ -40,8 +39,6 @@ __all__ = [
     "p_star",
     "primal_rgcl_value",
     "kl_uniform",
-    "exact_grad_tau",
-    "pair_weights_for_w_grad",
     "objective_unimodal",
     "objective_bimodal",
     "unimodal_value_and_grads",
@@ -115,18 +112,6 @@ class RgclConfig:
 
 
 @dataclass
-class HardnessVector:
-    """Hardness scores of one anchor's negatives."""
-
-    values: np.ndarray
-    anchor_index: int = -1
-    bound: float = HARDNESS_BOUND
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass
 class DistributionalWeights:
     """A point on the simplex over an anchor's negatives."""
 
@@ -157,13 +142,7 @@ class ViewPairs:
         return self.views_a.shape[0]
 
 
-def _h_array(h) -> np.ndarray:
-    if isinstance(h, HardnessVector):
-        return np.asarray(h.values, dtype=np.float64)
-    return np.asarray(h, dtype=np.float64)
-
-
-def hardness_scores(anchor, positive, negatives, anchor_index: int = -1) -> HardnessVector:
+def hardness_scores(anchor, positive, negatives) -> np.ndarray:
     """h_j = anchor.neg_j - anchor.positive for every negative."""
     if isinstance(negatives, EmbeddingBatch):
         neg = negatives.embeddings
@@ -173,19 +152,18 @@ def hardness_scores(anchor, positive, negatives, anchor_index: int = -1) -> Hard
         raise ValueError("no negatives")
     anchor = np.asarray(anchor, dtype=np.float64)
     positive = np.asarray(positive, dtype=np.float64)
-    h = neg @ anchor - float(anchor @ positive)
-    return HardnessVector(h, anchor_index)
+    return neg @ anchor - float(anchor @ positive)
 
 
 def g_value(h, tau: float, log_epsilon: float = 0.0) -> float:
     """Mean of exp(h_j / tau), plus the optional smoothing constant."""
-    v = _h_array(h)
+    v = np.asarray(h, dtype=np.float64)
     return float(np.mean(np.exp(v / tau))) + log_epsilon
 
 
 def dual_loss_anchor(h, tau: float, cfg: RgclConfig) -> float:
     """tau * log g(h, tau) + (tau - tau0) * rho, via log-sum-exp."""
-    v = _h_array(h)
+    v = np.asarray(h, dtype=np.float64)
     lme = log_sum_exp(v / tau) - math.log(len(v))
     if cfg.log_epsilon > 0.0:
         log_g = np.logaddexp(lme, math.log(cfg.log_epsilon))
@@ -196,7 +174,7 @@ def dual_loss_anchor(h, tau: float, cfg: RgclConfig) -> float:
 
 def p_star(h, tau: float) -> DistributionalWeights:
     """Closed-form worst-case weights: softmax of h / tau."""
-    return DistributionalWeights(softmax_shifted(_h_array(h) / tau))
+    return DistributionalWeights(softmax_shifted(np.asarray(h, dtype=np.float64) / tau))
 
 
 def kl_uniform(p) -> float:
@@ -209,41 +187,11 @@ def kl_uniform(p) -> float:
 
 def primal_rgcl_value(h, p, tau0: float) -> float:
     """sum p_j h_j - tau0 * KL(p, uniform)."""
-    v = _h_array(h)
+    v = np.asarray(h, dtype=np.float64)
     pv = p.p if isinstance(p, DistributionalWeights) else np.asarray(p, dtype=np.float64)
     if len(pv) != len(v):
         raise ValueError("dimension mismatch")
     return float(pv @ v) - tau0 * kl_uniform(pv)
-
-
-def exact_grad_tau(h, tau: float, rho: float, n: int, log_epsilon: float = 0.0) -> float:
-    """(1/n) [ tau * dg/dtau / g + log g + rho ] for a full negative set.
-
-    dg/dtau = mean(exp(h_j/tau) * (-h_j / tau^2)); evaluated through the
-    shifted softmax so it stays finite for tau down to the floor.
-    """
-    v = _h_array(h)
-    lme = log_sum_exp(v / tau) - math.log(len(v))
-    p = softmax_shifted(v / tau)
-    mean_exp = math.exp(lme)
-    g = mean_exp + log_epsilon
-    # tau * dg/dtau / g = -(mean_exp / g) * E_p[h] / tau
-    term = -(mean_exp / g) * float(p @ v) / tau
-    log_g = math.log(g)
-    return (term + log_g + rho) / n
-
-
-def pair_weights_for_w_grad(h, tau: float, g_or_s: float, n: int) -> np.ndarray:
-    """Per-negative weights exp(h_j/tau) / (m * g_or_s * n).
-
-    Contracted so that the anchor's contribution to the parameter gradient
-    is sum_j weight_j * grad_w h_j.
-    """
-    if g_or_s <= 0:
-        raise ValueError("g_or_s must be positive")
-    v = _h_array(h)
-    m = len(v)
-    return np.exp(v / tau) / (m * g_or_s * n)
 
 
 # Anchors per block of the full-batch evaluation.  Blocks change only the

@@ -18,7 +18,6 @@ __all__ = [
     "softmax_shifted",
     "spearman_rank_corr",
     "RandomStream",
-    "draw_gaussian",
 ]
 
 
@@ -119,10 +118,3 @@ class RandomStream:
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
-
-
-def draw_gaussian(stream: RandomStream, n: int) -> np.ndarray:
-    """n standard-normal draws; advances the stream."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return stream.normal(n)

@@ -33,17 +33,10 @@ from .loss import _bimodal_embedding_grads, _unimodal_embedding_grads
 from .numerics import RandomStream
 
 __all__ = [
-    "AnchorState",
-    "BimodalAnchorState",
     "OptimizerState",
-    "BimodalOptimizerState",
     "init_optimizer_state",
-    "init_bimodal_optimizer_state",
     "sample_batch",
-    "update_s",
-    "grad_tau_estimator",
     "grad_w_estimator",
-    "project_tau",
     "step_unimodal",
     "step_bimodal",
     "step_sogclr_baseline",
@@ -57,40 +50,21 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_MAGIC_UNI = b"RGCLOPT1"
-_MAGIC_BI = b"RGCLOPB1"
-
-
-@dataclass
-class AnchorState:
-    """Per-anchor scalar state: moving average s, momentum u, temperature."""
-
-    s: float
-    u: float
-    tau: float
-    initialized: bool
-
-
-@dataclass
-class BimodalAnchorState:
-    """Per-pair state for both directions (image anchor, text anchor)."""
-
-    s_v: float
-    u_v: float
-    tau_v: float
-    s_t: float
-    u_t: float
-    tau_t: float
-    initialized: bool
+# checkpoint magic by side count
+_MAGICS = (b"RGCLOPT1", b"RGCLOPB1")
 
 
 @dataclass
 class OptimizerState:
-    """Whole-run optimizer state: per-anchor arrays plus parameter momentum.
+    """Whole-run optimizer state.
 
-    Arrays are indexed by dataset index.  min_g_seen / min_s_seen track the
-    smallest batch estimate and moving average ever produced, for checking
-    the lower bound on g.
+    s, u and tau are (sides, n) per-anchor tables indexed by dataset index:
+    one side for a unimodal run, two for a bimodal run (image anchors, then
+    text anchors).  The sides share initialized, the parameter momentum v
+    (over the concatenated parameters of both towers), the Adam second
+    moment and the extrema.  min_g_seen / min_s_seen track the smallest
+    batch estimate and moving average ever produced, for checking the lower
+    bound on g.
     """
 
     mode: str
@@ -111,126 +85,50 @@ class OptimizerState:
     _disable_tau_projection: bool = field(default=False, repr=False)
 
     @property
-    def n(self) -> int:
+    def sides(self) -> int:
         return self.s.shape[0]
-
-    def anchor_state(self, i: int) -> AnchorState:
-        return AnchorState(
-            float(self.s[i]), float(self.u[i]), float(self.tau[i]), bool(self.initialized[i])
-        )
-
-
-@dataclass
-class BimodalOptimizerState:
-    mode: str
-    seed: int
-    t: int
-    s_v: np.ndarray
-    u_v: np.ndarray
-    tau_v: np.ndarray
-    s_t: np.ndarray
-    u_t: np.ndarray
-    tau_t: np.ndarray
-    initialized: np.ndarray
-    v: np.ndarray  # momentum over concat(img params, txt params)
-    adam_m2: np.ndarray | None = None
-    min_g_seen: float = math.inf
-    min_s_seen: float = math.inf
-    min_tau_seen: float = math.inf
-    max_tau_seen: float = -math.inf
-    _disable_tau_projection: bool = field(default=False, repr=False)
 
     @property
     def n(self) -> int:
-        return self.s_v.shape[0]
-
-    def anchor_state(self, i: int) -> BimodalAnchorState:
-        return BimodalAnchorState(
-            float(self.s_v[i]),
-            float(self.u_v[i]),
-            float(self.tau_v[i]),
-            float(self.s_t[i]),
-            float(self.u_t[i]),
-            float(self.tau_t[i]),
-            bool(self.initialized[i]),
-        )
+        return self.s.shape[1]
 
 
 def init_optimizer_state(
-    n: int, n_params: int, cfg: RgclConfig, seed: int, mode: str = "momentum"
+    n: int, n_params: int, cfg: RgclConfig, seed: int, mode: str = "momentum", sides: int = 1
 ) -> OptimizerState:
+    """Fresh state for n anchors per side; a bimodal run passes sides=2 and
+    the summed parameter count of both towers."""
     if mode not in _MODES:
         raise ValueError("unknown mode %r" % mode)
+    if sides not in (1, 2):
+        raise ValueError("sides must be 1 or 2, not %r" % (sides,))
     return OptimizerState(
         mode=mode,
         seed=int(seed),
         t=0,
-        s=np.ones(n),
-        u=np.zeros(n),
-        tau=np.full(n, cfg.tau_init),
+        s=np.ones((sides, n)),
+        u=np.zeros((sides, n)),
+        tau=np.full((sides, n), cfg.tau_init),
         initialized=np.zeros(n, dtype=bool),
         v=np.zeros(n_params),
         adam_m2=np.zeros(n_params) if mode == "adam" else None,
     )
 
 
-def init_bimodal_optimizer_state(
-    n: int, n_params_img: int, n_params_txt: int, cfg: RgclConfig, seed: int, mode: str = "momentum"
-) -> BimodalOptimizerState:
-    if mode not in _MODES:
-        raise ValueError("unknown mode %r" % mode)
-    total = n_params_img + n_params_txt
-    return BimodalOptimizerState(
-        mode=mode,
-        seed=int(seed),
-        t=0,
-        s_v=np.ones(n),
-        u_v=np.zeros(n),
-        tau_v=np.full(n, cfg.tau_init),
-        s_t=np.ones(n),
-        u_t=np.zeros(n),
-        tau_t=np.full(n, cfg.tau_init),
-        initialized=np.zeros(n, dtype=bool),
-        v=np.zeros(total),
-        adam_m2=np.zeros(total) if mode == "adam" else None,
-    )
+def _batch_indices(stream: RandomStream, n: int, batch_size: int) -> np.ndarray:
+    """Sorted distinct batch indices from the stream's "indices" sub-stream."""
+    if not (2 <= batch_size <= n):
+        raise ValueError("need 2 <= batch_size <= n")
+    return np.sort(stream.split("indices").choice_without_replacement(n, batch_size))
 
 
 def sample_batch(stream: RandomStream, n: int, batch_size: int, d_in: int):
     """Distinct batch indices plus two standard-normal augmentation draws
     per index (scaled by the caller's augmentation strength)."""
-    if not (2 <= batch_size <= n):
-        raise ValueError("need 2 <= batch_size <= n")
-    indices = np.sort(stream.split("indices").choice_without_replacement(n, batch_size))
+    indices = _batch_indices(stream, n, batch_size)
     noise_a = stream.split("aug-a").normal(batch_size, d_in)
     noise_b = stream.split("aug-b").normal(batch_size, d_in)
     return indices, noise_a, noise_b
-
-
-def update_s(state: AnchorState, g_batch: float, beta0: float) -> float:
-    """Moving-average update (1 - beta0) s + beta0 g; the first update of an
-    anchor uses beta0 = 1 so no arbitrary initial value leaks in."""
-    if g_batch <= 0:
-        raise ValueError("g_batch must be positive")
-    if not state.initialized:
-        return float(g_batch)
-    return float((1.0 - beta0) * state.s + beta0 * g_batch)
-
-
-def grad_tau_estimator(
-    state: AnchorState, h_batch, rho: float, n: int, tau_grad_scale: float, log_epsilon: float = 0.0
-) -> float:
-    """(1/n)[tau dg/dtau / s + log s + rho] * tau_grad_scale with dg/dtau
-    taken on the batch negatives and s from the moving average."""
-    if not state.initialized:
-        raise ValueError("anchor state not initialized")
-    if state.s <= 0:
-        raise ValueError("s must be positive")
-    hv = np.array(getattr(h_batch, "values", h_batch), dtype=np.float64)
-    _, _, ratio, eph, _ = _softmax_rows(hv[None, :], np.array([state.tau]), log_epsilon, 1, lambda g: state.s)
-    # tau * dg/dtau / s = -(mean_exp / s) * E_p[h] / tau
-    term = -float(ratio[0]) * float(eph[0]) / state.tau
-    return (term + math.log(state.s) + rho) / n * tau_grad_scale
 
 
 def grad_w_estimator(
@@ -264,11 +162,6 @@ def grad_w_estimator(
     return encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
 
 
-def project_tau(tau: float, cfg: RgclConfig) -> float:
-    """Clamp onto [tau0, tau_max]."""
-    return float(min(max(tau, cfg.tau0), cfg.tau_max))
-
-
 def _param_update(opt, params_flat: np.ndarray, grad: np.ndarray, cfg: RgclConfig) -> np.ndarray:
     """Momentum or Adam-style update of the flat parameter vector."""
     if opt.mode == "adam":
@@ -282,13 +175,14 @@ def _param_update(opt, params_flat: np.ndarray, grad: np.ndarray, cfg: RgclConfi
     return params_flat - cfg.eta_w * opt.v
 
 
-def _side_step(opt, idx, hmat, s_arr, u_arr, tau_arr, cfg: RgclConfig, eta_tau: float):
-    """One direction's share of a step: the row kernel on the batch hardness
-    rows, then in-place updates of the batch anchors' s, u and projected tau.
-    Returns the (B, B) pair-weight matrices, one per score matrix the rows
-    came from, computed with the temperatures the batch was scored with and
-    the fresh s."""
-    n = s_arr.shape[0]
+def _side_step(opt: OptimizerState, side: int, idx, hmat, cfg: RgclConfig, eta_tau: float):
+    """One side's share of a step: the row kernel on the batch hardness
+    rows, then in-place updates of the batch anchors' s, u and projected tau
+    in row `side` of the tables.  Returns the (B, B) pair-weight matrices,
+    one per score matrix the rows came from, computed with the temperatures
+    the batch was scored with and the fresh s."""
+    s_arr, u_arr, tau_arr = opt.s[side], opt.u[side], opt.tau[side]
+    n = opt.n
     scale = cfg.resolved_tau_grad_scale(n)
     taus = tau_arr[idx].copy()
     init = opt.initialized[idx]
@@ -324,6 +218,8 @@ def _step_unimodal_core(
     aug_strength: float,
     eta_tau: float,
 ) -> EncoderParams:
+    if opt.sides != 1:
+        raise ValueError("a unimodal step needs a one-sided state, not %d sides" % opt.sides)
     n = inputs.shape[0]
     step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
     idx, noise_a, noise_b = sample_batch(step_stream, n, batch_size, inputs.shape[1])
@@ -333,7 +229,7 @@ def _step_unimodal_core(
     ea = encode(params, views_a)
     eb = encode(params, views_b)
     hmat, _ = _anchor_h_rows(ea.embeddings, eb.embeddings)
-    wa, wb = _side_step(opt, idx, hmat, opt.s, opt.u, opt.tau, cfg, eta_tau)
+    wa, wb = _side_step(opt, 0, idx, hmat, cfg, eta_tau)
     opt.initialized[idx] = True
 
     dya, dyb = _unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
@@ -379,7 +275,7 @@ def step_sogclr_baseline(
 
 
 def step_bimodal(
-    opt: BimodalOptimizerState,
+    opt: OptimizerState,
     params_img: EncoderParams,
     params_txt: EncoderParams,
     images: np.ndarray,
@@ -393,16 +289,15 @@ def step_bimodal(
     n = images.shape[0]
     if n < 2:
         raise ValueError("dataset must have at least 2 pairs")
-    step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
-    if not (2 <= batch_size <= n):
-        raise ValueError("need 2 <= batch_size <= n")
-    idx = np.sort(step_stream.split("indices").choice_without_replacement(n, batch_size))
+    if opt.sides != 2:
+        raise ValueError("a bimodal step needs a two-sided state, not %d sides" % opt.sides)
+    idx = _batch_indices(RandomStream(opt.seed, ("train", str(opt.t))), n, batch_size)
 
     ex = encode(params_img, images[idx])
     et = encode(params_txt, texts[idx])
     hx, ht, _ = _bimodal_h_rows(ex.embeddings, et.embeddings)
-    (wv,) = _side_step(opt, idx, hx, opt.s_v, opt.u_v, opt.tau_v, cfg, cfg.eta_tau)
-    (wt,) = _side_step(opt, idx, ht, opt.s_t, opt.u_t, opt.tau_t, cfg, cfg.eta_tau)
+    (wv,) = _side_step(opt, 0, idx, hx, cfg, cfg.eta_tau)
+    (wt,) = _side_step(opt, 1, idx, ht, cfg, cfg.eta_tau)
     opt.initialized[idx] = True
 
     dx, dt = _bimodal_embedding_grads(wv, wt, ex.embeddings, et.embeddings)
@@ -417,18 +312,19 @@ def step_bimodal(
     return params_img.from_flat(new_flat[:n_img]), params_txt.from_flat(new_flat[n_img:])
 
 
-# per-anchor arrays in checkpoint order
-_ANCHOR_ARRAYS = {_MAGIC_UNI: ("s", "u", "tau"), _MAGIC_BI: ("s_v", "u_v", "tau_v", "s_t", "u_t", "tau_t")}
+# per-anchor tables, written side by side in this order
+_TABLES = ("s", "u", "tau")
 _HEADER_BYTES = 8 + 6 * 8 + 4 * 8
 
 
-def save_optimizer_state(opt, path: str) -> None:
-    """Binary checkpoint.  Layout: 8-byte magic, little-endian int64 header
-    (mode flag, seed, step, n, len(v), adam flag), four float64 extrema, then
-    the flat float64 arrays in a fixed order with initialized as uint8."""
-    magic = _MAGIC_BI if isinstance(opt, BimodalOptimizerState) else _MAGIC_UNI
+def save_optimizer_state(opt: OptimizerState, path: str) -> None:
+    """Binary checkpoint.  Layout: 8-byte magic (RGCLOPT1 for one side,
+    RGCLOPB1 for two), little-endian int64 header (mode flag, seed, step, n,
+    len(v), adam flag), four float64 extrema, then the flat float64 arrays:
+    v, s, u and tau of each side in turn, initialized as uint8, and the Adam
+    second moment when present."""
     with open(path, "wb") as fh:
-        fh.write(magic)
+        fh.write(_MAGICS[opt.sides - 1])
         fh.write(
             struct.pack(
                 "<qqqqqq",
@@ -442,29 +338,30 @@ def save_optimizer_state(opt, path: str) -> None:
         )
         fh.write(struct.pack("<dddd", opt.min_g_seen, opt.min_s_seen, opt.min_tau_seen, opt.max_tau_seen))
         fh.write(opt.v.astype("<f8").tobytes())
-        for name in _ANCHOR_ARRAYS[magic]:
-            fh.write(getattr(opt, name).astype("<f8").tobytes())
+        for side in range(opt.sides):
+            for name in _TABLES:
+                fh.write(getattr(opt, name)[side].astype("<f8").tobytes())
         fh.write(opt.initialized.astype(np.uint8).tobytes())
         if opt.adam_m2 is not None:
             fh.write(opt.adam_m2.astype("<f8").tobytes())
 
 
-def load_optimizer_state(path: str):
+def load_optimizer_state(path: str) -> OptimizerState:
     """Read a checkpoint written by save_optimizer_state.  The header fixes
     the exact file size; any other size, an unknown magic or mode flag, a
     negative size or a malformed flag is rejected with ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:8]
-    if len(data) < _HEADER_BYTES or magic not in _ANCHOR_ARRAYS:
+    if len(data) < _HEADER_BYTES or magic not in _MAGICS:
         raise ValueError("not an optimizer checkpoint")
+    sides = _MAGICS.index(magic) + 1
     mode_flag, seed, t, n, nv, has_adam = struct.unpack_from("<qqqqqq", data, 8)
     min_g, min_s, min_tau, max_tau = struct.unpack_from("<dddd", data, 56)
     if not (0 <= mode_flag < len(_MODES) and n >= 0 and nv >= 0 and has_adam in (0, 1)):
         raise ValueError("corrupt checkpoint header: mode %d, n %d, len(v) %d, adam flag %d"
                          % (mode_flag, n, nv, has_adam))
-    names = _ANCHOR_ARRAYS[magic]
-    size = _HEADER_BYTES + 8 * nv * (1 + has_adam) + 8 * n * len(names) + n
+    size = _HEADER_BYTES + 8 * nv * (1 + has_adam) + 8 * n * len(_TABLES) * sides + n
     if len(data) != size:
         raise ValueError("checkpoint is %d bytes, its header implies %d" % (len(data), size))
     offset = _HEADER_BYTES
@@ -476,12 +373,14 @@ def load_optimizer_state(path: str):
         return out
 
     v = take(nv).astype(np.float64)
-    arrays = {name: take(n).astype(np.float64) for name in names}
+    tables = {name: np.empty((sides, n)) for name in _TABLES}
+    for side in range(sides):
+        for name in _TABLES:
+            tables[name][side] = take(n)
     flags = take(n, np.uint8)
     if np.any(flags > 1):
         raise ValueError("checkpoint initialized flags must be 0 or 1")
-    cls = BimodalOptimizerState if magic == _MAGIC_BI else OptimizerState
-    return cls(
+    return OptimizerState(
         mode=_MODES[mode_flag],
         seed=seed,
         t=t,
@@ -492,5 +391,5 @@ def load_optimizer_state(path: str):
         min_s_seen=min_s,
         min_tau_seen=min_tau,
         max_tau_seen=max_tau,
-        **arrays,
+        **tables,
     )

@@ -52,11 +52,6 @@ class PrimalSolution:
     iterations: int
 
 
-def _h_array(h) -> np.ndarray:
-    values = getattr(h, "values", h)
-    return np.asarray(values, dtype=np.float64)
-
-
 def solve_primal(h, rho: float, tau0: float, tol: float = 1e-10, max_iter: int = 200) -> PrimalSolution:
     """Maximize sum p_j h_j - tau0 KL(p, 1/m) subject to KL(p, 1/m) <= rho.
 
@@ -65,7 +60,7 @@ def solve_primal(h, rho: float, tau0: float, tol: float = 1e-10, max_iter: int =
     feasible or we bisect lam until KL(p(lam)) = rho.  tau0 = 0 is allowed
     (the lam -> 0 limit puts uniform mass on the argmax of h).
     """
-    hv = _h_array(h)
+    hv = np.asarray(h, dtype=np.float64)
     m = len(hv)
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -143,7 +138,7 @@ def grid_search_simplex(h, rho: float, tau0: float, step: float = 0.005, refine:
     O(step) in value; each refinement round re-grids a shrinking window
     around the incumbent at 10x finer resolution.
     """
-    hv = _h_array(h)
+    hv = np.asarray(h, dtype=np.float64)
     m = len(hv)
     if m > 3:
         raise ValueError("grid oracle limited")
@@ -172,7 +167,7 @@ def solve_dual_tau(h, cfg: RgclConfig, tol: float = 1e-10):
     The dual objective is convex in tau (a perspective of log-sum-exp),
     so golden-section search is reliable.  Returns (tau_star, value).
     """
-    hv = _h_array(h)
+    hv = np.asarray(h, dtype=np.float64)
     a, b = cfg.tau0, cfg.tau_max
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -21,7 +21,6 @@ from rgcl.optimizer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    BimodalOptimizerState,
     OptimizerState,
     sample_batch,
 )

@@ -195,12 +195,12 @@ def test_criterion_07_exact_degeneration():
     views = ViewPairs(data.inputs, data.inputs)
     worst = 0.0
     for _ in range(20):
-        _, ref_gw, ref_gt = full_batch_reference(params, views, opt.tau, cfg)
+        _, ref_gw, ref_gt = full_batch_reference(params, views, opt.tau[0], cfg)
         before_w = params.flatten()
-        before_tau = opt.tau.copy()
+        before_tau = opt.tau[0].copy()
         params = optimizer.step_unimodal(opt, params, data.inputs, cfg, n, 0.0)
         step_gw = (before_w - params.flatten()) / cfg.eta_w
-        step_gt = (before_tau - opt.tau) / cfg.eta_tau
+        step_gt = (before_tau - opt.tau[0]) / cfg.eta_tau
         assert opt.tau.min() > cfg.tau0 and opt.tau.max() < cfg.tau_max
         worst = max(
             worst,
@@ -265,10 +265,10 @@ def test_criterion_10_bimodal_symmetry():
     cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, eta_w=0.05, eta_tau=0.02)
     p_img = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
     p_txt = p_img.copy()
-    opt = optimizer.init_bimodal_optimizer_state(n, p_img.n_params, p_txt.n_params, cfg, seed=6)
+    opt = optimizer.init_optimizer_state(n, p_img.n_params + p_txt.n_params, cfg, seed=6, sides=2)
     for _ in range(10):
         p_img, p_txt = optimizer.step_bimodal(opt, p_img, p_txt, images, texts, cfg, 8)
-        np.testing.assert_array_equal(opt.tau_v, opt.tau_t)
+        np.testing.assert_array_equal(opt.tau[0], opt.tau[1])
     passed("criterion 10 bimodal symmetry: tau_v identical to tau_t for 10 steps")
 
 

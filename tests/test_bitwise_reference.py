@@ -1,6 +1,9 @@
-"""The blocked full-batch evaluations and the shared row kernel against
-verbatim copies of the original code (tests/original_reference.py), bit
-for bit."""
+"""The blocked full-batch evaluations, the shared row kernel and the
+merged optimizer state against verbatim copies of the original code
+(tests/original_reference.py), bit for bit."""
+
+import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,7 +66,31 @@ def test_bimodal_evaluation_mirrored(n):
     np.testing.assert_array_equal(got[3], got[4])
 
 
-STEP_FIELDS = ("tau", "s", "u", "v", "initialized", "adam_m2", "min_g_seen", "min_s_seen")
+SHARED_FIELDS = ("v", "initialized", "adam_m2", "min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen")
+# the original per-anchor attributes: (table, side) for each
+ORIGINAL_TABLES = {
+    1: {"s": ("s", 0), "u": ("u", 0), "tau": ("tau", 0)},
+    2: {"s_v": ("s", 0), "u_v": ("u", 0), "tau_v": ("tau", 0),
+        "s_t": ("s", 1), "u_t": ("u", 1), "tau_t": ("tau", 1)},
+}
+
+
+def original_state(opt):
+    """A copy of opt in the original layout, one 1-D array per table and
+    side under the original attribute names, for the copied step cores."""
+    return SimpleNamespace(
+        mode=opt.mode, seed=opt.seed, t=opt.t, _disable_tau_projection=False,
+        **{name: copy.copy(getattr(opt, name)) for name in SHARED_FIELDS},
+        **{name: getattr(opt, table)[side].copy() for name, (table, side) in ORIGINAL_TABLES[opt.sides].items()},
+    )
+
+
+def assert_same_state(opt, original):
+    assert opt.t == original.t
+    for name in SHARED_FIELDS:
+        np.testing.assert_array_equal(getattr(opt, name), getattr(original, name))
+    for name, (table, side) in ORIGINAL_TABLES[opt.sides].items():
+        np.testing.assert_array_equal(getattr(opt, table)[side], getattr(original, name))
 
 
 def step_setup(log_epsilon, n=400, d=16):
@@ -79,14 +106,14 @@ def step_setup(log_epsilon, n=400, d=16):
 def test_unimodal_steps(mode, eta_tau, log_epsilon):
     inputs, cfg, params = step_setup(log_epsilon)
     eta_tau = cfg.eta_tau if eta_tau is None else eta_tau
-    opts = [optimizer.init_optimizer_state(400, params.n_params, cfg, 9, mode) for _ in range(2)]
+    opt = optimizer.init_optimizer_state(400, params.n_params, cfg, 9, mode)
+    old = original_state(opt)
     got = want = params
     for _ in range(20):
-        got = optimizer._step_unimodal_core(opts[0], got, inputs, cfg, 128, 0.35, eta_tau)
-        want = original._step_unimodal_core(opts[1], want, inputs, cfg, 128, 0.35, eta_tau)
+        got = optimizer._step_unimodal_core(opt, got, inputs, cfg, 128, 0.35, eta_tau)
+        want = original._step_unimodal_core(old, want, inputs, cfg, 128, 0.35, eta_tau)
         np.testing.assert_array_equal(got.flatten(), want.flatten())
-    for name in STEP_FIELDS:
-        np.testing.assert_array_equal(getattr(opts[0], name), getattr(opts[1], name))
+    assert_same_state(opt, old)
 
 
 @pytest.mark.parametrize("log_epsilon", EPSILONS)
@@ -95,18 +122,17 @@ def test_bimodal_steps(mirrored, log_epsilon):
     images, cfg, p_img = step_setup(log_epsilon)
     texts = images.copy() if mirrored else images[::-1] + 0.1
     p_txt = p_img.copy() if mirrored else init_encoder_params(16, 3, 16, "tanh", RandomStream(4, ("t",)))
-    opts = [optimizer.init_bimodal_optimizer_state(400, p_img.n_params, p_txt.n_params, cfg, 9)
-            for _ in range(2)]
+    opt = optimizer.init_optimizer_state(400, p_img.n_params + p_txt.n_params, cfg, 9, sides=2)
+    old = original_state(opt)
     got, want = (p_img, p_txt), (p_img, p_txt)
     for _ in range(20):
-        got = optimizer.step_bimodal(opts[0], *got, images, texts, cfg, 128)
-        want = original.step_bimodal(opts[1], *want, images, texts, cfg, 128)
+        got = optimizer.step_bimodal(opt, *got, images, texts, cfg, 128)
+        want = original.step_bimodal(old, *want, images, texts, cfg, 128)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.flatten(), b.flatten())
-    for name in ("tau_v", "tau_t", "s_v", "s_t", "u_v", "u_t", "v", "initialized", "min_g_seen"):
-        np.testing.assert_array_equal(getattr(opts[0], name), getattr(opts[1], name))
+    assert_same_state(opt, old)
     if mirrored:
-        np.testing.assert_array_equal(opts[0].tau_v, opts[0].tau_t)
+        np.testing.assert_array_equal(opt.tau[0], opt.tau[1])
 
 
 @pytest.mark.parametrize("n", range(2, 7))

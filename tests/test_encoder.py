@@ -1,16 +1,14 @@
-import json
+import struct
 
 import numpy as np
 import pytest
 
 from rgcl.encoder import (
     EncoderParams,
-    cosine_sim,
     encode,
     encode_backward,
     init_encoder_params,
     load_params,
-    params_to_json,
     save_params,
 )
 from rgcl.numerics import RandomStream
@@ -89,14 +87,21 @@ class TestBackward:
 
 
 class TestCosine:
+    """Cosine similarity is the inner product of encoded (unit) rows."""
+
+    @staticmethod
+    def cosine(a, b):
+        y = encode(identity_params(2), np.array([a, b])).embeddings
+        return float(y[0] @ y[1])
+
     def test_equal(self):
-        assert cosine_sim(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 1.0
+        assert self.cosine([0.0, 1.0], [0.0, 3.0]) == 1.0
 
     def test_orthogonal(self):
-        assert cosine_sim(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == 0.0
+        assert self.cosine([0.0, 1.0], [2.0, 0.0]) == 0.0
 
     def test_opposite(self):
-        assert cosine_sim(np.array([0.0, 1.0]), np.array([0.0, -1.0])) == -1.0
+        assert self.cosine([0.0, 1.0], [0.0, -0.5]) == -1.0
 
 
 class TestParams:
@@ -134,10 +139,14 @@ class TestParams:
         with pytest.raises(ValueError):
             load_params(str(path))
 
-    def test_json_export_parses(self):
-        params = random_params(14)
-        blob = json.loads(params_to_json(params))
-        np.testing.assert_array_equal(np.asarray(blob["w1"]), params.w1)
+    @pytest.mark.parametrize("flag", [-1, 2])
+    def test_load_rejects_unknown_activation_flag(self, tmp_path, flag):
+        path = tmp_path / "enc.ckpt"
+        save_params(identity_params(3), str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:32] + struct.pack("<q", flag) + data[40:])
+        with pytest.raises(ValueError, match="activation flag"):
+            load_params(str(path))
 
 
 class TestInit:

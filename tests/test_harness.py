@@ -210,8 +210,8 @@ class TestTrainUnimodal:
         for i, row in enumerate(rows):
             assert rcfg.tau0 <= float(row["tau"]) <= rcfg.tau_max
             # repr output parses back to the exact stored double
-            assert float(row["tau"]) == opt.tau[i]
-            assert float(row["s"]) == opt.s[i]
+            assert float(row["tau"]) == opt.tau[0, i]
+            assert float(row["s"]) == opt.s[0, i]
 
     def test_deterministic_artifacts(self, tmp_path):
         reports = []
@@ -237,6 +237,23 @@ class TestTrainUnimodal:
 
 
 class TestTrainBimodal:
+    def test_objective_estimate_sums_both_sides(self):
+        # per touched anchor, the image side's and then the text side's
+        # tau log s + (tau - tau0) rho, added left to right; then the mean
+        from rgcl.optimizer import init_optimizer_state
+
+        rcfg = ExperimentConfig().rgcl_config()
+        opt = init_optimizer_state(60, 3, rcfg, seed=0, sides=2)
+        rng = np.random.default_rng(1)
+        opt.s[:] = rng.uniform(0.2, 3.0, opt.s.shape)
+        opt.tau[:] = rng.uniform(rcfg.tau0, 2.0, opt.tau.shape)
+        assert harness._objective_estimate(opt, rcfg) is None
+        opt.initialized[::3] = True
+        tau, s = opt.tau[:, opt.initialized], opt.s[:, opt.initialized]
+        want = (tau[0] * np.log(s[0]) + (tau[0] - rcfg.tau0) * rcfg.rho
+                + tau[1] * np.log(s[1]) + (tau[1] - rcfg.tau0) * rcfg.rho)
+        assert harness._objective_estimate(opt, rcfg) == float(want.mean())
+
     def test_mirrored_summaries_identical(self, tmp_path):
         cfg = small_cfg(tmp_path, mode="bimodal", mirrored=True, d_latent=6,
                         d_img=6, d_txt=6, epochs=4)
@@ -277,6 +294,36 @@ class TestSubcommands:
         os.remove(os.path.join(cfg.out, "tau.csv"))
         run_dump_tau(cfg)
         assert open(os.path.join(cfg.out, "tau.csv"), "rb").read() == original
+
+    @pytest.mark.parametrize("command", ["train-unimodal", "train-bimodal"])
+    def test_dump_tau_labels_from_the_run_config(self, tmp_path, command):
+        # dump-tau without the training overrides: the labels must still be
+        # those of the n=300, k=5 run, not of the default n=2000, k=10 data
+        out = str(tmp_path / "run")
+        assert cli.main([command, "--out", out, "--set", "n=300", "--set", "k=5",
+                         "--set", "epochs=1"]) == 0
+        path = os.path.join(out, "tau.csv")
+        original = open(path, "rb").read()
+        os.remove(path)
+        assert cli.main(["dump-tau", "--out", out]) == 0
+        assert open(path, "rb").read() == original
+        labels = [int(r["label"]) for r in csv.DictReader(open(path))]
+        assert len(labels) == 300 and sorted(set(labels)) == [0, 1, 2, 3, 4]
+
+    def test_dump_tau_needs_report(self, tmp_path):
+        cfg = small_cfg(tmp_path, epochs=1)
+        run_train_unimodal(cfg)
+        os.remove(os.path.join(cfg.out, "report.json"))
+        with pytest.raises(ValueError, match="report.json"):
+            run_dump_tau(cfg)
+
+    def test_export_tau_csv_label_count_checked(self, tmp_path):
+        from rgcl.optimizer import init_optimizer_state
+
+        opt = init_optimizer_state(5, 3, ExperimentConfig().rgcl_config(), seed=0, sides=2)
+        for labels in (np.zeros(4), np.zeros(6)):
+            with pytest.raises(ValueError, match="labels for 5 anchors"):
+                harness.export_tau_csv(opt, labels, str(tmp_path / "tau.csv"))
 
 
 class TestVerify:

@@ -5,22 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcl.encoder import init_encoder_params
+from rgcl.encoder import EncoderParams, init_encoder_params
 from rgcl.loss import (
     HARDNESS_BOUND,
     DistributionalWeights,
     RgclConfig,
     ViewPairs,
     bimodal_value_and_grads,
+    _softmax_rows,
     dual_loss_anchor,
-    exact_grad_tau,
     g_value,
     hardness_scores,
     kl_uniform,
     objective_bimodal,
     objective_unimodal,
     p_star,
-    pair_weights_for_w_grad,
     primal_rgcl_value,
     unimodal_value_and_grads,
 )
@@ -72,13 +71,14 @@ class TestHardness:
         positive = unit([0.9, np.sqrt(1 - 0.81)])
         negative = unit([0.3, np.sqrt(1 - 0.09)])
         h = hardness_scores(anchor, positive, [negative])
-        assert h.values[0] == pytest.approx(0.3 - 0.9, abs=1e-12)
+        assert isinstance(h, np.ndarray) and h.shape == (1,)
+        assert h[0] == pytest.approx(0.3 - 0.9, abs=1e-12)
 
     def test_negative_equal_positive(self):
         anchor = unit([1.0, 1.0])
         positive = unit([0.0, 1.0])
         h = hardness_scores(anchor, positive, [positive])
-        assert h.values[0] == pytest.approx(0.0, abs=1e-15)
+        assert h[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_independent_dot_products(self):
         stream = RandomStream(0, ("hard",))
@@ -87,8 +87,8 @@ class TestHardness:
         negatives = np.stack([unit(stream.normal(4)) for _ in range(5)])
         h = hardness_scores(anchor, positive, negatives)
         want = np.array([float(n @ anchor) - float(anchor @ positive) for n in negatives])
-        np.testing.assert_allclose(h.values, want, atol=1e-14)
-        assert np.all(np.abs(h.values) <= HARDNESS_BOUND)
+        np.testing.assert_allclose(h, want, atol=1e-14)
+        assert np.all(np.abs(h) <= HARDNESS_BOUND)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -191,39 +191,46 @@ class TestPrimalValue:
 
 
 class TestExactGradTau:
+    """The temperature gradient of unimodal_value_and_grads."""
+
     def test_constant_hardness(self):
-        # the -c/tau and +c/tau terms cancel, leaving rho/n exactly
-        for c in (-0.8, 0.0, 1.3):
-            got = exact_grad_tau([c, c, c, c], 0.4, rho=0.7, n=10)
-            assert got == pytest.approx(0.7 / 10, abs=1e-14)
+        # two samples with identical views: each anchor's two negatives are
+        # the same vector, so its hardness is constant, the -c/tau and
+        # +log(g) terms cancel, and rho/n is left
+        params = EncoderParams(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3), "identity")
+        cfg = RgclConfig(rho=0.7, tau0=0.05, tau_init=0.4)
+        stream = RandomStream(2, ("const",))
+        for i in range(3):
+            x = stream.split(str(i)).normal(2, 3)
+            _, _, gt = unimodal_value_and_grads(params, ViewPairs(x, x.copy()), np.full(2, 0.4), cfg)
+            np.testing.assert_allclose(gt, 0.7 / 2, atol=1e-14)
 
     def test_finite_difference(self):
         stream = RandomStream(2, ("gtau",))
-        cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.1)
-        for i in range(10):
-            h = np.clip(stream.normal(6), -2, 2)
-            tau = 0.15 + float(stream.uniform())
-            exact = exact_grad_tau(h, tau, cfg.rho, n=1)
-            fd = finite_diff_grad(
-                lambda t: dual_loss_anchor(h, float(t[0]), cfg), np.array([tau])
-            )[0]
-            assert abs(exact - fd) / max(abs(fd), 1e-12) <= 1e-6
+        cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.1, log_epsilon=0.05)
+        for i in range(5):
+            params, views, _, _ = small_unimodal(20 + i)
+            taus = 0.15 + stream.split(str(i)).uniform(views.n)
+            _, _, exact = unimodal_value_and_grads(params, views, taus, cfg)
+            fd = finite_diff_grad(lambda t: objective_unimodal(params, views, t, cfg), taus)
+            assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) <= 1e-6
 
 
 class TestPairWeights:
+    """The pair weights w = p * (mean_exp / d) / count of the row kernel."""
+
     def test_sum_with_exact_g(self):
-        h = np.clip(RandomStream(3).normal(6), -2, 2)
-        tau, n = 0.5, 7
-        w = pair_weights_for_w_grad(h, tau, g_value(h, tau), n)
-        assert np.sum(w) == pytest.approx(1.0 / n, abs=1e-12)
+        # d = g (no denominator given, log_epsilon 0): each row sums to 1/count
+        h = np.clip(RandomStream(3).normal(5, 6), -2, 2)
+        taus = np.linspace(0.2, 1.5, 5)
+        g, d, _, _, w = _softmax_rows(h.copy(), taus, 0.0, 7)
+        np.testing.assert_array_equal(g, d)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0 / 7, atol=1e-12)
+        np.testing.assert_allclose(g, [g_value(row, t) for row, t in zip(h, taus)], rtol=1e-12)
 
     def test_uniform_hardness_equal_weights(self):
-        w = pair_weights_for_w_grad([0.3, 0.3, 0.3], 0.5, 1.0, 4)
-        assert np.all(w == w[0])
-
-    def test_nonpositive_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            pair_weights_for_w_grad([0.0, 0.1], 0.5, 0.0, 4)
+        w = _softmax_rows(np.full((2, 3), 0.3), np.array([0.5, 0.9]), 0.0, 4, lambda g: np.ones(2))[-1]
+        assert np.all(w == w[:, :1])
 
 
 def small_unimodal(seed, n=4, d=3, hidden=5, embed=3):

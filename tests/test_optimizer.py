@@ -6,22 +6,19 @@ import pytest
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
-from rgcl.loss import RgclConfig, ViewPairs, _anchor_h_rows, exact_grad_tau, g_value
+from rgcl.loss import RgclConfig, ViewPairs, _anchor_h_rows, g_value, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
-    AnchorState,
-    grad_tau_estimator,
+    OptimizerState,
+    _side_step,
     grad_w_estimator,
-    init_bimodal_optimizer_state,
     init_optimizer_state,
     load_optimizer_state,
-    project_tau,
     sample_batch,
     save_optimizer_state,
     step_bimodal,
     step_sogclr_baseline,
     step_unimodal,
-    update_s,
 )
 from rgcl.oracle import full_batch_reference
 
@@ -63,56 +60,90 @@ class TestSampleBatch:
             sample_batch(RandomStream(0), 10, 11, 2)
 
 
+def side_state(n, cfg, s=None, initialized=False):
+    """A one-sided state for n anchors with the given s and first-touch
+    flags, for driving _side_step directly."""
+    opt = init_optimizer_state(n, 1, cfg, seed=0)
+    if s is not None:
+        opt.s[0] = s
+    opt.initialized[:] = initialized
+    return opt
+
+
+def side_step(opt, hmat, cfg, eta_tau=0.0):
+    """_side_step on every anchor of opt with the hardness rows hmat (n,
+    n-1), one score matrix; hmat itself is left untouched."""
+    return _side_step(opt, 0, np.arange(opt.n), np.array(hmat, dtype=np.float64), cfg, eta_tau)
+
+
 class TestUpdateS:
+    """The moving-average update of s inside the step's _side_step."""
+
     def test_first_touch_takes_batch_value(self):
-        state = AnchorState(s=1.0, u=0.0, tau=0.5, initialized=False)
-        assert update_s(state, 3.7, beta0=0.1) == 3.7
+        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.5, beta0=0.1)
+        h = np.array([[0.2, -0.4], [0.7, 0.1], [-1.0, 0.3]])
+        opt = side_state(3, cfg, s=5.0)
+        side_step(opt, h, cfg)
+        want = [g_value(row, 0.5) for row in h]
+        np.testing.assert_allclose(opt.s[0], want, rtol=1e-14)
+        assert not opt.initialized.any()  # the step, not _side_step, sets the flags
 
     def test_arithmetic(self):
-        state = AnchorState(s=1.0, u=0.0, tau=0.5, initialized=True)
-        assert update_s(state, 3.0, beta0=0.5) == 2.0
+        # g = exp(c / tau) = 3 on every row, s = 1, beta0 = 0.5 -> s = 2
+        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.5, beta0=0.5)
+        c = 0.5 * np.log(3.0)
+        opt = side_state(3, cfg, s=1.0, initialized=True)
+        side_step(opt, np.full((3, 2), c), cfg)
+        np.testing.assert_allclose(opt.s[0], 2.0, rtol=1e-14)
 
     def test_geometric_convergence(self):
-        state = AnchorState(s=10.0, u=0.0, tau=0.5, initialized=True)
-        g, beta0 = 2.0, 0.25
-        gap = state.s - g
+        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.5, beta0=0.25)
+        h = np.array([[0.3, -0.2], [0.0, 0.6], [-0.5, -0.1]])
+        g = np.array([g_value(row, 0.5) for row in h])
+        opt = side_state(3, cfg, s=10.0, initialized=True)
+        gap = opt.s[0] - g
         for _ in range(5):
-            state.s = update_s(state, g, beta0)
-            gap *= 1.0 - beta0
-            assert state.s - g == pytest.approx(gap, abs=1e-12)
-
-    def test_nonpositive_rejected(self):
-        state = AnchorState(s=1.0, u=0.0, tau=0.5, initialized=True)
-        with pytest.raises(ValueError):
-            update_s(state, 0.0, beta0=0.5)
+            side_step(opt, h, cfg)  # eta_tau = 0 keeps tau, hence g, fixed
+            gap *= 1.0 - cfg.beta0
+            np.testing.assert_allclose(opt.s[0] - g, gap, atol=1e-12)
 
 
 class TestGradTauEstimator:
+    """The temperature gradient that _side_step feeds into the momentum u;
+    with beta1 = 1 and u = 0, u holds the gradient itself."""
+
     def test_constant_hardness(self):
+        # with s = g the -c/tau and +log(s) terms cancel: rho * scale / n
         c, tau = 0.4, 0.5
-        state = AnchorState(s=float(np.exp(c / tau)), u=0.0, tau=tau, initialized=True)
-        got = grad_tau_estimator(state, np.full(6, c), rho=0.7, n=20, tau_grad_scale=5.0)
-        assert got == pytest.approx(0.7 * 5.0 / 20, abs=1e-12)
+        cfg = RgclConfig(rho=0.7, tau0=0.05, tau_init=tau, beta1=1.0, tau_grad_scale=5.0)
+        opt = side_state(7, cfg, s=float(np.exp(c / tau)), initialized=True)
+        side_step(opt, np.full((7, 6), c), cfg)
+        np.testing.assert_allclose(opt.u[0], 0.7 * 5.0 / 7, atol=1e-12)
 
     def test_full_batch_equals_exact(self):
-        h = np.clip(RandomStream(3).normal(8), -2, 2)
-        tau = 0.45
-        state = AnchorState(s=g_value(h, tau), u=0.0, tau=tau, initialized=True)
-        got = grad_tau_estimator(state, h, rho=0.3, n=4, tau_grad_scale=1.0)
-        want = exact_grad_tau(h, tau, 0.3, n=4)
-        assert abs(got - want) <= 1e-12
+        # a full batch on first touch (s = g) with scale 1 is the exact
+        # full-batch temperature gradient
+        stream = RandomStream(3, ("gtau",))
+        params = init_encoder_params(4, 5, 3, "tanh", stream.split("enc"))
+        views = ViewPairs(stream.split("a").normal(6, 4), stream.split("b").normal(6, 4))
+        cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.45, beta1=1.0, tau_grad_scale=1.0)
+        taus = np.full(6, 0.45)
+        _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
+        hmat, _ = _anchor_h_rows(encode(params, views.views_a).embeddings,
+                                 encode(params, views.views_b).embeddings)
+        opt = side_state(6, cfg)
+        _side_step(opt, 0, np.arange(6), hmat, cfg, 0.0)
+        np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
     def test_scale_linearity(self):
-        h = np.clip(RandomStream(4).normal(5), -2, 2)
-        state = AnchorState(s=1.3, u=0.0, tau=0.6, initialized=True)
-        one = grad_tau_estimator(state, h, rho=0.3, n=7, tau_grad_scale=1.0)
-        seven = grad_tau_estimator(state, h, rho=0.3, n=7, tau_grad_scale=7.0)
-        assert seven == pytest.approx(7.0 * one, rel=1e-12)
-
-    def test_uninitialized_rejected(self):
-        state = AnchorState(s=1.0, u=0.0, tau=0.5, initialized=False)
-        with pytest.raises(ValueError):
-            grad_tau_estimator(state, np.zeros(3), rho=0.3, n=5, tau_grad_scale=1.0)
+        h = np.clip(RandomStream(4).normal(5, 4), -2, 2)
+        us = []
+        for scale in (1.0, 7.0):
+            cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.6, beta1=1.0, tau_grad_scale=scale)
+            opt = side_state(5, cfg, s=1.3, initialized=True)
+            side_step(opt, h, cfg)
+            us.append(opt.u[0].copy())
+        np.testing.assert_allclose(us[1], 7.0 * us[0], rtol=1e-12)
 
 
 class TestGradWEstimator:
@@ -154,17 +185,31 @@ class TestGradWEstimator:
 
 
 class TestProjectTau:
+    """The step clamps each updated temperature onto [tau0, tau_max]."""
+
     def test_below_floor(self):
-        cfg = RgclConfig(rho=0.3, tau0=0.005, tau_init=0.05)
-        assert project_tau(0.001, cfg) == 0.005
+        # constant hardness with s = g: the gradient is rho > 0, and an
+        # oversized step drives tau below the floor
+        cfg = RgclConfig(rho=0.3, tau0=0.005, tau_init=0.05, beta1=1.0)
+        opt = side_state(3, cfg, s=1.0, initialized=True)
+        side_step(opt, np.zeros((3, 2)), cfg, eta_tau=1e6)
+        assert np.all(opt.tau[0] == 0.005)
+        assert opt.min_tau_seen == 0.005
 
     def test_interior_unchanged(self):
         cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.5)
-        assert project_tau(0.5, cfg) == 0.5
+        opt = side_state(3, cfg)
+        side_step(opt, np.zeros((3, 2)), cfg, eta_tau=0.0)
+        assert np.all(opt.tau[0] == 0.5)
 
     def test_above_ceiling(self):
-        cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.5)
-        assert project_tau(1e6, cfg) == pytest.approx(0.05 + 2.0 / 0.3)
+        # a small moving average (log s << 0) makes the gradient negative,
+        # and an oversized step drives tau above the ceiling
+        cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.5, beta0=0.1, beta1=1.0)
+        opt = side_state(3, cfg, s=1e-6, initialized=True)
+        side_step(opt, np.zeros((3, 2)), cfg, eta_tau=1e6)
+        assert np.all(opt.tau[0] == cfg.tau_max)
+        assert cfg.tau_max == pytest.approx(0.05 + 2.0 / 0.3)
         assert cfg.tau_max == pytest.approx(6.7167, abs=1e-4)
 
 
@@ -190,12 +235,12 @@ class TestStepUnimodal:
         opt = init_optimizer_state(n, params.n_params, cfg, seed=0)
         views = ViewPairs(data.inputs, data.inputs)
         for _ in range(5):
-            _, ref_gw, ref_gt = full_batch_reference(params, views, opt.tau, cfg)
+            _, ref_gw, ref_gt = full_batch_reference(params, views, opt.tau[0], cfg)
             before_w = params.flatten()
-            before_tau = opt.tau.copy()
+            before_tau = opt.tau[0].copy()
             params = step_unimodal(opt, params, data.inputs, cfg, n, 0.0)
             step_gw = (before_w - params.flatten()) / cfg.eta_w
-            step_gt = (before_tau - opt.tau) / cfg.eta_tau
+            step_gt = (before_tau - opt.tau[0]) / cfg.eta_tau
             assert np.linalg.norm(step_gw - ref_gw) / np.linalg.norm(ref_gw) <= 1e-10
             assert np.linalg.norm(step_gt - ref_gt) / np.linalg.norm(ref_gt) <= 1e-10
             # no clamping happened, otherwise the delta is not the gradient
@@ -207,7 +252,7 @@ class TestStepUnimodal:
         opt = init_optimizer_state(24, params.n_params, cfg, seed=1)
         new_params = step_unimodal(opt, params, data.inputs, cfg, 8, 0.3)
         np.testing.assert_array_equal(new_params.flatten(), params.flatten())
-        np.testing.assert_array_equal(opt.tau, np.full(24, 0.6))
+        np.testing.assert_array_equal(opt.tau, np.full((1, 24), 0.6))
         assert np.any(opt.initialized)  # bookkeeping still ran
 
     def test_deterministic_trajectory(self):
@@ -280,15 +325,15 @@ class TestStepBimodal:
         cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, eta_w=0.05, eta_tau=0.02)
         p_img = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
         p_txt = p_img.copy()
-        opt = init_bimodal_optimizer_state(n, p_img.n_params, p_txt.n_params, cfg, seed)
+        opt = init_optimizer_state(n, p_img.n_params + p_txt.n_params, cfg, seed, sides=2)
         return images, texts, cfg, p_img, p_txt, opt
 
     def test_mirrored_temperatures_identical_per_step(self):
         images, texts, cfg, p_img, p_txt, opt = self.mirrored_setup(7)
         for _ in range(6):
             p_img, p_txt = step_bimodal(opt, p_img, p_txt, images, texts, cfg, 8)
-            np.testing.assert_array_equal(opt.tau_v, opt.tau_t)
-            np.testing.assert_array_equal(opt.s_v, opt.s_t)
+            np.testing.assert_array_equal(opt.tau[0], opt.tau[1])
+            np.testing.assert_array_equal(opt.s[0], opt.s[1])
             np.testing.assert_array_equal(p_img.flatten(), p_txt.flatten())
 
     def test_deterministic(self):
@@ -297,7 +342,7 @@ class TestStepBimodal:
             images, texts, cfg, p_img, p_txt, opt = self.mirrored_setup(8)
             for _ in range(5):
                 p_img, p_txt = step_bimodal(opt, p_img, p_txt, images, texts, cfg, 8)
-            results.append((p_img.flatten(), opt.tau_v.copy()))
+            results.append((p_img.flatten(), opt.tau.copy()))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
 
@@ -347,14 +392,15 @@ class TestCheckpoint:
     def test_round_trip_bimodal(self, tmp_path):
         n = 20
         cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6)
-        opt = init_bimodal_optimizer_state(n, 30, 40, cfg, seed=12)
-        opt.tau_v[:] = 0.3
-        opt.s_t[:] = 1.7
+        opt = init_optimizer_state(n, 30 + 40, cfg, seed=12, sides=2)
+        opt.tau[0] = 0.3
+        opt.s[1] = 1.7
         path = str(tmp_path / "bi.ckpt")
         save_optimizer_state(opt, path)
         loaded = load_optimizer_state(path)
-        np.testing.assert_array_equal(loaded.tau_v, opt.tau_v)
-        np.testing.assert_array_equal(loaded.s_t, opt.s_t)
+        assert loaded.sides == 2
+        np.testing.assert_array_equal(loaded.tau, opt.tau)
+        np.testing.assert_array_equal(loaded.s, opt.s)
         assert loaded.v.shape == (70,)
 
     def test_garbage_rejected(self, tmp_path):
@@ -367,6 +413,63 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             init_optimizer_state(4, 10, RgclConfig(), 0, mode="sgd")
 
+    @pytest.mark.parametrize("sides", [1, 2])
+    @pytest.mark.parametrize("mode", ["momentum", "adam"])
+    def test_format_pinned(self, tmp_path, sides, mode):
+        # the on-disk layout, packed by hand: magic, int64 header (mode
+        # flag, seed, step, n, len(v), adam flag), float64 extrema, v, then
+        # s, u, tau of each side in turn, initialized as uint8, Adam moment
+        n, nv = 4, 3
+        rng = np.random.default_rng(sides * 10 + len(mode))
+
+        def table():
+            return rng.uniform(0.1, 2.0, (sides, n))
+
+        opt = OptimizerState(
+            mode=mode, seed=77, t=123, s=table(), u=table(), tau=table(),
+            initialized=np.array([True, False, True, True]), v=rng.normal(size=nv),
+            adam_m2=rng.uniform(size=nv) if mode == "adam" else None,
+            min_g_seen=0.25, min_s_seen=0.5, min_tau_seen=0.125, max_tau_seen=3.0,
+        )
+        want = (b"RGCLOPT1", b"RGCLOPB1")[sides - 1]
+        want += struct.pack("<6q", ("momentum", "adam").index(mode), 77, 123, n, nv, int(mode == "adam"))
+        want += struct.pack("<4d", 0.25, 0.5, 0.125, 3.0)
+        want += struct.pack("<%dd" % nv, *opt.v)
+        for side in range(sides):
+            for arr in (opt.s, opt.u, opt.tau):
+                want += struct.pack("<%dd" % n, *arr[side])
+        want += bytes([1, 0, 1, 1])
+        if mode == "adam":
+            want += struct.pack("<%dd" % nv, *opt.adam_m2)
+        path = tmp_path / "opt.ckpt"
+        save_optimizer_state(opt, str(path))
+        assert path.read_bytes() == want
+
+        loaded = load_optimizer_state(str(path))
+        assert loaded.sides == sides and loaded.n == n
+        for name in ("mode", "seed", "t", "min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen"):
+            assert getattr(loaded, name) == getattr(opt, name)
+        for name in ("s", "u", "tau", "initialized", "v"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(opt, name))
+            assert getattr(loaded, name).dtype == getattr(opt, name).dtype
+        if mode == "adam":
+            np.testing.assert_array_equal(loaded.adam_m2, opt.adam_m2)
+        else:
+            assert loaded.adam_m2 is None
+
+    def test_side_count_validated(self):
+        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6)
+        for sides in (0, 3):
+            with pytest.raises(ValueError, match="sides"):
+                init_optimizer_state(4, 10, cfg, 0, sides=sides)
+        data, cfg, params, _ = training_setup(13)
+        with pytest.raises(ValueError, match="one-sided"):
+            step_unimodal(init_optimizer_state(24, params.n_params, cfg, 0, sides=2),
+                          params, data.inputs, cfg, 8, 0.3)
+        with pytest.raises(ValueError, match="two-sided"):
+            step_bimodal(init_optimizer_state(24, 2 * params.n_params, cfg, 0),
+                         params, params, data.inputs, data.inputs, cfg, 8)
+
     @staticmethod
     def checkpoint_sections(tmp_path, bimodal):
         """Bytes of an adam-mode checkpoint and the offsets where its
@@ -374,10 +477,7 @@ class TestCheckpoint:
         array, initialized flags, adam second moments."""
         n, nv = 10, 7
         cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6)
-        if bimodal:
-            opt = init_bimodal_optimizer_state(n, 3, 4, cfg, seed=1, mode="adam")
-        else:
-            opt = init_optimizer_state(n, nv, cfg, seed=1, mode="adam")
+        opt = init_optimizer_state(n, nv, cfg, seed=1, mode="adam", sides=2 if bimodal else 1)
         path = tmp_path / "opt.ckpt"
         save_optimizer_state(opt, str(path))
         sizes = [8, 48, 32, 8 * nv] + [8 * n] * (6 if bimodal else 3) + [n, 8 * nv]
