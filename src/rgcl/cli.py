@@ -2,7 +2,8 @@
 
 Subcommands: train-unimodal, train-bimodal, verify, gen-data, dump-tau.
 Shared flags: --config <path>, --seed <u64>, --out <dir>, --set key=value
-(repeatable).  The verify subcommand exits nonzero iff any check fails.
+(repeatable).  Exit status 0 means success, 1 a failed verify check, 2 bad
+input; errors print as one line on stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +39,32 @@ def _resolve_config(args) -> harness.ExperimentConfig:
     return harness.apply_overrides(cfg, overrides)
 
 
+def _run(command: str, cfg: harness.ExperimentConfig) -> int:
+    if command == "train-unimodal":
+        report = harness.run_train_unimodal(cfg)
+        print("trained %d steps; knn accuracy %.4f" % (report["steps"], report["knn_accuracy"]))
+        return 0
+    if command == "train-bimodal":
+        cfg = harness.apply_overrides(cfg, ["mode=bimodal"])
+        report = harness.run_train_bimodal(cfg)
+        print("trained %d steps; knn accuracy %.4f" % (report["steps"], report["knn_accuracy"]))
+        return 0
+    if command == "verify":
+        report = harness.run_verify(cfg)
+        for check in report["checks"]:
+            print("%-32s %s" % (check["name"], "PASS" if check["passed"] else "FAIL"))
+        return 0 if report["all_passed"] else 1
+    if command == "gen-data":
+        path = harness.run_gen_data(cfg)
+        print("wrote %s" % path)
+        return 0
+    if command == "dump-tau":
+        path = harness.run_dump_tau(cfg)
+        print("wrote %s" % path)
+        return 0
+    raise AssertionError("unreachable")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -45,30 +72,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-
-    if args.command == "train-unimodal":
-        report = harness.run_train_unimodal(cfg)
-        print("trained %d steps; knn accuracy %.4f" % (report["steps"], report["knn_accuracy"]))
-        return 0
-    if args.command == "train-bimodal":
-        cfg = harness.apply_overrides(cfg, ["mode=bimodal"])
-        report = harness.run_train_bimodal(cfg)
-        print("trained %d steps; knn accuracy %.4f" % (report["steps"], report["knn_accuracy"]))
-        return 0
-    if args.command == "verify":
-        report = harness.run_verify(cfg)
-        for check in report["checks"]:
-            print("%-32s %s" % (check["name"], "PASS" if check["passed"] else "FAIL"))
-        return 0 if report["all_passed"] else 1
-    if args.command == "gen-data":
-        path = harness.run_gen_data(cfg)
-        print("wrote %s" % path)
-        return 0
-    if args.command == "dump-tau":
-        path = harness.run_dump_tau(cfg)
-        print("wrote %s" % path)
-        return 0
-    raise AssertionError("unreachable")
+    try:
+        return _run(args.command, cfg)
+    except (ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ __all__ = [
     "augment",
     "gen_bimodal_pairs",
     "export_dataset_csv",
-    "import_dataset_csv",
 ]
 
 
@@ -195,16 +194,3 @@ def export_dataset_csv(dataset: SynthDataset, path: str) -> None:
             writer.writerow(
                 [i, int(dataset.labels[i])] + [repr(float(v)) for v in dataset.inputs[i]]
             )
-
-
-def import_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (inputs, labels) from an exported dataset CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 2
-        inputs, labels = [], []
-        for row in reader:
-            labels.append(int(row[1]))
-            inputs.append([float(v) for v in row[2 : 2 + d]])
-    return np.asarray(inputs, dtype=np.float64), np.asarray(labels, dtype=int)

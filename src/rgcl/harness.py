@@ -16,12 +16,12 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import datasynth, loss, optimizer, oracle
-from .encoder import EncoderParams, encode, init_encoder_params, save_params
+from .encoder import encode, init_encoder_params, save_params
 from .loss import RgclConfig, ViewPairs
 from .numerics import RandomStream, spearman_rank_corr
 
@@ -299,144 +299,126 @@ def _grad_mapping_sq(params, eval_views, taus, rcfg: RgclConfig):
     return value, gm
 
 
+def _dataset(cfg: ExperimentConfig):
+    """The configured synthetic data: paired views for a bimodal run,
+    long-tail clusters otherwise."""
+    if cfg.mode == "bimodal":
+        return datasynth.gen_bimodal_pairs(
+            cfg.k, cfg.n, cfg.ratio, cfg.d_latent, cfg.d_img, cfg.d_txt, cfg.noise, cfg.seed,
+            mirrored=cfg.mirrored,
+        )
+    return datasynth.gen_longtail_clusters(cfg.k, cfg.n, cfg.ratio, cfg.d_in, cfg.noise, cfg.seed)
+
+
+# by side count: the report-key suffix of each side, the checkpoint of each tower
+_SIDE_SUFFIXES = (("",), ("_v", "_t"))
+_ENCODER_FILES = (("encoder.ckpt",), ("encoder_img.ckpt", "encoder_txt.ckpt"))
+
+
+def _setup(cfg: ExperimentConfig, towers):
+    """The output directory, the loss config, one encoder per (d_in, init
+    stream path) tower and an optimizer state with one side per tower."""
+    os.makedirs(cfg.out, exist_ok=True)
+    rcfg = cfg.rgcl_config()
+    params = [
+        init_encoder_params(d_in, cfg.d_hidden, cfg.d_embed, cfg.activation, RandomStream(cfg.seed, path))
+        for d_in, path in towers
+    ]
+    opt = optimizer.init_optimizer_state(
+        cfg.n, sum(p.n_params for p in params), rcfg, cfg.seed, cfg.param_update, sides=len(params)
+    )
+    return rcfg, params, opt
+
+
+def _finish(cfg: ExperimentConfig, t_start: float, opt, data, params, knn_inputs, series, **fields) -> dict:
+    """kNN accuracy on tower 0, the report with per-side temperature
+    statistics, then every run artifact.  fields are extra report entries."""
+    emb = encode(params[0], knn_inputs).embeddings
+    acc = knn_accuracy(emb, data.labels, cfg.knn_k, cfg.held_out_fraction, RandomStream(cfg.seed, ("eval", "knn")))
+    report = dict(
+        fields,
+        **series,
+        mode=cfg.mode,
+        config=asdict(cfg),
+        config_code_hash=_config_code_hash(cfg),
+        epochs=cfg.epochs,
+        steps=opt.t,
+        knn_accuracy=acc,
+        cluster_sizes=data.cluster_sizes.tolist(),
+        min_g_seen=None if math.isinf(opt.min_g_seen) else opt.min_g_seen,
+        min_s_seen=None if math.isinf(opt.min_s_seen) else opt.min_s_seen,
+        g_floor=cfg.rgcl_config().g_floor,
+    )
+    sizes = data.cluster_sizes.astype(float)
+    for suffix, tau in zip(_SIDE_SUFFIXES[opt.sides - 1], opt.tau):
+        cluster_tau = _per_cluster_mean(tau, data.labels, cfg.k)
+        report["per_cluster_mean_tau" + suffix] = cluster_tau
+        # constant temperatures have no ranking
+        constant = tau.min() == tau.max()
+        report["spearman_size_tau" + suffix] = None if constant else _safe_spearman(sizes, np.asarray(cluster_tau))
+        report["tau%s_summary" % suffix] = _tau_summary(tau)
+    report["wall_clock_sec"] = time.monotonic() - t_start
+    _write_report(report, cfg.out)
+    _write_metrics_csv(cfg.out, series)
+    export_tau_csv(opt, data.labels, os.path.join(cfg.out, "tau.csv"))
+    for p, name in zip(params, _ENCODER_FILES[opt.sides - 1]):
+        save_params(p, os.path.join(cfg.out, name))
+    optimizer.save_optimizer_state(opt, os.path.join(cfg.out, "optimizer.ckpt"))
+    return report
+
+
 def run_train_unimodal(cfg: ExperimentConfig) -> dict:
     """Train on the synthetic long-tail task and write the run artifacts
     (report.json, tau.csv, metrics.csv, checkpoints) into cfg.out."""
     if cfg.mode == "bimodal":
-        raise ValueError("use run_train_bimodal for bimodal mode")
+        raise ValueError("mode bimodal trains with run_train_bimodal (rgcl train-bimodal)")
     t_start = time.monotonic()
-    os.makedirs(cfg.out, exist_ok=True)
-    rcfg = cfg.rgcl_config()
-
-    data = datasynth.gen_longtail_clusters(cfg.k, cfg.n, cfg.ratio, cfg.d_in, cfg.noise, cfg.seed)
-    init_stream = RandomStream(cfg.seed, ("init",))
-    params = init_encoder_params(cfg.d_in, cfg.d_hidden, cfg.d_embed, cfg.activation, init_stream)
-    opt = optimizer.init_optimizer_state(cfg.n, params.n_params, rcfg, cfg.seed, "adam" if cfg.param_update == "adam" else "momentum")
+    data = _dataset(cfg)
+    rcfg, (params,), opt = _setup(cfg, [(cfg.d_in, ("init",))])
 
     ev = RandomStream(cfg.seed, ("eval", "views"))
     eval_views = ViewPairs(
         datasynth.augment(data.inputs, cfg.aug_strength, ev.split("a")),
         datasynth.augment(data.inputs, cfg.aug_strength, ev.split("b")),
     )
-
     step_fn = optimizer.step_sogclr_baseline if cfg.mode == "sogclr-baseline" else optimizer.step_unimodal
-    steps_per_epoch = max(1, cfg.n // cfg.batch_size)
 
     tau = opt.tau[0]
     initial_objective, initial_gm = _grad_mapping_sq(params, eval_views, tau, rcfg)
     series = {"objective_estimate": [], "exact_objective": [], "grad_mapping_sq": []}
     for epoch in range(1, cfg.epochs + 1):
-        for _ in range(steps_per_epoch):
+        for _ in range(max(1, cfg.n // cfg.batch_size)):
             params = step_fn(opt, params, data.inputs, rcfg, cfg.batch_size, cfg.aug_strength)
         series["objective_estimate"].append(_objective_estimate(opt, rcfg))
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             value, gm = _grad_mapping_sq(params, eval_views, tau, rcfg)
-            series["exact_objective"].append(value)
-            series["grad_mapping_sq"].append(gm)
         else:
-            series["exact_objective"].append(None)
-            series["grad_mapping_sq"].append(None)
-
-    emb = encode(params, data.inputs).embeddings
-    acc = knn_accuracy(emb, data.labels, cfg.knn_k, cfg.held_out_fraction, RandomStream(cfg.seed, ("eval", "knn")))
-    cluster_tau = _per_cluster_mean(tau, data.labels, cfg.k)
-    if tau.min() == tau.max():
-        spearman = None  # constant temperatures have no ranking
-    else:
-        spearman = _safe_spearman(data.cluster_sizes.astype(float), np.asarray(cluster_tau))
-
-    report = {
-        "mode": cfg.mode,
-        "config": asdict(cfg),
-        "config_code_hash": _config_code_hash(cfg),
-        "epochs": cfg.epochs,
-        "steps": opt.t,
-        "objective_estimate": series["objective_estimate"],
-        "exact_objective": series["exact_objective"],
-        "grad_mapping_sq": series["grad_mapping_sq"],
-        "initial_objective": initial_objective,
-        "initial_grad_mapping_sq": initial_gm,
-        "knn_accuracy": acc,
-        "cluster_sizes": data.cluster_sizes.tolist(),
-        "per_cluster_mean_tau": cluster_tau,
-        "spearman_size_tau": spearman,
-        "tau_summary": _tau_summary(tau),
-        "min_g_seen": None if math.isinf(opt.min_g_seen) else opt.min_g_seen,
-        "min_s_seen": None if math.isinf(opt.min_s_seen) else opt.min_s_seen,
-        "g_floor": rcfg.g_floor,
-        "wall_clock_sec": time.monotonic() - t_start,
-    }
-    _write_report(report, cfg.out)
-    _write_metrics_csv(cfg.out, series)
-    export_tau_csv(opt, data.labels, os.path.join(cfg.out, "tau.csv"))
-    save_params(params, os.path.join(cfg.out, "encoder.ckpt"))
-    optimizer.save_optimizer_state(opt, os.path.join(cfg.out, "optimizer.ckpt"))
-    return report
+            value = gm = None
+        series["exact_objective"].append(value)
+        series["grad_mapping_sq"].append(gm)
+    return _finish(cfg, t_start, opt, data, [params], data.inputs, series,
+                   initial_objective=initial_objective, initial_grad_mapping_sq=initial_gm)
 
 
 def run_train_bimodal(cfg: ExperimentConfig) -> dict:
     """Two-tower training on synthetic paired views of a long-tail latent."""
+    if cfg.mode != "bimodal":
+        raise ValueError("run_train_bimodal needs mode bimodal, not %r" % cfg.mode)
     t_start = time.monotonic()
-    os.makedirs(cfg.out, exist_ok=True)
-    rcfg = cfg.rgcl_config()
+    data = _dataset(cfg)
+    # a mirrored run starts both towers identical, so the two directions
+    # stay exactly symmetric
+    txt_path = ("init", "img") if cfg.mirrored else ("init", "txt")
+    rcfg, (params_img, params_txt), opt = _setup(cfg, [(cfg.d_img, ("init", "img")), (cfg.d_txt, txt_path)])
 
-    data = datasynth.gen_bimodal_pairs(
-        cfg.k, cfg.n, cfg.ratio, cfg.d_latent, cfg.d_img, cfg.d_txt, cfg.noise, cfg.seed,
-        mirrored=cfg.mirrored,
-    )
-    init_img = RandomStream(cfg.seed, ("init", "img"))
-    if cfg.mirrored:
-        # identical towers so the two directions stay exactly symmetric
-        init_txt = RandomStream(cfg.seed, ("init", "img"))
-    else:
-        init_txt = RandomStream(cfg.seed, ("init", "txt"))
-    params_img = init_encoder_params(cfg.d_img, cfg.d_hidden, cfg.d_embed, cfg.activation, init_img)
-    params_txt = init_encoder_params(cfg.d_txt, cfg.d_hidden, cfg.d_embed, cfg.activation, init_txt)
-    opt = optimizer.init_optimizer_state(
-        cfg.n, params_img.n_params + params_txt.n_params, rcfg, cfg.seed,
-        "adam" if cfg.param_update == "adam" else "momentum", sides=2,
-    )
-
-    steps_per_epoch = max(1, cfg.n // cfg.batch_size)
     series = {"objective_estimate": []}
     for _ in range(cfg.epochs):
-        for _ in range(steps_per_epoch):
+        for _ in range(max(1, cfg.n // cfg.batch_size)):
             params_img, params_txt = optimizer.step_bimodal(
                 opt, params_img, params_txt, data.image_views, data.text_views, rcfg, cfg.batch_size
             )
         series["objective_estimate"].append(_objective_estimate(opt, rcfg))
-
-    emb = encode(params_img, data.image_views).embeddings
-    acc = knn_accuracy(emb, data.labels, cfg.knn_k, cfg.held_out_fraction, RandomStream(cfg.seed, ("eval", "knn")))
-    sizes = data.cluster_sizes.astype(float)
-
-    report = {
-        "mode": "bimodal",
-        "config": asdict(cfg),
-        "config_code_hash": _config_code_hash(cfg),
-        "epochs": cfg.epochs,
-        "steps": opt.t,
-        "objective_estimate": series["objective_estimate"],
-        "knn_accuracy": acc,
-        "cluster_sizes": data.cluster_sizes.tolist(),
-        "min_g_seen": None if math.isinf(opt.min_g_seen) else opt.min_g_seen,
-        "min_s_seen": None if math.isinf(opt.min_s_seen) else opt.min_s_seen,
-        "g_floor": rcfg.g_floor,
-    }
-    # per side: v for image anchors, t for text anchors
-    for side, tau in zip("vt", opt.tau):
-        cluster_tau = _per_cluster_mean(tau, data.labels, cfg.k)
-        report["per_cluster_mean_tau_" + side] = cluster_tau
-        report["spearman_size_tau_" + side] = _safe_spearman(sizes, np.asarray(cluster_tau))
-        report["tau_%s_summary" % side] = _tau_summary(tau)
-    report["wall_clock_sec"] = time.monotonic() - t_start
-    _write_report(report, cfg.out)
-    _write_metrics_csv(cfg.out, series)
-    export_tau_csv(opt, data.labels, os.path.join(cfg.out, "tau.csv"))
-    save_params(params_img, os.path.join(cfg.out, "encoder_img.ckpt"))
-    save_params(params_txt, os.path.join(cfg.out, "encoder_txt.ckpt"))
-    optimizer.save_optimizer_state(opt, os.path.join(cfg.out, "optimizer.ckpt"))
-    return report
+    return _finish(cfg, t_start, opt, data, [params_img, params_txt], data.image_views, series)
 
 
 def run_gen_data(cfg: ExperimentConfig) -> str:
@@ -458,15 +440,11 @@ def run_dump_tau(cfg: ExperimentConfig) -> str:
         raise ValueError("%s is missing; the labels of tau.csv come from the run's config" % report_path)
     with open(report_path) as fh:
         run = load_config(data=json.load(fh)["config"])
-    if opt.sides == 2:
-        data = datasynth.gen_bimodal_pairs(
-            run.k, run.n, run.ratio, run.d_latent, run.d_img, run.d_txt, run.noise, run.seed,
-            mirrored=run.mirrored,
-        )
-    else:
-        data = datasynth.gen_longtail_clusters(run.k, run.n, run.ratio, run.d_in, run.noise, run.seed)
+    sides = 2 if run.mode == "bimodal" else 1
+    if opt.sides != sides:
+        raise ValueError("the checkpoint holds %d sides, a %s run has %d" % (opt.sides, run.mode, sides))
     path = os.path.join(cfg.out, "tau.csv")
-    export_tau_csv(opt, data.labels, path)
+    export_tau_csv(opt, _dataset(run).labels, path)
     return path
 
 

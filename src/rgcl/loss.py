@@ -96,10 +96,6 @@ class RgclConfig:
             raise ValueError("need tau0 <= tau_init <= tau_max")
 
     @property
-    def hardness_bound(self) -> float:
-        return HARDNESS_BOUND
-
-    @property
     def tau_max(self) -> float:
         return self.tau0 + HARDNESS_BOUND / self.rho
 

@@ -42,19 +42,9 @@ def softmax_shifted(values) -> np.ndarray:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties assigned the average of their positions."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the average rank
-        avg = 0.5 * (i + j) + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    # a group of c ties ending at 1-based position e shares rank e - (c - 1) / 2
+    return (np.cumsum(counts) - 0.5 * (counts - 1.0))[group]
 
 
 def spearman_rank_corr(a, b) -> float:
@@ -65,6 +55,8 @@ def spearman_rank_corr(a, b) -> float:
         raise ValueError("length mismatch")
     if a.size < 3:
         raise ValueError("need at least 3 observations")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("rank correlation needs finite values")
     ra = _average_ranks(a)
     rb = _average_ranks(b)
     ra -= ra.mean()

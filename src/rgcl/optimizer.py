@@ -44,7 +44,7 @@ __all__ = [
     "load_optimizer_state",
 ]
 
-_MODES = ("momentum", "adam", "sogclr-baseline")
+_MODES = ("momentum", "adam")
 # Adam-style parameter update (temperatures always use momentum).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -209,6 +209,13 @@ def _side_step(opt: OptimizerState, side: int, idx, hmat, cfg: RgclConfig, eta_t
     return mats
 
 
+def _check_rows(opt: OptimizerState, n: int) -> None:
+    if n < 2:
+        raise ValueError("dataset must have at least 2 samples")
+    if opt.n != n:
+        raise ValueError("the optimizer state holds %d anchors, the dataset %d rows" % (opt.n, n))
+
+
 def _step_unimodal_core(
     opt: OptimizerState,
     params: EncoderParams,
@@ -221,6 +228,7 @@ def _step_unimodal_core(
     if opt.sides != 1:
         raise ValueError("a unimodal step needs a one-sided state, not %d sides" % opt.sides)
     n = inputs.shape[0]
+    _check_rows(opt, n)
     step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
     idx, noise_a, noise_b = sample_batch(step_stream, n, batch_size, inputs.shape[1])
     views_a = inputs[idx] + aug_strength * noise_a
@@ -254,8 +262,6 @@ def step_unimodal(
     drawn from a stream keyed by the step counter, so a resumed run
     continues bit-identically.
     """
-    if inputs.shape[0] < 2:
-        raise ValueError("dataset must have at least 2 samples")
     return _step_unimodal_core(opt, params, inputs, cfg, batch_size, aug_strength, cfg.eta_tau)
 
 
@@ -269,8 +275,6 @@ def step_sogclr_baseline(
 ) -> EncoderParams:
     """Fixed-temperature baseline: the same step with the tau update
     disabled (eta_tau = 0), so every tau stays at tau_init."""
-    if inputs.shape[0] < 2:
-        raise ValueError("dataset must have at least 2 samples")
     return _step_unimodal_core(opt, params, inputs, cfg, batch_size, aug_strength, 0.0)
 
 
@@ -287,10 +291,10 @@ def step_bimodal(
     anchor are the other batch texts and vice versa (no augmentation).
     Returns (new_params_img, new_params_txt)."""
     n = images.shape[0]
-    if n < 2:
-        raise ValueError("dataset must have at least 2 pairs")
     if opt.sides != 2:
         raise ValueError("a bimodal step needs a two-sided state, not %d sides" % opt.sides)
+    _check_rows(opt, n)
+    _check_rows(opt, texts.shape[0])
     idx = _batch_indices(RandomStream(opt.seed, ("train", str(opt.t))), n, batch_size)
 
     ex = encode(params_img, images[idx])

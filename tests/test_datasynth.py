@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,6 @@ from rgcl.datasynth import (
     export_dataset_csv,
     gen_bimodal_pairs,
     gen_longtail_clusters,
-    import_dataset_csv,
     longtail_sizes,
 )
 from rgcl.numerics import RandomStream
@@ -145,6 +146,10 @@ class TestCsvRoundTrip:
         data = gen_longtail_clusters(3, 50, 4.0, 5, 0.3, seed=10)
         path = str(tmp_path / "dataset.csv")
         export_dataset_csv(data, path)
-        inputs, labels = import_dataset_csv(path)
-        np.testing.assert_array_equal(inputs, data.inputs)
-        np.testing.assert_array_equal(labels, data.labels)
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["id", "label", "f0", "f1", "f2", "f3", "f4"]
+        assert [int(r[0]) for r in rows] == list(range(data.n))
+        np.testing.assert_array_equal([int(r[1]) for r in rows], data.labels)
+        # repr output parses back to the exact stored doubles
+        np.testing.assert_array_equal([[float(v) for v in r[2:]] for r in rows], data.inputs)

@@ -266,6 +266,22 @@ class TestTrainBimodal:
         report = run_train_bimodal(cfg)
         assert report["steps"] == 0
         assert report["tau_v_summary"]["min"] == cfg.tau_init
+        # constant temperatures have no ranks, on either side
+        assert report["spearman_size_tau_v"] is None
+        assert report["spearman_size_tau_t"] is None
+
+    def test_frozen_temperatures_have_no_ranking(self, tmp_path):
+        cfg = small_cfg(tmp_path, mode="bimodal", eta_tau=0.0, epochs=2)
+        report = run_train_bimodal(cfg)
+        assert report["steps"] > 0
+        assert report["tau_v_summary"]["max"] == report["tau_t_summary"]["max"] == cfg.tau_init
+        assert report["spearman_size_tau_v"] is None
+        assert report["spearman_size_tau_t"] is None
+
+    @pytest.mark.parametrize("mode", ["isogclr", "sogclr-baseline"])
+    def test_unimodal_mode_rejected(self, tmp_path, mode):
+        with pytest.raises(ValueError, match="mode bimodal"):
+            run_train_bimodal(small_cfg(tmp_path, mode=mode))
 
     def test_longtail_temperature_ordering(self, tmp_path):
         # desk-scale two-tower run: per-cluster mean temperature tracks
@@ -281,11 +297,11 @@ class TestSubcommands:
     def test_gen_data(self, tmp_path):
         cfg = small_cfg(tmp_path)
         path = run_gen_data(cfg)
-        from rgcl.datasynth import import_dataset_csv
-
-        inputs, labels = import_dataset_csv(path)
-        assert inputs.shape == (cfg.n, cfg.d_in)
-        assert len(np.unique(labels)) == cfg.k
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 2 + cfg.d_in
+        assert len(rows) == cfg.n and all(len(r) == len(header) for r in rows)
+        assert len({r[1] for r in rows}) == cfg.k
 
     def test_dump_tau_reproduces_csv(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -315,6 +331,16 @@ class TestSubcommands:
         run_train_unimodal(cfg)
         os.remove(os.path.join(cfg.out, "report.json"))
         with pytest.raises(ValueError, match="report.json"):
+            run_dump_tau(cfg)
+
+    def test_dump_tau_checks_side_count_against_mode(self, tmp_path):
+        cfg = small_cfg(tmp_path, epochs=1)
+        run_train_unimodal(cfg)
+        path = os.path.join(cfg.out, "report.json")
+        report = json.load(open(path))
+        report["config"]["mode"] = "bimodal"
+        json.dump(report, open(path, "w"))
+        with pytest.raises(ValueError, match="checkpoint holds 1 sides, a bimodal run has 2"):
             run_dump_tau(cfg)
 
     def test_export_tau_csv_label_count_checked(self, tmp_path):
@@ -363,6 +389,18 @@ class TestCli:
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = cli.main(["gen-data", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["dump-tau"], ["train-unimodal", "--set", "mode=bimodal"]],
+        ids=["dump-tau-empty-dir", "train-unimodal-bimodal-mode"],
+    )
+    def test_subcommand_error_one_line_exit_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_verify_exit_codes(self, tmp_path, monkeypatch, capsys):
         fake = {"checks": [{"name": "x", "passed": False, "detail": {}}], "all_passed": False}

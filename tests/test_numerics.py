@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rgcl.numerics import (
     RandomStream,
+    _average_ranks,
     log_sum_exp,
     softmax_shifted,
     spearman_rank_corr,
@@ -96,6 +97,42 @@ class TestSpearman:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             spearman_rank_corr([1.0, 2.0], [2.0, 1.0])
+
+    @staticmethod
+    def loop_ranks(x):
+        """The tie loop _average_ranks replaced, kept as the reference."""
+        order = np.argsort(x, kind="stable")
+        ranks = np.empty(len(x), dtype=np.float64)
+        i = 0
+        while i < len(x):
+            j = i
+            while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+                j += 1
+            avg = 0.5 * (i + j) + 1.0
+            for k in range(i, j + 1):
+                ranks[order[k]] = avg
+            i = j + 1
+        return ranks
+
+    def test_ranks_match_tie_loop(self):
+        rng = np.random.default_rng(0)
+        for size, high in [(3, 1), (7, 2), (50, 3), (200, 10), (1000, 40), (999, 1000)]:
+            x = rng.integers(0, high, size).astype(np.float64)
+            np.testing.assert_array_equal(_average_ranks(x), self.loop_ranks(x))
+            y = rng.integers(0, high, size).astype(np.float64)
+            if np.ptp(x) > 0 and np.ptp(y) > 0:
+                ra, rb = self.loop_ranks(x), self.loop_ranks(y)
+                ra -= ra.mean()
+                rb -= rb.mean()
+                want = float(np.sum(ra * rb) / np.sqrt(np.sum(ra * ra) * np.sum(rb * rb)))
+                assert spearman_rank_corr(x, y) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            spearman_rank_corr([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            spearman_rank_corr([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
     @given(st.lists(st.integers(min_value=0, max_value=50), min_size=3, max_size=15))
     @settings(deadline=None)

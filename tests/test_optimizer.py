@@ -352,6 +352,45 @@ class TestStepBimodal:
             step_bimodal(opt, p_img, p_txt, images, texts, cfg, 1)
 
 
+class TestStateSizeChecked:
+    """A state must hold one anchor per dataset row: a larger one would
+    leave anchors untouched and scale the temperature gradient by the wrong
+    n, a smaller one would index past its tables."""
+
+    def setup(self, n_state, sides=1):
+        data = gen_longtail_clusters(3, 24, 5.0, 5, 0.3, 0)
+        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6)
+        params = init_encoder_params(5, 6, 4, "tanh", RandomStream(0, ("enc",)))
+        opt = init_optimizer_state(n_state, sides * params.n_params, cfg, seed=0, sides=sides)
+        return data.inputs, cfg, params, opt
+
+    @pytest.mark.parametrize("n_state", [40, 10])
+    @pytest.mark.parametrize("step", ["step_unimodal", "step_sogclr_baseline"])
+    def test_unimodal_steps(self, n_state, step):
+        inputs, cfg, params, opt = self.setup(n_state)
+        with pytest.raises(ValueError, match="holds %d anchors, the dataset 24 rows" % n_state):
+            getattr(optimizer, step)(opt, params, inputs, cfg, 8, 0.3)
+        assert opt.t == 0 and not opt.initialized.any()
+
+    @pytest.mark.parametrize("n_state", [40, 10])
+    def test_bimodal_step(self, n_state):
+        inputs, cfg, params, opt = self.setup(n_state, sides=2)
+        with pytest.raises(ValueError, match="holds %d anchors, the dataset 24 rows" % n_state):
+            step_bimodal(opt, params, params.copy(), inputs, inputs.copy(), cfg, 8)
+        assert opt.t == 0 and not opt.initialized.any()
+
+    def test_bimodal_text_rows_checked(self):
+        inputs, cfg, params, opt = self.setup(24, sides=2)
+        with pytest.raises(ValueError, match="holds 24 anchors, the dataset 20 rows"):
+            step_bimodal(opt, params, params.copy(), inputs, inputs[:20].copy(), cfg, 8)
+
+    @pytest.mark.parametrize("step", ["step_unimodal", "step_sogclr_baseline"])
+    def test_single_row_rejected(self, step):
+        inputs, cfg, params, opt = self.setup(1)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            getattr(optimizer, step)(opt, params, inputs[:1], cfg, 1, 0.3)
+
+
 class TestCheckpoint:
     def test_round_trip_unimodal(self, tmp_path):
         data, cfg, params, opt = training_setup(10)
@@ -410,8 +449,9 @@ class TestCheckpoint:
             load_optimizer_state(str(path))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            init_optimizer_state(4, 10, RgclConfig(), 0, mode="sgd")
+        for mode in ("sgd", "sogclr-baseline"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                init_optimizer_state(4, 10, RgclConfig(), 0, mode=mode)
 
     @pytest.mark.parametrize("sides", [1, 2])
     @pytest.mark.parametrize("mode", ["momentum", "adam"])
@@ -508,7 +548,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="header implies"):
             load_optimizer_state(str(path))
 
-    @pytest.mark.parametrize("field,value", [(0, 3), (0, -1), (3, -1), (4, -1), (5, 2)])
+    @pytest.mark.parametrize("field,value", [(0, 2), (0, 3), (0, -1), (3, -1), (4, -1), (5, 2)])
     def test_corrupt_header_rejected(self, tmp_path, field, value):
         # field indexes (mode flag, seed, step, n, len(v), adam flag)
         path, data, _ = self.checkpoint_sections(tmp_path, False)
