@@ -13,9 +13,9 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -89,9 +89,12 @@ class ExperimentConfig:
     held_out_fraction: float = 0.25
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            # bool is an Integral, but only a bool field takes one
+            if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind != "bool"):
+                raise ValueError("%s must be of type %s, not %r" % (name, kind, value))
         loss.require_finite(self)
-        if not isinstance(self.mirrored, bool):
-            raise ValueError("mirrored must be a boolean, not %r" % (self.mirrored,))
         if self.mode not in ("isogclr", "sogclr-baseline", "bimodal"):
             raise ValueError("unknown mode %r" % self.mode)
         if self.param_update not in ("momentum", "adam"):
@@ -117,25 +120,26 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
+# the values each declared field type takes; an int in a float field stays an int
+_ACCEPTS = {"int": numbers.Integral, "float": numbers.Real, "float | None": (numbers.Real, type(None)),
+            "str": str, "bool": bool}
+_PARSERS = {"int": int, "float": float, "float | None": float, "str": str}
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _coerce(key: str, value):
-    """Coerce a string override to the field's declared type."""
-    default = getattr(ExperimentConfig(), key)
-    if key == "tau_grad_scale":
-        if isinstance(value, str) and value.lower() in ("none", "null"):
-            return None
-        return float(value)
-    if isinstance(default, bool):
-        if str(value).lower() in _BOOLEANS:  # also True and False themselves
-            return _BOOLEANS[str(value).lower()]
+def _coerce(key: str, value: str):
+    """Parse a string override as the field's declared type."""
+    kind = _FIELD_TYPES[key]
+    if kind == "float | None" and value.lower() in ("none", "null"):
+        return None
+    if kind == "bool":
+        if value.lower() in _BOOLEANS:
+            return _BOOLEANS[value.lower()]
         raise ValueError("%s must be one of %s, not %r" % (key, "/".join(_BOOLEANS), value))
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return str(value)
+    try:
+        return _PARSERS[kind](value)
+    except ValueError:
+        raise ValueError("%s must be of type %s, not %r" % (key, kind, value)) from None
 
 
 def load_config(path: str | None = None, data: dict | None = None) -> ExperimentConfig:
@@ -177,17 +181,6 @@ def _config_code_hash(cfg: ExperimentConfig) -> str:
                 h.update(name.encode())
                 h.update(fh.read())
     return h.hexdigest()
-
-
-def n_threads() -> int:
-    """Worker cap from the RGCL_THREADS environment variable."""
-    raw = os.environ.get("RGCL_THREADS", "")
-    if raw:
-        v = int(raw)
-        if v < 1:
-            raise ValueError("RGCL_THREADS must be >= 1")
-        return v
-    return min(4, os.cpu_count() or 1)
 
 
 def knn_accuracy(embeddings, labels, k: int, held_out_fraction: float, stream: RandomStream) -> float:
@@ -422,9 +415,11 @@ def run_train_bimodal(cfg: ExperimentConfig) -> dict:
 
 
 def run_gen_data(cfg: ExperimentConfig) -> str:
-    """Generate the configured dataset and export it as dataset.csv."""
+    """Generate the configured long-tail dataset and export it as dataset.csv."""
+    if cfg.mode == "bimodal":
+        raise ValueError("gen-data writes long-tail clusters; dataset.csv has no format for bimodal views")
     os.makedirs(cfg.out, exist_ok=True)
-    data = datasynth.gen_longtail_clusters(cfg.k, cfg.n, cfg.ratio, cfg.d_in, cfg.noise, cfg.seed)
+    data = _dataset(cfg)
     path = os.path.join(cfg.out, "dataset.csv")
     datasynth.export_dataset_csv(data, path)
     return path
@@ -456,9 +451,9 @@ def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _random_instance(stream, m, scale=1.0):
+def _random_instance(stream, m):
     # hardness scores stay in [-2, 2] by construction
-    return np.clip(scale * stream.normal(m), -2.0, 2.0)
+    return np.clip(stream.normal(m), -2.0, 2.0)
 
 
 def _vcheck_primal_feasibility(seed):
@@ -502,13 +497,13 @@ def _vcheck_grid(seed):
     return _check("grid_cross_check", worst <= 1e-3, {"worst_gap": worst})
 
 
-def _vcheck_weight_concentration(seed):
+def _vcheck_weight_concentration():
     sol = oracle.solve_primal(np.array([0.0, -1.0]), 0.2, 0.0)
     p1 = float(sol.p[0])
     return _check("weight_concentration_reference", abs(p1 - 0.80) <= 0.02, {"p1": p1})
 
 
-def _vcheck_hardness_monotone(seed):
+def _vcheck_hardness_monotone():
     p1s = [float(oracle.solve_primal(np.array([0.0, -1.0]), r, 0.0).p[0]) for r in (0.05, 0.1, 0.2, 0.4)]
     ok = all(b >= a - 1e-12 for a, b in zip(p1s, p1s[1:]))
     return _check("hardness_awareness_monotone", ok, {"p1_by_rho": p1s})
@@ -536,25 +531,22 @@ def _small_instance(seed, n=5, d=4):
     return params, views, taus, cfg
 
 
-def _vcheck_grad_w_fd(seed):
+def _vcheck_finite_diff(seed):
+    """grad_w_finite_diff and grad_tau_finite_diff on one small instance and
+    its exact full-batch gradients."""
     params, views, taus, cfg = _small_instance(seed)
-    _, grad_w, _ = oracle.full_batch_reference(params, views, taus, cfg)
-    fd = oracle.finite_diff_grad(
-        lambda flat: loss.objective_unimodal(params.from_flat(flat), views, taus, cfg),
-        params.flatten(),
-    )
-    rel = float(np.linalg.norm(grad_w - fd) / max(np.linalg.norm(fd), 1e-12))
-    return _check("grad_w_finite_diff", rel <= 1e-6, {"rel_err": rel})
-
-
-def _vcheck_grad_tau_fd(seed):
-    params, views, taus, cfg = _small_instance(seed)
-    _, _, grad_tau = oracle.full_batch_reference(params, views, taus, cfg)
-    fd = oracle.finite_diff_grad(
-        lambda tv: loss.objective_unimodal(params, views, tv, cfg), taus
-    )
-    rel = float(np.linalg.norm(grad_tau - fd) / max(np.linalg.norm(fd), 1e-12))
-    return _check("grad_tau_finite_diff", rel <= 1e-6, {"rel_err": rel})
+    _, grad_w, grad_tau = oracle.full_batch_reference(params, views, taus, cfg)
+    cases = [
+        ("grad_w_finite_diff", grad_w, params.flatten(),
+         lambda flat: loss.objective_unimodal(params.from_flat(flat), views, taus, cfg)),
+        ("grad_tau_finite_diff", grad_tau, taus, lambda tv: loss.objective_unimodal(params, views, tv, cfg)),
+    ]
+    checks = []
+    for name, exact, point, func in cases:
+        fd = oracle.finite_diff_grad(func, point)
+        rel = float(np.linalg.norm(exact - fd) / max(np.linalg.norm(fd), 1e-12))
+        checks.append(_check(name, rel <= 1e-6, {"rel_err": rel}))
+    return checks
 
 
 def _vcheck_degeneration(seed):
@@ -586,29 +578,27 @@ def _exact_s(params, views, taus, cfg):
     return np.array([loss.g_value(hmat[i], taus[i], cfg.log_epsilon) for i in range(views.n)])
 
 
-def _short_training(seed, steps=40, eta_tau=0.01, disable_projection=False):
+def _short_training(seed, steps=40, eta_tau=0.01):
     stream = RandomStream(seed, ("verify", "train"))
     data = datasynth.gen_longtail_clusters(4, 60, 10.0, 6, 0.3, seed)
     cfg = RgclConfig(rho=2.0, tau0=0.05, tau_init=0.7, eta_tau=eta_tau, eta_w=0.03)
     params = init_encoder_params(6, 8, 4, "tanh", stream.split("enc"))
     opt = optimizer.init_optimizer_state(60, params.n_params, cfg, seed)
-    opt._disable_tau_projection = disable_projection
     for _ in range(steps):
         params = optimizer.step_unimodal(opt, params, data.inputs, cfg, 16, 0.6)
     return opt, cfg
 
 
-def _vcheck_tau_containment(seed, disable_projection=False):
+def _vcheck_tau_containment(seed):
     # deliberately oversized temperature step: with the projection on, the
     # clamp must hold the temperatures in the box anyway
-    opt, cfg = _short_training(seed, steps=6, eta_tau=2.0, disable_projection=disable_projection)
+    opt, cfg = _short_training(seed, steps=6, eta_tau=2.0)
     lo, hi = opt.min_tau_seen, opt.max_tau_seen
     ok = lo >= cfg.tau0 - 1e-15 and hi <= cfg.tau_max + 1e-15
     return _check("tau_containment", ok, {"min_tau": lo, "max_tau": hi, "bounds": [cfg.tau0, cfg.tau_max]})
 
 
-def _vcheck_g_floor(seed):
-    opt, cfg = _short_training(seed)
+def _vcheck_g_floor(opt, cfg):
     floor = cfg.g_floor - 1e-12
     ok = opt.min_g_seen >= floor and opt.min_s_seen >= floor
     return _check("g_lower_bound", ok, {"min_g": opt.min_g_seen, "min_s": opt.min_s_seen, "floor": cfg.g_floor})
@@ -654,45 +644,35 @@ def _vcheck_unbiasedness(seed):
     return _check("estimator_unbiasedness", dev <= 3 * se, {"deviation": dev, "three_se": 3 * se})
 
 
-def _vcheck_determinism(seed):
-    a, _ = _short_training(seed)
+def _vcheck_determinism(seed, a):
+    """a is a finished _short_training(seed) state; a second run must match it."""
     b, _ = _short_training(seed)
-    ok = (
-        np.array_equal(a.tau, b.tau)
-        and np.array_equal(a.s, b.s)
-        and np.array_equal(a.v, b.v)
-    )
+    ok = np.array_equal(a.tau, b.tau) and np.array_equal(a.s, b.s) and np.array_equal(a.v, b.v)
     return _check("determinism_rerun", ok, {"tau_equal": np.array_equal(a.tau, b.tau)})
 
 
-def run_verify(cfg: ExperimentConfig, disable_tau_projection: bool = False) -> dict:
-    """Run the named verification checks in a small thread pool and write a
-    JSON report; the CLI exit code is 0 iff every check passed.
-
-    disable_tau_projection is a fault-injection hook: it disables the
-    temperature clamp in the containment check's training run, which must
-    make that check fail.
-    """
+def run_verify(cfg: ExperimentConfig) -> dict:
+    """Run the named verification checks in order and write a JSON report;
+    the CLI exit code is 0 iff every check passed."""
     os.makedirs(cfg.out, exist_ok=True)
     seed = cfg.seed
-    jobs = [
-        lambda: _vcheck_primal_feasibility(seed),
-        lambda: _vcheck_primal_dual(seed),
-        lambda: _vcheck_grid(seed),
-        lambda: _vcheck_weight_concentration(seed),
-        lambda: _vcheck_hardness_monotone(seed),
-        lambda: _vcheck_tau_bound(seed),
-        lambda: _vcheck_grad_w_fd(seed),
-        lambda: _vcheck_grad_tau_fd(seed),
-        lambda: _vcheck_degeneration(seed),
-        lambda: _vcheck_tau_containment(seed, disable_tau_projection),
-        lambda: _vcheck_g_floor(seed),
-        lambda: _vcheck_fixed_tau_identity(seed),
-        lambda: _vcheck_unbiasedness(seed),
-        lambda: _vcheck_determinism(seed),
+    # the g-floor check's run is also the determinism check's first run
+    trained = _short_training(seed)
+    checks = [
+        _vcheck_primal_feasibility(seed),
+        _vcheck_primal_dual(seed),
+        _vcheck_grid(seed),
+        _vcheck_weight_concentration(),
+        _vcheck_hardness_monotone(),
+        _vcheck_tau_bound(seed),
+        *_vcheck_finite_diff(seed),
+        _vcheck_degeneration(seed),
+        _vcheck_tau_containment(seed),
+        _vcheck_g_floor(*trained),
+        _vcheck_fixed_tau_identity(seed),
+        _vcheck_unbiasedness(seed),
+        _vcheck_determinism(seed, trained[0]),
     ]
-    with ThreadPoolExecutor(max_workers=n_threads()) as pool:
-        checks = list(pool.map(lambda f: f(), jobs))
     report = {
         "checks": checks,
         "n_checks": len(checks),

@@ -53,7 +53,7 @@ def require_finite(config) -> None:
     """Reject NaN and infinite values in a config dataclass's float fields."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise ValueError("%s must be finite, not %r" % (f.name, value))
 
 

@@ -1,17 +1,17 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from rgcl import cli, harness
+from rgcl import cli, harness, optimizer
 from rgcl.harness import (
     ExperimentConfig,
     apply_overrides,
     knn_accuracy,
     load_config,
-    n_threads,
     run_dump_tau,
     run_gen_data,
     run_train_bimodal,
@@ -84,28 +84,28 @@ class TestConfig:
             ExperimentConfig(rho=-1.0)  # loss hyperparameters validated too
         for key in ["eta_w", "eta_tau", "rho", "beta0", "log_epsilon", "tau_grad_scale",
                     "ratio", "noise", "aug_strength"]:
-            for bad in [float("nan"), float("inf"), -float("inf")]:
+            for bad in [float("nan"), float("inf"), -float("inf"), np.float32("nan")]:
                 with pytest.raises(ValueError, match=key):
                     ExperimentConfig(**{key: bad})
             with pytest.raises(ValueError, match=key):
                 apply_overrides(ExperimentConfig(), ["%s=nan" % key])
         with pytest.raises(ValueError, match="mirrored"):
             load_config(data={"mirrored": "ture"})
+        # each field takes only values of its declared type, named by key
+        for key, bad in [("seed", 1.5), ("epochs", 2.5), ("n", "80"), ("n", True), ("seed", None),
+                         ("rho", "0.5"), ("rho", True), ("tau_grad_scale", "2"), ("tau_grad_scale", False),
+                         ("mode", 1), ("out", None), ("mirrored", 1), ("mirrored", None)]:
+            with pytest.raises(ValueError, match="^%s must be of type" % key):
+                load_config(data={key: bad})
+        for key, text in [("n", "abc"), ("seed", "1.5"), ("rho", "x"), ("tau_grad_scale", "big")]:
+            with pytest.raises(ValueError, match="^%s must be of type" % key):
+                apply_overrides(ExperimentConfig(), ["%s=%s" % (key, text)])
 
-
-class TestThreads:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("RGCL_THREADS", "2")
-        assert n_threads() == 2
-
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv("RGCL_THREADS", "0")
-        with pytest.raises(ValueError):
-            n_threads()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("RGCL_THREADS", raising=False)
-        assert n_threads() >= 1
+    def test_int_in_float_field_kept(self):
+        # an int in a float field is stored as given, so its report bytes stay
+        cfg = load_config(data={"ratio": 20, "rho": 1, "tau_grad_scale": 3})
+        assert type(cfg.ratio) is int and type(cfg.rho) is int and type(cfg.tau_grad_scale) is int
+        assert ExperimentConfig(tau_grad_scale=None).tau_grad_scale is None
 
 
 class TestKnn:
@@ -303,6 +303,15 @@ class TestSubcommands:
         assert len(rows) == cfg.n and all(len(r) == len(header) for r in rows)
         assert len({r[1] for r in rows}) == cfg.k
 
+    def test_gen_data_rejects_bimodal(self, tmp_path, capsys):
+        out = tmp_path / "bi"
+        rc = cli.main(["gen-data", "--out", str(out), "--set", "mode=bimodal", "--set", "n=40",
+                       "--set", "k=4", "--set", "ratio=10", "--set", "d_in=3", "--set", "d_img=7"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "bimodal" in err
+        assert not os.path.exists(out / "dataset.csv")
+
     def test_dump_tau_reproduces_csv(self, tmp_path):
         cfg = small_cfg(tmp_path)
         run_train_unimodal(cfg)
@@ -363,12 +372,24 @@ class TestVerify:
         assert failed == []
         assert report["all_passed"]
 
-    def test_fault_injection_fails_containment(self, tmp_path):
+    def test_fault_injection_fails_containment(self, tmp_path, monkeypatch):
+        # verify's training runs get states without the temperature clamp
+        init = optimizer.init_optimizer_state
+        monkeypatch.setattr(optimizer, "init_optimizer_state",
+                            lambda *a, **kw: dataclasses.replace(init(*a, **kw), _disable_tau_projection=True))
         cfg = small_cfg(tmp_path, name="verify_fault")
-        report = run_verify(cfg, disable_tau_projection=True)
+        report = run_verify(cfg)
         by_name = {c["name"]: c["passed"] for c in report["checks"]}
         assert by_name["tau_containment"] is False
         assert not report["all_passed"]
+
+    def test_report_layout_pinned(self, tmp_path):
+        # check names, their order and their count match the committed report
+        with open(os.path.join(os.path.dirname(__file__), "..", "runs", "final_verify", "report.json")) as fh:
+            committed = json.load(fh)
+        report = run_verify(small_cfg(tmp_path, name="verify_layout"))
+        assert [c["name"] for c in report["checks"]] == [c["name"] for c in committed["checks"]]
+        assert report["n_checks"] == committed["n_checks"] == len(committed["checks"])
 
 
 class TestCli:
@@ -389,6 +410,17 @@ class TestCli:
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = cli.main(["gen-data", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"epochs": 2.5}, {"mirrored": "yes"}])
+    def test_config_file_wrong_type_exit_two(self, tmp_path, capsys, bad):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 80, "k": 4, "epochs": 1, "batch_size": 16, **bad}))
+        rc = cli.main(["train-unimodal", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s must be of type" % next(iter(bad)))
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "run")
 
     @pytest.mark.parametrize(
         "argv", [["dump-tau"], ["train-unimodal", "--set", "mode=bimodal"]],

@@ -56,7 +56,7 @@ class TestConfig:
             RgclConfig(rho=2.0, tau0=0.05, tau_init=5.0)  # above tau_max
         for key in ["rho", "tau0", "tau_init", "beta0", "beta1", "eta_w", "eta_tau",
                     "tau_grad_scale", "log_epsilon"]:
-            for bad in [float("nan"), float("inf")]:
+            for bad in [float("nan"), float("inf"), np.float32("nan")]:
                 with pytest.raises(ValueError, match=key):
                     RgclConfig(**{key: bad})
 
