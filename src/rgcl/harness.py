@@ -94,6 +94,8 @@ class ExperimentConfig:
             # bool is an Integral, but only a bool field takes one
             if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind != "bool"):
                 raise ValueError("%s must be of type %s, not %r" % (name, kind, value))
+            if isinstance(value, np.generic):
+                setattr(self, name, value.item())  # so the report serialises it
         loss.require_finite(self)
         if self.mode not in ("isogclr", "sogclr-baseline", "bimodal"):
             raise ValueError("unknown mode %r" % self.mode)

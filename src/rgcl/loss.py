@@ -21,6 +21,7 @@ anchors, so its memory is O(n^2) only for the two (n, n) weight matrices
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,6 +48,8 @@ __all__ = [
 
 # h is a difference of two inner products of unit vectors, so |h| <= 2.
 HARDNESS_BOUND = 2.0
+# g <= exp(C / tau) fits in a float64 for every tau >= tau0 at or above this.
+_TAU0_MIN = HARDNESS_BOUND / math.log(sys.float_info.max)
 
 
 def require_finite(config) -> None:
@@ -84,8 +87,11 @@ class RgclConfig:
         require_finite(self)
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
+        if self.tau0 < _TAU0_MIN:
+            raise ValueError(
+                "tau0 must be >= C / log(DBL_MAX) = %.6g, so that g <= exp(C / tau) fits in a float64, not %r"
+                % (_TAU0_MIN, self.tau0)
+            )
         if not (0 < self.beta0 <= 1 and 0 < self.beta1 <= 1):
             raise ValueError("beta0 and beta1 must lie in (0, 1]")
         if self.eta_w < 0 or self.eta_tau < 0:

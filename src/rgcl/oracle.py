@@ -4,7 +4,10 @@ These deliberately avoid the code paths they are used to check:
 
 * solve_primal works on the constrained weight problem directly, by
   bisecting the Lagrange multiplier of the KL constraint;
-* grid_search_simplex enumerates the simplex (m <= 3);
+* grid_search_simplex enumerates the simplex (m <= 3), scoring each pass
+  with array operations but returning the point a point-by-point loop of
+  kl_uniform and primal_rgcl_value would; its m = 3 refinement windows
+  re-centre to follow the curved KL boundary;
 * solve_dual_tau minimizes the one-dimensional dual by derivative-free
   golden-section search;
 * finite_diff_grad is plain central differences;
@@ -106,24 +109,59 @@ def solve_primal(h, rho: float, tau0: float, tol: float = 1e-10, max_iter: int =
     return PrimalSolution(p, lam, primal_rgcl_value(hv, p, tau0), True, it)
 
 
+# The vectorised KL and value of a grid point can differ from kl_uniform and
+# primal_rgcl_value by a few ulps; within this slack of rho or of the top
+# value the scalar functions decide.
+_GRID_SLACK = 1e-12
+# Most times one refinement window re-centres on its incumbent.
+_MAX_RECENTRES = 50
+
+
+def _xlogmx(x, m):
+    """x log(m x) elementwise with 0 log 0 = 0: one term of kl_uniform."""
+    t = np.where(x > 0.0, x, 1.0)
+    t *= m
+    np.log(t, out=t)
+    t *= x
+    return t
+
+
 def _grid_best(hv, rho, tau0, lows, highs, res):
-    """Best feasible grid point in a box of the free coordinates."""
-    axes = [np.arange(lo, hi + 0.5 * res, res) for lo, hi in zip(lows, highs)]
-    axes = [np.clip(a, 0.0, 1.0) for a in axes]
-    if len(axes) == 1:
-        free = axes[0][:, None]
-    else:
-        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
-        keep = a + b <= 1.0 + 1e-12
-        free = np.stack([a[keep], b[keep]], axis=1)
+    """Best feasible grid point in a box of the free coordinates: the first
+    point, in grid order, with the greatest primal_rgcl_value.
+
+    Every point is scored at once on an open mesh of the axes; kl_uniform
+    and primal_rgcl_value settle the points within _GRID_SLACK of rho or
+    of the top value, so the result is the one a point-by-point loop finds.
+    """
+    m = len(hv)
+    axes = [np.clip(np.arange(lo, hi + 0.5 * res, res), 0.0, 1.0) for lo, hi in zip(lows, highs)]
+    free = np.ix_(*axes)  # (n0,), or (n0, 1) and (1, n1)
+    last = sum(free)
+    # the loop's two tests: sum of the free coordinates, then last coordinate
+    ok = last <= 1.0 + 1e-12
+    np.subtract(1.0, last, out=last)
+    ok &= last >= -1e-12
+    np.maximum(last, 0.0, out=last)
+    kl = sum(_xlogmx(c, m) for c in free) + _xlogmx(last, m)
+    value = last * hv[-1]
+    for c, h in zip(free, hv):
+        value += c * h
+    value -= tau0 * kl
+
+    def point(i):
+        at = np.unravel_index(i, last.shape)
+        return np.array([a[j] for a, j in zip(axes, at)] + [last[at]])
+
+    feasible = np.flatnonzero(ok & (kl <= rho + _GRID_SLACK))
+    keep = np.ones(feasible.size, dtype=bool)
+    near = np.flatnonzero(kl.flat[feasible] > rho - _GRID_SLACK)
+    keep[near] = [kl_uniform(point(i)) <= rho for i in feasible[near]]
+    feasible = feasible[keep]
+    top = value.flat[feasible]
     best_p, best_v = None, -np.inf
-    for row in free:
-        last = 1.0 - row.sum()
-        if last < -1e-12:
-            continue
-        p = np.append(row, max(last, 0.0))
-        if kl_uniform(p) > rho:
-            continue
+    for i in feasible[top >= top.max(initial=-np.inf) - _GRID_SLACK]:
+        p = point(i)
         v = primal_rgcl_value(hv, p, tau0)
         if v > best_v:
             best_v, best_p = v, p
@@ -136,7 +174,12 @@ def grid_search_simplex(h, rho: float, tau0: float, step: float = 0.005, refine:
     The optimum often sits on the KL-ball boundary where the objective has
     nonzero slope, so a single pass at resolution `step` only gets within
     O(step) in value; each refinement round re-grids a shrinking window
-    around the incumbent at 10x finer resolution.
+    around the incumbent at 10x finer resolution.  Along the curved
+    boundary (m = 3) the objective is flat and the window may stop short
+    of the optimum, so a round re-centres its window, at the same
+    resolution, while the incumbent improves and lands in the window's
+    outer half.  With one free coordinate (m = 2) the coarse incumbent is
+    within one step of the optimum and no window re-centres.
     """
     hv = np.asarray(h, dtype=np.float64)
     m = len(hv)
@@ -145,19 +188,24 @@ def grid_search_simplex(h, rho: float, tau0: float, step: float = 0.005, refine:
     if step > 0.01:
         raise ValueError("step must be <= 0.01")
     k = m - 1  # free coordinates
-    lows, highs = [0.0] * k, [1.0] * k
     res = step
-    best_p, best_v = _grid_best(hv, rho, tau0, lows, highs, res)
+    best_p, best_v = _grid_best(hv, rho, tau0, [0.0] * k, [1.0] * k, res)
     for _ in range(refine):
         # near the KL-ball boundary the feasible grid points are sparse, so
         # the incumbent can sit several coarse steps from the optimum; keep
         # the re-grid window wide enough to cover that
-        lows = [max(0.0, best_p[i] - 4.0 * res) for i in range(k)]
-        highs = [min(1.0, best_p[i] + 4.0 * res) for i in range(k)]
+        half = 4.0 * res
         res /= 10.0
-        p, v = _grid_best(hv, rho, tau0, lows, highs, res)
-        if v > best_v:
+        for _ in range(1 + _MAX_RECENTRES):
+            centre = best_p
+            lows = [max(0.0, centre[i] - half) for i in range(k)]
+            highs = [min(1.0, centre[i] + half) for i in range(k)]
+            p, v = _grid_best(hv, rho, tau0, lows, highs, res)
+            if not v > best_v:
+                break
             best_p, best_v = p, v
+            if np.max(np.abs(p[:k] - centre[:k])) <= 0.5 * half:
+                break
     return best_p, best_v
 
 

@@ -1,11 +1,14 @@
-"""Verbatim copies of the original full-batch evaluations and step cores.
+"""Verbatim copies of the original full-batch evaluations and step cores,
+and of the original loop-based simplex grid oracle.
 
 The suite compares the shared row kernel and the blocked evaluation with
 these, bit for bit: the rewrite may change memory layout, allocation and
 the order in which independent rows are processed, but never an operand,
 an operation order or a reduction length.  The copies keep the original
 boolean-mask gathers and scatters and the encode_backward that re-runs the
-forward pass.  Not collected as tests; do not edit the copied bodies.
+forward pass.  The grid copy scores one point at a time; the vectorised
+grid must return the same point and the same value.  Not collected as
+tests; do not edit the copied bodies.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from rgcl.encoder import EncoderParams, encode, encode_backward
-from rgcl.loss import RgclConfig, ViewPairs
+from rgcl.loss import RgclConfig, ViewPairs, kl_uniform, primal_rgcl_value
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     ADAM_BETA1,
@@ -343,3 +346,58 @@ def step_bimodal(
     opt.t += 1
     n_img = params_img.n_params
     return params_img.from_flat(new_flat[:n_img]), params_txt.from_flat(new_flat[n_img:])
+
+
+def _grid_best(hv, rho, tau0, lows, highs, res):
+    """Best feasible grid point in a box of the free coordinates."""
+    axes = [np.arange(lo, hi + 0.5 * res, res) for lo, hi in zip(lows, highs)]
+    axes = [np.clip(a, 0.0, 1.0) for a in axes]
+    if len(axes) == 1:
+        free = axes[0][:, None]
+    else:
+        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
+        keep = a + b <= 1.0 + 1e-12
+        free = np.stack([a[keep], b[keep]], axis=1)
+    best_p, best_v = None, -np.inf
+    for row in free:
+        last = 1.0 - row.sum()
+        if last < -1e-12:
+            continue
+        p = np.append(row, max(last, 0.0))
+        if kl_uniform(p) > rho:
+            continue
+        v = primal_rgcl_value(hv, p, tau0)
+        if v > best_v:
+            best_v, best_p = v, p
+    return best_p, best_v
+
+
+def grid_search_simplex(h, rho: float, tau0: float, step: float = 0.005, refine: int = 4):
+    """Brute-force grid search over the simplex, m in {2, 3} only.
+
+    The optimum often sits on the KL-ball boundary where the objective has
+    nonzero slope, so a single pass at resolution `step` only gets within
+    O(step) in value; each refinement round re-grids a shrinking window
+    around the incumbent at 10x finer resolution.
+    """
+    hv = np.asarray(h, dtype=np.float64)
+    m = len(hv)
+    if m > 3:
+        raise ValueError("grid oracle limited")
+    if step > 0.01:
+        raise ValueError("step must be <= 0.01")
+    k = m - 1  # free coordinates
+    lows, highs = [0.0] * k, [1.0] * k
+    res = step
+    best_p, best_v = _grid_best(hv, rho, tau0, lows, highs, res)
+    for _ in range(refine):
+        # near the KL-ball boundary the feasible grid points are sparse, so
+        # the incumbent can sit several coarse steps from the optimum; keep
+        # the re-grid window wide enough to cover that
+        lows = [max(0.0, best_p[i] - 4.0 * res) for i in range(k)]
+        highs = [min(1.0, best_p[i] + 4.0 * res) for i in range(k)]
+        res /= 10.0
+        p, v = _grid_best(hv, rho, tau0, lows, highs, res)
+        if v > best_v:
+            best_p, best_v = p, v
+    return best_p, best_v

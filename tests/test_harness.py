@@ -107,6 +107,24 @@ class TestConfig:
         assert type(cfg.ratio) is int and type(cfg.rho) is int and type(cfg.tau_grad_scale) is int
         assert ExperimentConfig(tau_grad_scale=None).tau_grad_scale is None
 
+    def test_numpy_scalars_stored_as_python_numbers(self, tmp_path):
+        # a run built from numpy values trains and writes the report of the
+        # same run built from Python numbers
+        reports = []
+        for name, kind in [("np", np.int64), ("py", int)]:
+            cfg = small_cfg(tmp_path, name=name, seed=kind(4), epochs=kind(2), rho=np.float64(0.8),
+                            tau_grad_scale=np.float64(3.0) if kind is np.int64 else 3.0)
+            assert type(cfg.seed) is int and type(cfg.epochs) is int
+            assert type(cfg.rho) is float and type(cfg.tau_grad_scale) is float
+            run_train_unimodal(cfg)
+            blob = json.load(open(os.path.join(cfg.out, "report.json")))
+            blob.pop("wall_clock_sec")
+            blob["config"].pop("out")
+            blob.pop("config_code_hash")
+            reports.append(blob)
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["seed"] == 4
+
 
 class TestKnn:
     def test_perfect_separation(self):
@@ -406,6 +424,19 @@ class TestCli:
         rc = cli.main(["gen-data", "--set", "nope=1", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_tau0_below_float64_bound_exit_two(self, tmp_path, capsys):
+        # exp(C / tau0) overflows a float64: refused before any training
+        rc = cli.main([
+            "train-unimodal", "--out", str(tmp_path / "run"), "--set", "tau0=0.0002",
+            "--set", "tau_init=0.0002", "--set", "n=200", "--set", "k=4", "--set", "ratio=10",
+            "--set", "epochs=30", "--set", "batch_size=32", "--set", "d_hidden=8",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tau0 must be >= C / log(DBL_MAX) = 0.00281776")
+        assert err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "run")
 
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = cli.main(["gen-data", "--config", str(tmp_path / "absent.json")])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ class TestConfig:
             for bad in [float("nan"), float("inf"), np.float32("nan")]:
                 with pytest.raises(ValueError, match=key):
                     RgclConfig(**{key: bad})
+
+    def test_tau0_float64_bound(self):
+        # g <= exp(C / tau0) must fit in a float64
+        bound = HARDNESS_BOUND / math.log(sys.float_info.max)
+        assert math.isfinite(math.exp(HARDNESS_BOUND / bound))
+        RgclConfig(tau0=bound, tau_init=0.1)
+        RgclConfig(tau0=0.005, tau_init=0.1)
+        for tau0 in (0.0002, 0.001, np.nextafter(bound, 0.0)):
+            with pytest.raises(ValueError, match=r"tau0 must be >= C / log\(DBL_MAX\) = 0\.00281776"):
+                RgclConfig(tau0=tau0, tau_init=0.1)
 
     def test_resolved_scale(self):
         assert RgclConfig(tau_grad_scale=None).resolved_tau_grad_scale(37) == 37.0
