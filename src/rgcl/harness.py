@@ -16,12 +16,12 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import datasynth, loss, optimizer, oracle
-from .encoder import encode, init_encoder_params, save_params
+from .encoder import encode, encode_backward, init_encoder_params, save_params
 from .loss import RgclConfig, ViewPairs
 from .numerics import RandomStream, spearman_rank_corr
 
@@ -108,23 +108,13 @@ class ExperimentConfig:
         self.rgcl_config()  # validate loss hyperparameters early
 
     def rgcl_config(self) -> RgclConfig:
-        return RgclConfig(
-            rho=self.rho,
-            tau0=self.tau0,
-            tau_init=self.tau_init,
-            beta0=self.beta0,
-            beta1=self.beta1,
-            eta_w=self.eta_w,
-            eta_tau=self.eta_tau,
-            tau_grad_scale=self.tau_grad_scale,
-            log_epsilon=self.log_epsilon,
-        )
+        return RgclConfig(**{f.name: getattr(self, f.name) for f in fields(RgclConfig)})
 
 
 _FIELD_TYPES = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
 # the values each declared field type takes; an int in a float field stays an int
 _ACCEPTS = {"int": numbers.Integral, "float": numbers.Real, "float | None": (numbers.Real, type(None)),
-            "str": str, "bool": bool}
+            "str": str, "bool": (bool, np.bool_)}
 _PARSERS = {"int": int, "float": float, "float | None": float, "str": str}
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -552,6 +542,9 @@ def _vcheck_finite_diff(seed):
 
 
 def _vcheck_degeneration(seed):
+    """The step's parameter direction, built from its own pieces over the
+    whole set with every s exact, must be the exact gradient.  (A real step
+    would draw augmentation noise and so change the fixed views.)"""
     params, views, taus, cfg0 = _small_instance(seed, n=6, d=4)
     cfg = RgclConfig(rho=cfg0.rho, tau0=cfg0.tau0, tau_init=0.6, beta0=1.0, beta1=1.0,
                      eta_w=0.05, eta_tau=0.05, tau_grad_scale=1.0)
@@ -561,23 +554,19 @@ def _vcheck_degeneration(seed):
     worst = 0.0
     for _ in range(5):
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
-        before_v = p.flatten()
-        # full batch with zero augmentation noise would change the views;
-        # feed the fixed views through a one-step manual equivalent instead
-        gw = optimizer.grad_w_estimator(p, views.views_a, views.views_b, tau,
-                                        _exact_s(p, views, tau, cfg))
+        ea, eb = encode(p, views.views_a), encode(p, views.views_b)
+        hmat, _ = loss._anchor_h_rows(ea.embeddings, eb.embeddings)
+        s = np.array([loss.g_value(hmat[i], tau[i], cfg.log_epsilon) for i in range(n)])
+        w = loss._softmax_rows(hmat, tau, cfg.log_epsilon, n, lambda g: s)[-1]
+        wa, wb = np.zeros((n, n)), np.zeros((n, n))
+        loss._offdiag_rows([wa, wb], 0, n, w, scatter=True)
+        dya, dyb = loss._unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
+        gw = encode_backward(p, ea, dya).flatten() + encode_backward(p, eb, dyb).flatten()
         rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))
         worst = max(worst, rel)
-        p = p.from_flat(before_v - cfg.eta_w * gw)
+        p = p.from_flat(p.flatten() - cfg.eta_w * gw)
         tau = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max)
     return _check("estimator_degeneration", worst <= 1e-10, {"worst_rel_err": worst})
-
-
-def _exact_s(params, views, taus, cfg):
-    ya = encode(params, views.views_a).embeddings
-    yb = encode(params, views.views_b).embeddings
-    hmat, _ = loss._anchor_h_rows(ya, yb)
-    return np.array([loss.g_value(hmat[i], taus[i], cfg.log_epsilon) for i in range(views.n)])
 
 
 def _short_training(seed, steps=40, eta_tau=0.01):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .encoder import EmbeddingBatch, EncoderParams, encode, encode_backward
+from .encoder import EncoderParams, encode, encode_backward
 from .numerics import log_sum_exp, softmax_shifted
 
 __all__ = [
@@ -146,10 +146,7 @@ class ViewPairs:
 
 def hardness_scores(anchor, positive, negatives) -> np.ndarray:
     """h_j = anchor.neg_j - anchor.positive for every negative."""
-    if isinstance(negatives, EmbeddingBatch):
-        neg = negatives.embeddings
-    else:
-        neg = np.asarray(negatives, dtype=np.float64)
+    neg = np.asarray(negatives, dtype=np.float64)
     if neg.size == 0:
         raise ValueError("no negatives")
     anchor = np.asarray(anchor, dtype=np.float64)

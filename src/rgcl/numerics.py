@@ -81,8 +81,6 @@ class RandomStream:
     generator is built on the first draw, so a stream only split builds none.
     """
 
-    algorithm = "philox4x64"
-
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
         self.seed = int(seed)
         self.path = tuple(path)

@@ -36,7 +36,6 @@ __all__ = [
     "OptimizerState",
     "init_optimizer_state",
     "sample_batch",
-    "grad_w_estimator",
     "step_unimodal",
     "step_bimodal",
     "step_sogclr_baseline",
@@ -129,37 +128,6 @@ def sample_batch(stream: RandomStream, n: int, batch_size: int, d_in: int):
     noise_a = stream.split("aug-a").normal(batch_size, d_in)
     noise_b = stream.split("aug-b").normal(batch_size, d_in)
     return indices, noise_a, noise_b
-
-
-def grad_w_estimator(
-    params: EncoderParams,
-    views_a: np.ndarray,
-    views_b: np.ndarray,
-    taus: np.ndarray,
-    s_values: np.ndarray,
-    log_epsilon: float = 0.0,
-):
-    """(1/B) sum_i (tau_i / s_i) grad_w g_i over the batch, as a flat vector.
-
-    The batch negatives of anchor i are both views of every other batch
-    member; the gradient flows through anchor, positive, and negative roles.
-    """
-    batch = views_a.shape[0]
-    taus = np.asarray(taus, dtype=np.float64)
-    s_values = np.asarray(s_values, dtype=np.float64)
-    if taus.shape[0] != batch or s_values.shape[0] != batch:
-        raise ValueError("per-anchor state length does not match the batch")
-    if np.any(s_values <= 0):
-        raise ValueError("s must be positive")
-    ea = encode(params, views_a)
-    eb = encode(params, views_b)
-    hmat, _ = _anchor_h_rows(ea.embeddings, eb.embeddings)
-    # pair weight exp(h_ij/tau_i) / (m * s_i * B) = p_ij * mean_exp_i / (s_i B)
-    w = _softmax_rows(hmat, taus, log_epsilon, batch, lambda g: s_values)[-1]
-    wa, wb = np.zeros((batch, batch)), np.zeros((batch, batch))
-    _offdiag_rows([wa, wb], 0, batch, w, scatter=True)
-    dya, dyb = _unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
-    return encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
 
 
 def _param_update(opt, params_flat: np.ndarray, grad: np.ndarray, cfg: RgclConfig) -> np.ndarray:

@@ -44,6 +44,13 @@ __all__ = [
 ]
 
 _FULL_BATCH_CAP = 256
+# solver settings, each described in the docstring of the solver using it
+_PRIMAL_TOL = 1e-10
+_PRIMAL_MAX_ITER = 200
+_DUAL_TOL = 1e-10
+_GRID_STEP = 0.005
+_GRID_REFINE = 4
+_FD_STEP = 1e-5
 
 
 @dataclass
@@ -55,12 +62,13 @@ class PrimalSolution:
     iterations: int
 
 
-def solve_primal(h, rho: float, tau0: float, tol: float = 1e-10, max_iter: int = 200) -> PrimalSolution:
+def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
     """Maximize sum p_j h_j - tau0 KL(p, 1/m) subject to KL(p, 1/m) <= rho.
 
     The optimum has the form p(lam) = softmax(h / (lam + tau0)) with
     lam >= 0; KL(p(lam)) is decreasing in lam, so either lam = 0 is
-    feasible or we bisect lam until KL(p(lam)) = rho.  tau0 = 0 is allowed
+    feasible or we bisect lam until KL(p(lam)) = rho, to a bracket of
+    _PRIMAL_TOL within _PRIMAL_MAX_ITER halvings.  tau0 = 0 is allowed
     (the lam -> 0 limit puts uniform mass on the argmax of h).
     """
     hv = np.asarray(h, dtype=np.float64)
@@ -92,14 +100,14 @@ def solve_primal(h, rho: float, tau0: float, tol: float = 1e-10, max_iter: int =
             % (hi, kl_uniform(weights_at(hi)), rho)
         )
     it = 0
-    while hi - lo > tol and it < max_iter:
+    while hi - lo > _PRIMAL_TOL and it < _PRIMAL_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if kl_uniform(weights_at(mid)) > rho:
             lo = mid
         else:
             hi = mid
         it += 1
-    if hi - lo > tol:
+    if hi - lo > _PRIMAL_TOL:
         raise RuntimeError(
             "bisection failed to converge: bracket width %g, residual KL %g"
             % (hi - lo, kl_uniform(weights_at(0.5 * (lo + hi))) - rho)
@@ -168,29 +176,31 @@ def _grid_best(hv, rho, tau0, lows, highs, res):
     return best_p, best_v
 
 
-def grid_search_simplex(h, rho: float, tau0: float, step: float = 0.005, refine: int = 4):
+def grid_search_simplex(h, rho: float, tau0: float):
     """Brute-force grid search over the simplex, m in {2, 3} only.
 
     The optimum often sits on the KL-ball boundary where the objective has
-    nonzero slope, so a single pass at resolution `step` only gets within
-    O(step) in value; each refinement round re-grids a shrinking window
-    around the incumbent at 10x finer resolution.  Along the curved
+    nonzero slope, so a single pass at resolution _GRID_STEP only gets
+    within O(_GRID_STEP) in value; each of _GRID_REFINE refinement rounds
+    re-grids a shrinking window around the incumbent at 10x finer
+    resolution.  Along the curved
     boundary (m = 3) the objective is flat and the window may stop short
     of the optimum, so a round re-centres its window, at the same
     resolution, while the incumbent improves and lands in the window's
     outer half.  With one free coordinate (m = 2) the coarse incumbent is
-    within one step of the optimum and no window re-centres.
+    within one step of the optimum and no window re-centres.  Raises
+    ValueError when no point of the first pass lies in the KL ball.
     """
     hv = np.asarray(h, dtype=np.float64)
     m = len(hv)
     if m > 3:
         raise ValueError("grid oracle limited")
-    if step > 0.01:
-        raise ValueError("step must be <= 0.01")
     k = m - 1  # free coordinates
-    res = step
+    res = _GRID_STEP
     best_p, best_v = _grid_best(hv, rho, tau0, [0.0] * k, [1.0] * k, res)
-    for _ in range(refine):
+    if best_p is None:
+        raise ValueError("no point of the %g-step grid lies within KL rho = %g of uniform" % (res, rho))
+    for _ in range(_GRID_REFINE):
         # near the KL-ball boundary the feasible grid points are sparse, so
         # the incumbent can sit several coarse steps from the optimum; keep
         # the re-grid window wide enough to cover that
@@ -209,8 +219,9 @@ def grid_search_simplex(h, rho: float, tau0: float, step: float = 0.005, refine:
     return best_p, best_v
 
 
-def solve_dual_tau(h, cfg: RgclConfig, tol: float = 1e-10):
-    """Golden-section minimization of the dual loss over [tau0, tau_max].
+def solve_dual_tau(h, cfg: RgclConfig):
+    """Golden-section minimization of the dual loss over [tau0, tau_max],
+    to a bracket of _DUAL_TOL.
 
     The dual objective is convex in tau (a perspective of log-sum-exp),
     so golden-section search is reliable.  Returns (tau_star, value).
@@ -225,7 +236,7 @@ def solve_dual_tau(h, cfg: RgclConfig, tol: float = 1e-10):
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _DUAL_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
@@ -238,21 +249,20 @@ def solve_dual_tau(h, cfg: RgclConfig, tol: float = 1e-10):
     return tau_star, f(tau_star)
 
 
-def finite_diff_grad(func, point, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
-    if not (1e-7 <= step <= 1e-3):
-        raise ValueError("step must lie in [1e-7, 1e-3]")
+def finite_diff_grad(func, point) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a flat vector,
+    with step _FD_STEP."""
     x = np.asarray(point, dtype=np.float64)
     grad = np.empty_like(x)
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
+        xp[i] += _FD_STEP
+        xm[i] -= _FD_STEP
         fp, fm = func(xp), func(xm)
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise ValueError("non-finite evaluation in finite differences")
-        grad[i] = (fp - fm) / (2.0 * step)
+        grad[i] = (fp - fm) / (2.0 * _FD_STEP)
     return grad
 
 

@@ -1,5 +1,7 @@
 """Verbatim copies of the original full-batch evaluations and step cores,
-and of the original loop-based simplex grid oracle.
+of the original loop-based simplex grid oracle, and of rgcl verify's
+estimator_degeneration check with the test-only full-batch estimator and
+exact-s helper it ran on.
 
 The suite compares the shared row kernel and the blocked evaluation with
 these, bit for bit: the rewrite may change memory layout, allocation and
@@ -7,8 +9,11 @@ the order in which independent rows are processed, but never an operand,
 an operation order or a reduction length.  The copies keep the original
 boolean-mask gathers and scatters and the encode_backward that re-runs the
 forward pass.  The grid copy scores one point at a time; the vectorised
-grid must return the same point and the same value.  Not collected as
-tests; do not edit the copied bodies.
+grid must return the same point and the same value.  The copied check
+calls the copied estimator, whose hardness rows come from the
+_anchor_h_rows copy above; the production check builds the same direction
+from the step's own pieces and must report the same figure.  Not collected
+as tests; do not edit the copied bodies.
 """
 
 from __future__ import annotations
@@ -17,8 +22,11 @@ import math
 
 import numpy as np
 
+from rgcl import loss, oracle
 from rgcl.encoder import EncoderParams, encode, encode_backward
+from rgcl.harness import _check, _small_instance
 from rgcl.loss import RgclConfig, ViewPairs, kl_uniform, primal_rgcl_value
+from rgcl.loss import _offdiag_rows, _softmax_rows, _unimodal_embedding_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     ADAM_BETA1,
@@ -401,3 +409,63 @@ def grid_search_simplex(h, rho: float, tau0: float, step: float = 0.005, refine:
         if v > best_v:
             best_p, best_v = p, v
     return best_p, best_v
+
+
+def grad_w_estimator(
+    params: EncoderParams,
+    views_a: np.ndarray,
+    views_b: np.ndarray,
+    taus: np.ndarray,
+    s_values: np.ndarray,
+    log_epsilon: float = 0.0,
+):
+    """(1/B) sum_i (tau_i / s_i) grad_w g_i over the batch, as a flat vector.
+
+    The batch negatives of anchor i are both views of every other batch
+    member; the gradient flows through anchor, positive, and negative roles.
+    """
+    batch = views_a.shape[0]
+    taus = np.asarray(taus, dtype=np.float64)
+    s_values = np.asarray(s_values, dtype=np.float64)
+    if taus.shape[0] != batch or s_values.shape[0] != batch:
+        raise ValueError("per-anchor state length does not match the batch")
+    if np.any(s_values <= 0):
+        raise ValueError("s must be positive")
+    ea = encode(params, views_a)
+    eb = encode(params, views_b)
+    hmat, _ = _anchor_h_rows(ea.embeddings, eb.embeddings)
+    # pair weight exp(h_ij/tau_i) / (m * s_i * B) = p_ij * mean_exp_i / (s_i B)
+    w = _softmax_rows(hmat, taus, log_epsilon, batch, lambda g: s_values)[-1]
+    wa, wb = np.zeros((batch, batch)), np.zeros((batch, batch))
+    _offdiag_rows([wa, wb], 0, batch, w, scatter=True)
+    dya, dyb = _unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
+    return encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
+
+
+def _vcheck_degeneration(seed):
+    params, views, taus, cfg0 = _small_instance(seed, n=6, d=4)
+    cfg = RgclConfig(rho=cfg0.rho, tau0=cfg0.tau0, tau_init=0.6, beta0=1.0, beta1=1.0,
+                     eta_w=0.05, eta_tau=0.05, tau_grad_scale=1.0)
+    n = views.n
+    tau = np.full(n, cfg.tau_init)
+    p = params.copy()
+    worst = 0.0
+    for _ in range(5):
+        _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
+        before_v = p.flatten()
+        # full batch with zero augmentation noise would change the views;
+        # feed the fixed views through a one-step manual equivalent instead
+        gw = grad_w_estimator(p, views.views_a, views.views_b, tau,
+                             _exact_s(p, views, tau, cfg))
+        rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))
+        worst = max(worst, rel)
+        p = p.from_flat(before_v - cfg.eta_w * gw)
+        tau = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max)
+    return _check("estimator_degeneration", worst <= 1e-10, {"worst_rel_err": worst})
+
+
+def _exact_s(params, views, taus, cfg):
+    ya = encode(params, views.views_a).embeddings
+    yb = encode(params, views.views_b).embeddings
+    hmat, _ = loss._anchor_h_rows(ya, yb)
+    return np.array([loss.g_value(hmat[i], taus[i], cfg.log_epsilon) for i in range(views.n)])

@@ -1,6 +1,6 @@
-"""The blocked full-batch evaluations, the shared row kernel and the
-merged optimizer state against verbatim copies of the original code
-(tests/original_reference.py), bit for bit."""
+"""The blocked full-batch evaluations, the shared row kernel, the merged
+optimizer state and verify's estimator_degeneration check against verbatim
+copies of the original code (tests/original_reference.py), bit for bit."""
 
 import copy
 from types import SimpleNamespace
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import original_reference as original
 
-from rgcl import loss, optimizer
+from rgcl import harness, loss, optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import init_encoder_params
 from rgcl.loss import _EVAL_ROWS, RgclConfig, ViewPairs, _offdiag_rows
@@ -153,3 +153,11 @@ def test_strided_offdiag_matches_boolean_mask(n):
                 expect = np.zeros((n, n))
                 expect[lo:hi][off[lo:hi]] = src[lo:hi][off[lo:hi]]
                 np.testing.assert_array_equal(got, expect)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_degeneration_check_matches_original(seed):
+    # the step's own pieces give the figure the test-only estimator gave
+    got = harness._vcheck_degeneration(seed)
+    assert got == original._vcheck_degeneration(seed)
+    assert got["passed"]

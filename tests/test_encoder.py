@@ -72,7 +72,7 @@ class TestBackward:
             return float(np.sum(target * y))
 
         exact = encode_backward(params, x, target).flatten()
-        fd = finite_diff_grad(scalar, params.flatten(), step=1e-5)
+        fd = finite_diff_grad(scalar, params.flatten())
         rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
         assert rel <= 1e-6
 

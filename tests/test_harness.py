@@ -113,9 +113,11 @@ class TestConfig:
         reports = []
         for name, kind in [("np", np.int64), ("py", int)]:
             cfg = small_cfg(tmp_path, name=name, seed=kind(4), epochs=kind(2), rho=np.float64(0.8),
-                            tau_grad_scale=np.float64(3.0) if kind is np.int64 else 3.0)
+                            tau_grad_scale=np.float64(3.0) if kind is np.int64 else 3.0,
+                            mirrored=np.bool_(False) if kind is np.int64 else False)
             assert type(cfg.seed) is int and type(cfg.epochs) is int
             assert type(cfg.rho) is float and type(cfg.tau_grad_scale) is float
+            assert type(cfg.mirrored) is bool
             run_train_unimodal(cfg)
             blob = json.load(open(os.path.join(cfg.out, "report.json")))
             blob.pop("wall_clock_sec")
@@ -124,6 +126,10 @@ class TestConfig:
             reports.append(blob)
         assert reports[0] == reports[1]
         assert reports[0]["config"]["seed"] == 4
+        assert load_config(data={"mirrored": np.bool_(True)}).mirrored is True
+        # a numpy bool is a bool, not a number
+        with pytest.raises(ValueError, match="^seed must be of type int"):
+            load_config(data={"seed": np.bool_(True)})
 
 
 class TestKnn:

@@ -95,6 +95,11 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_simplex(np.zeros(4), 0.3, 0.05)
 
+    def test_infeasible_first_pass_named(self):
+        # no m=3 point of the 0.005-step grid lies within KL 1e-6 of uniform
+        with pytest.raises(ValueError, match=r"0\.005-step grid.*rho = 1e-06"):
+            grid_search_simplex([0.1, 0.2, 0.3], 1e-6, 0.05)
+
     def test_three_point_boundary_regression(self):
         # the optimum lies on the curved KL boundary, where the objective is
         # flat; refining around the coarse incumbent alone missed it by 1.03e-3
@@ -261,10 +266,6 @@ class TestFiniteDiff:
         x = np.array([0.3, -1.2, 2.0])
         grad = finite_diff_grad(lambda v: float(v @ v), x)
         np.testing.assert_allclose(grad, 2 * x, atol=1e-9)
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda v: 0.0, np.zeros(2), step=1e-2)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
