@@ -555,13 +555,13 @@ def _vcheck_degeneration(seed):
     for _ in range(5):
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
         ea, eb = encode(p, views.views_a), encode(p, views.views_b)
-        hmat, _ = loss._anchor_h_rows(ea.embeddings, eb.embeddings)
+        hmat = loss._anchor_h_rows(ea.embeddings, eb.embeddings)
         s = np.array([loss.g_value(hmat[i], tau[i], cfg.log_epsilon) for i in range(n)])
         w = loss._softmax_rows(hmat, tau, cfg.log_epsilon, n, lambda g: s)[-1]
         wa, wb = np.zeros((n, n)), np.zeros((n, n))
-        loss._offdiag_rows([wa, wb], 0, n, w, scatter=True)
-        dya, dyb = loss._unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
-        gw = encode_backward(p, ea, dya).flatten() + encode_backward(p, eb, dyb).flatten()
+        loss._offdiag_rows([wa, wb], 0, w, scatter=True)
+        anchor, (roles_a, dyb) = loss._embedding_grad_pieces([wa, wb], 0, ea.embeddings, [ea.embeddings, eb.embeddings])
+        gw = encode_backward(p, ea, anchor + roles_a).flatten() + encode_backward(p, eb, dyb).flatten()
         rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))
         worst = max(worst, rel)
         p = p.from_flat(p.flatten() - cfg.eta_w * gw)
@@ -617,7 +617,7 @@ def _vcheck_unbiasedness(seed):
     views = ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
     ya = encode(params, views.views_a).embeddings
     yb = encode(params, views.views_b).embeddings
-    hmat, _ = loss._anchor_h_rows(ya, yb)
+    hmat = loss._anchor_h_rows(ya, yb)
     tau = 0.5
     anchor = 0
     g_full = loss.g_value(hmat[anchor], tau)

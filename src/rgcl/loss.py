@@ -13,9 +13,12 @@ learnable temperature.
 This module also provides the exact full-batch gradients of the objective
 with respect to encoder parameters and temperatures, computed analytically
 through the hardness scores and the encoder backward pass.  The evaluation
-runs one row kernel, shared with the stochastic step, over fixed blocks of
-anchors, so its memory is O(n^2) only for the two (n, n) weight matrices
-(and the score matrices they come from); everything else is O(n) per block.
+runs one row kernel and one weights-to-gradient assembly, both shared with
+the stochastic step, over fixed blocks of _EVAL_ROWS anchors: each block's
+score rows, pair weights and gradient pieces are built and used in place,
+so no (n, n) array exists and memory is O(n * (_EVAL_ROWS + d)).  The
+block size fixes the summation order of the negative-role gradient sums,
+so the parameter gradient depends on it in its last bits.
 """
 
 from __future__ import annotations
@@ -193,31 +196,46 @@ def primal_rgcl_value(h, p, tau0: float) -> float:
     return float(pv @ v) - tau0 * kl_uniform(pv)
 
 
-# Anchors per block of the full-batch evaluation.  Blocks change only the
-# order in which independent rows are processed, never an operand or a
-# reduction, so results do not depend on it; 64 to 512 rows run alike.
-_EVAL_ROWS = 256
+# Anchors per block of the full-batch evaluation, whose score rows, pair
+# weights and gradient pieces then stay in cache.  The negative-role
+# gradient sums run block by block, so the block size fixes their
+# summation order, and the parameter gradient depends on it in its last bits.
+_EVAL_ROWS = 16
+
+# what a non-finite error calls the anchors of each side, by side count
+_ANCHOR_NAMES = {1: ("anchor",), 2: ("image anchor", "text anchor")}
 
 
-def _offdiag_rows(mats, lo: int, hi: int, rows: np.ndarray, scatter: bool = False, tmp=None) -> None:
-    """Gather the off-diagonal entries of rows lo..hi-1 of each square
-    C-ordered matrix in mats side by side into rows (hi-lo, len(mats)*(n-1)),
-    or scatter rows back into them.  Row-major, those entries are the head of
-    row lo, hi-lo-1 stretches of n entries between consecutive diagonal
-    entries (over all rows: a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]), and
-    the tail of row hi-1.  tmp is optional contiguous (hi-lo, n-1) scratch."""
-    n = mats[0].shape[0]
-    tmp = np.empty((hi - lo, n - 1)) if tmp is None else tmp
-    buf, k = tmp.reshape(-1), lo + (hi - lo - 1) * n
+def _require_finite_rows(what: str, index, **vectors) -> None:
+    """Raise ValueError naming index[k] for the first k at which one of the
+    per-anchor vectors is not finite."""
+    bad = ~np.logical_and.reduce([np.isfinite(v) for v in vectors.values()])
+    if bad.any():
+        k = int(np.argmax(bad))
+        values = ", ".join("%s = %r" % (name, float(v[k])) for name, v in vectors.items())
+        raise ValueError("%s %d has a non-finite value: %s" % (what, index[k], values))
+
+
+def _offdiag_rows(mats, lo: int, rows: np.ndarray, scatter: bool = False) -> None:
+    """Gather the off-diagonal entries of each C-ordered (r, n) block in mats,
+    whose row k holds its diagonal entry in column lo + k, side by side into
+    rows (r, len(mats)*(n-1)), or scatter rows back into them.  A square
+    matrix is the block r = n, lo = 0.  Row-major, those entries are the head
+    of row 0, r-1 stretches of n entries between consecutive diagonal entries
+    (for a square matrix: a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]), and
+    the tail of row r-1."""
+    r, n = mats[0].shape
+    tmp = np.empty((r, n - 1))
+    buf, k, last = tmp.reshape(-1), lo + (r - 1) * n, lo + (r - 1) * (n + 1)
     for j, a in enumerate(mats):
         flat = a.reshape(-1)
         block = rows[:, j * (n - 1) : (j + 1) * (n - 1)]
         if scatter:
             np.copyto(tmp, block)
         for part, tmp_part in (
-            (flat[lo * n : lo * (n + 1)], buf[:lo]),
-            (flat[lo * (n + 1) + 1 : (hi - 1) * (n + 1) + 1].reshape(-1, n + 1)[:, :n], buf[lo:k].reshape(-1, n)),
-            (flat[(hi - 1) * (n + 1) + 1 : hi * n], buf[k:]),
+            (flat[:lo], buf[:lo]),
+            (flat[lo + 1 : last + 1].reshape(-1, n + 1)[:, :n], buf[lo:k].reshape(-1, n)),
+            (flat[last + 1 :], buf[k:]),
         ):
             if scatter:
                 part[...] = tmp_part
@@ -227,23 +245,33 @@ def _offdiag_rows(mats, lo: int, hi: int, rows: np.ndarray, scatter: bool = Fals
             np.copyto(block, tmp)
 
 
-def _anchor_h_rows(ya: np.ndarray, yb: np.ndarray):
-    """Hardness rows for every anchor over the full negative sets.
-
-    Anchor i is row i of ya, its positive is row i of yb, and its
-    negatives are both views of every other sample (m = 2(n-1)).
-    Returns (H, pos) where H is (n, 2(n-1)).
-    """
-    n = ya.shape[0]
-    sab = ya @ yb.T
-    pos = np.diag(sab).copy()
-    hmat = np.empty((n, 2 * (n - 1)))
-    _offdiag_rows([ya @ ya.T, sab], 0, n, hmat)
-    hmat -= pos[:, None]
-    return hmat, pos
+def _h_rows(y, negs, lo: int, hi: int):
+    """Hardness rows (hi-lo, len(negs)*(n-1)) of the anchors at rows lo..hi-1
+    of y, and their score blocks y[lo:hi] @ neg.T, one GEMM each.  Anchor i's
+    negatives are the rows j != i of each matrix in negs, side by side, and
+    its positive is row i of negs[-1]."""
+    blocks = [y[lo:hi] @ neg.T for neg in negs]
+    h = np.empty((hi - lo, len(negs) * (y.shape[0] - 1)))
+    _offdiag_rows(blocks, lo, h)
+    h -= blocks[-1].diagonal(lo)[:, None]
+    return h, blocks
 
 
-def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
+def _anchor_h_rows(ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """Hardness rows (n, 2(n-1)) of every anchor: anchor i is row i of ya, its
+    positive row i of yb, its negatives both views of every other sample."""
+    return _h_rows(ya, [ya, yb], 0, len(ya))[0]
+
+
+def _bimodal_h_rows(x_emb: np.ndarray, t_emb: np.ndarray):
+    """Hardness rows of both directions of the bimodal loss: hx[i] over the
+    texts other than t_i, ht[i] over the images other than x_i.  Both come
+    from the same code path, so mirrored towers give bitwise-equal rows."""
+    n = len(x_emb)
+    return _h_rows(x_emb, [t_emb], 0, n)[0], _h_rows(t_emb, [x_emb], 0, n)[0]
+
+
+def _softmax_rows(h, taus, log_epsilon: float, count, denom=None):
     """The row kernel of every full-batch evaluation and stochastic step.
 
     h (k, m) holds each anchor's hardness scores over its m negatives and is
@@ -252,10 +280,10 @@ def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
     g = mean_exp + log_epsilon; d = denom(g), or g when denom is None (the
     step passes its moving-average update of s); ratio = mean_exp / d;
     eph = E_p[h]; and the pair weights w = p * ratio / count of the
-    parameter gradient, written into out (k, m) when it is given.
+    parameter gradient.
     """
     m = h.shape[1]
-    z = np.divide(h, taus[:, None], out=out)
+    z = h / taus[:, None]
     shift = z.max(axis=1, keepdims=True)
     np.subtract(z, shift, out=z)
     np.exp(z, out=z)
@@ -271,52 +299,57 @@ def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
     return g, d, ratio, eph, z
 
 
-def _eval_rows(mats, pos, taus, cfg: RgclConfig):
-    """The row kernel over all anchors, in blocks of _EVAL_ROWS.  Anchor i's
-    negatives are the off-diagonal entries of row i of each (n, n) score
-    matrix in mats, side by side, less pos[i].  Returns the objective terms
-    tau log g + (tau - tau0) rho, the temperature gradient, and per score
-    matrix the (n, n) pair weights; other memory is O(_EVAL_ROWS * n)."""
-    n = pos.shape[0]
-    c = min(_EVAL_ROWS, n)
-    h, z, tmp = np.empty((c, len(mats) * (n - 1))), np.empty((c, len(mats) * (n - 1))), np.empty((c, n - 1))
-    g, ratio, eph = np.empty(n), np.empty(n), np.empty(n)
-    weights = [np.zeros((n, n)) for _ in mats]
-    for lo in range(0, n, c):
-        hi = min(lo + c, n)
-        r = hi - lo
-        _offdiag_rows(mats, lo, hi, h[:r], tmp=tmp[:r])
-        h[:r] -= pos[lo:hi, None]
-        g[lo:hi], _, ratio[lo:hi], eph[lo:hi], w = _softmax_rows(
-            h[:r], taus[lo:hi], cfg.log_epsilon, n, out=z[:r]
-        )
-        _offdiag_rows(weights, lo, hi, w, scatter=True, tmp=tmp[:r])
-    log_g = np.log(g)
-    grad_tau = (-ratio * eph / taus + log_g + cfg.rho) / n
-    return taus * log_g + (taus - cfg.tau0) * cfg.rho, grad_tau, weights
+def _embedding_grad_pieces(ws, lo: int, y, negs):
+    """Embedding gradients of sum_ij w_ij h_ij over the anchors at rows lo..hi-1
+    of y, laid out as in _h_rows; ws holds one (hi-lo, n) weight block per
+    matrix in negs, zero where j = i.  Returns the anchor role of those rows,
+    sum_k ws[k] @ negs[k] - rs * negs[-1][lo:hi] with rs the weights' row
+    sums, and per matrix in negs its negative role ws[k].T @ y[lo:hi], the
+    last plus the positive role -rs * y[lo:hi] on rows lo..hi-1."""
+    hi = lo + ws[0].shape[0]
+    rs = ws[0].sum(axis=1)
+    anchor = ws[0] @ negs[0]
+    for w, other in zip(ws[1:], negs[1:]):
+        rs = rs + w.sum(axis=1)
+        anchor += w @ other
+    anchor -= rs[:, None] * negs[-1][lo:hi]
+    roles = [w.T @ y[lo:hi] for w in ws]
+    roles[-1][lo:hi] += -rs[:, None] * y[lo:hi]
+    return anchor, roles
 
 
-def _unimodal_embedding_grads(wa, wb, ya, yb):
-    """Embedding gradients of sum_ij w_ij h_ij in the two-view layout, where
-    wa and wb weight anchor i's a-view and b-view negatives."""
-    rs = wa.sum(axis=1) + wb.sum(axis=1)
-    # anchor role: dL/d ya_i += sum_j w_ij (neg_j - pos_i); then the negative
-    # role of the a-views; the b-views take the positive and negative roles
-    dya = wa @ ya + wb @ yb - rs[:, None] * yb + wa.T @ ya
-    dyb = -rs[:, None] * ya + wb.T @ ya
-    return dya, dyb
-
-
-def _bimodal_embedding_grads(wv, wt, x_emb, t_emb):
-    """Embedding gradients of both directions' weighted hardness, where wv
-    weights image anchors over texts and wt text anchors over images."""
-    rv = wv.sum(axis=1)
-    rt = wt.sum(axis=1)
-    # anchor-role term first, negative/positive-role term second, in the
-    # same order for both towers so mirrored inputs stay bitwise symmetric
-    dx = (wv @ t_emb - rv[:, None] * t_emb) + (wt.T @ t_emb - rt[:, None] * t_emb)
-    dt = (wt @ x_emb - rt[:, None] * x_emb) + (wv.T @ x_emb - rv[:, None] * x_emb)
-    return dx, dt
+def _full_batch(towers, directions, cfg: RgclConfig):
+    """Exact objective terms and gradients of either modality, block by block.
+    towers are the (n, d) embeddings; each direction (what, a, negs, taus)
+    makes the rows of towers[a] anchors over towers[j] for j in negs, as in
+    _h_rows.  Returns per direction the terms tau log g + (tau - tau0) rho
+    and the temperature gradient, and per tower its embedding gradient."""
+    n = towers[0].shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    # anchor-role rows apart from the summed negative and positive roles,
+    # so mirrored bimodal towers see the same operations in the same order
+    anchor, other = [np.zeros_like(y) for y in towers], [np.zeros_like(y) for y in towers]
+    stats = [(np.empty(n), np.empty(n), np.empty(n)) for _ in directions]
+    directions = [(what, a, negs, np.asarray(taus, dtype=np.float64)) for what, a, negs, taus in directions]
+    for lo in range(0, n, _EVAL_ROWS):
+        hi = min(lo + _EVAL_ROWS, n)
+        for (_, a, negs, taus), (g, ratio, eph) in zip(directions, stats):
+            h, blocks = _h_rows(towers[a], [towers[j] for j in negs], lo, hi)
+            g[lo:hi], _, ratio[lo:hi], eph[lo:hi], w = _softmax_rows(h, taus[lo:hi], cfg.log_epsilon, n)
+            _offdiag_rows(blocks, lo, w, scatter=True)
+            for block in blocks:
+                block.reshape(-1)[lo :: n + 1] = 0.0
+            anchor[a][lo:hi], roles = _embedding_grad_pieces(blocks, lo, towers[a], [towers[j] for j in negs])
+            for j, part in zip(negs, roles):
+                other[j] += part
+    out = []
+    for (what, _, _, taus), (g, ratio, eph) in zip(directions, stats):
+        log_g = np.log(g)
+        grad_tau = (-ratio * eph / taus + log_g + cfg.rho) / n
+        _require_finite_rows(what, range(n), g=g, grad_tau=grad_tau)
+        out.append((taus * log_g + (taus - cfg.tau0) * cfg.rho, grad_tau))
+    return out, [p + q for p, q in zip(anchor, other)]
 
 
 def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
@@ -327,7 +360,7 @@ def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclC
     taus = np.asarray(taus, dtype=np.float64)
     ya = encode(params, views.views_a).embeddings
     yb = encode(params, views.views_b).embeddings
-    hmat, _ = _anchor_h_rows(ya, yb)
+    hmat = _anchor_h_rows(ya, yb)
     total = 0.0
     for i in range(n):
         total += dual_loss_anchor(hmat[i], taus[i], cfg)
@@ -337,39 +370,13 @@ def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclC
 def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
     """Objective value plus exact gradients w.r.t. the flattened encoder
     parameters and the temperature vector.  Vectorized over anchors."""
-    n = views.n
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    taus = np.asarray(taus, dtype=np.float64)
     ea = encode(params, views.views_a)
     eb = encode(params, views.views_b)
-    ya, yb = ea.embeddings, eb.embeddings
-    sab = ya @ yb.T
-    terms, grad_tau, (wa, wb) = _eval_rows([ya @ ya.T, sab], np.diag(sab).copy(), taus, cfg)
-    value = float(np.mean(terms))
-    dya, dyb = _unimodal_embedding_grads(wa, wb, ya, yb)
+    [(terms, grad_tau)], (dya, dyb) = _full_batch(
+        [ea.embeddings, eb.embeddings], [(_ANCHOR_NAMES[1][0], 0, (0, 1), taus)], cfg
+    )
     grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
-    return value, grad_w, grad_tau
-
-
-def _bimodal_h_rows(x_emb: np.ndarray, t_emb: np.ndarray):
-    """Hardness rows for both directions of the bimodal loss.
-
-    hx[i, .] ranges over negative texts (m = n-1), ht[i, .] over negative
-    images.  pos_i = x_i . t_i.
-    """
-    n = x_emb.shape[0]
-    # both directions are computed by the same code path so that mirrored
-    # modalities (x_emb identical to t_emb) give bitwise-identical rows
-    sx = x_emb @ t_emb.T
-    st = t_emb @ x_emb.T
-    pos = np.diag(sx).copy()
-    hx, ht = np.empty((n, n - 1)), np.empty((n, n - 1))
-    _offdiag_rows([sx], 0, n, hx)
-    _offdiag_rows([st], 0, n, ht)
-    hx -= pos[:, None]
-    ht -= np.diag(st)[:, None]
-    return hx, ht, pos
+    return float(np.mean(terms)), grad_w, grad_tau
 
 
 def objective_bimodal(
@@ -389,7 +396,7 @@ def objective_bimodal(
     taus_t = np.asarray(taus_t, dtype=np.float64)
     x_emb = encode(params_img, images).embeddings
     t_emb = encode(params_txt, texts).embeddings
-    hx, ht, _ = _bimodal_h_rows(x_emb, t_emb)
+    hx, ht = _bimodal_h_rows(x_emb, t_emb)
     total = 0.0
     for i in range(n):
         total += dual_loss_anchor(hx[i], taus_v[i], cfg)
@@ -410,20 +417,12 @@ def bimodal_value_and_grads(
 
     Returns (value, grad_w_img_flat, grad_w_txt_flat, grad_tau_v, grad_tau_t).
     """
-    n = images.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 pairs")
-    taus_v = np.asarray(taus_v, dtype=np.float64)
-    taus_t = np.asarray(taus_t, dtype=np.float64)
     ex = encode(params_img, images)
     et = encode(params_txt, texts)
-    x_emb, t_emb = ex.embeddings, et.embeddings
-    sx = x_emb @ t_emb.T
-    st = t_emb @ x_emb.T
-    terms_v, grad_tau_v, (wv,) = _eval_rows([sx], np.diag(sx).copy(), taus_v, cfg)
-    terms_t, grad_tau_t, (wt,) = _eval_rows([st], np.diag(st).copy(), taus_t, cfg)
-    value = float(np.mean(terms_v + terms_t))
-    dx, dt = _bimodal_embedding_grads(wv, wt, x_emb, t_emb)
+    img, txt = _ANCHOR_NAMES[2]
+    [(terms_v, grad_tau_v), (terms_t, grad_tau_t)], (dx, dt) = _full_batch(
+        [ex.embeddings, et.embeddings], [(img, 0, (1,), taus_v), (txt, 1, (0,), taus_t)], cfg
+    )
     gx = encode_backward(params_img, ex, dx).flatten()
     gt = encode_backward(params_txt, et, dt).flatten()
-    return value, gx, gt, grad_tau_v, grad_tau_t
+    return float(np.mean(terms_v + terms_t)), gx, gt, grad_tau_v, grad_tau_t

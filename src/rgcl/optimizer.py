@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import EncoderParams, encode, encode_backward
-from .loss import RgclConfig, _anchor_h_rows, _bimodal_h_rows, _offdiag_rows, _softmax_rows
-from .loss import _bimodal_embedding_grads, _unimodal_embedding_grads
+from .loss import _ANCHOR_NAMES, RgclConfig, _anchor_h_rows, _bimodal_h_rows, _offdiag_rows, _softmax_rows
+from .loss import _embedding_grad_pieces, _require_finite_rows
 from .numerics import RandomStream
 
 __all__ = [
@@ -148,7 +148,8 @@ def _side_step(opt: OptimizerState, side: int, idx, hmat, cfg: RgclConfig, eta_t
     rows, then in-place updates of the batch anchors' s, u and projected tau
     in row `side` of the tables.  Returns the (B, B) pair-weight matrices,
     one per score matrix the rows came from, computed with the temperatures
-    the batch was scored with and the fresh s."""
+    the batch was scored with and the fresh s.  A non-finite g, s or new tau
+    raises ValueError naming its dataset index before any table is written."""
     s_arr, u_arr, tau_arr = opt.s[side], opt.u[side], opt.tau[side]
     n = opt.n
     scale = cfg.resolved_tau_grad_scale(n)
@@ -159,21 +160,19 @@ def _side_step(opt: OptimizerState, side: int, idx, hmat, cfg: RgclConfig, eta_t
         hmat, taus, cfg.log_epsilon, len(idx),
         lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g),
     )
-    s_arr[idx] = s_new
-    opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
-    opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
-
     grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / n * scale
     u_new = (1.0 - cfg.beta1) * u_arr[idx] + cfg.beta1 * grad_tau
-    u_arr[idx] = u_new
     tau_new = taus - eta_tau * u_new
     if not opt._disable_tau_projection:
         tau_new = np.clip(tau_new, cfg.tau0, cfg.tau_max)
-    tau_arr[idx] = tau_new
+    _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)
+    s_arr[idx], u_arr[idx], tau_arr[idx] = s_new, u_new, tau_new
+    opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
+    opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
     opt.min_tau_seen = min(opt.min_tau_seen, float(np.min(tau_new)))
     opt.max_tau_seen = max(opt.max_tau_seen, float(np.max(tau_new)))
     mats = [np.zeros((len(idx), len(idx))) for _ in range(hmat.shape[1] // (len(idx) - 1))]
-    _offdiag_rows(mats, 0, len(idx), w, scatter=True)
+    _offdiag_rows(mats, 0, w, scatter=True)
     return mats
 
 
@@ -204,12 +203,12 @@ def _step_unimodal_core(
 
     ea = encode(params, views_a)
     eb = encode(params, views_b)
-    hmat, _ = _anchor_h_rows(ea.embeddings, eb.embeddings)
+    hmat = _anchor_h_rows(ea.embeddings, eb.embeddings)
     wa, wb = _side_step(opt, 0, idx, hmat, cfg, eta_tau)
     opt.initialized[idx] = True
 
-    dya, dyb = _unimodal_embedding_grads(wa, wb, ea.embeddings, eb.embeddings)
-    grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
+    anchor, (roles_a, dyb) = _embedding_grad_pieces([wa, wb], 0, ea.embeddings, [ea.embeddings, eb.embeddings])
+    grad_w = encode_backward(params, ea, anchor + roles_a).flatten() + encode_backward(params, eb, dyb).flatten()
 
     new_flat = _param_update(opt, params.flatten(), grad_w, cfg)
     opt.t += 1
@@ -267,15 +266,16 @@ def step_bimodal(
 
     ex = encode(params_img, images[idx])
     et = encode(params_txt, texts[idx])
-    hx, ht, _ = _bimodal_h_rows(ex.embeddings, et.embeddings)
+    hx, ht = _bimodal_h_rows(ex.embeddings, et.embeddings)
     (wv,) = _side_step(opt, 0, idx, hx, cfg, cfg.eta_tau)
     (wt,) = _side_step(opt, 1, idx, ht, cfg, cfg.eta_tau)
     opt.initialized[idx] = True
 
-    dx, dt = _bimodal_embedding_grads(wv, wt, ex.embeddings, et.embeddings)
-    grad = np.concatenate(
-        [encode_backward(params_img, ex, dx).flatten(), encode_backward(params_txt, et, dt).flatten()]
-    )
+    anchor_x, (roles_t,) = _embedding_grad_pieces([wv], 0, ex.embeddings, [et.embeddings])
+    anchor_t, (roles_x,) = _embedding_grad_pieces([wt], 0, et.embeddings, [ex.embeddings])
+    # the anchor role first in both towers, so mirrored inputs stay bitwise symmetric
+    grad = np.concatenate([encode_backward(params_img, ex, anchor_x + roles_x).flatten(),
+                           encode_backward(params_txt, et, anchor_t + roles_t).flatten()])
 
     flat = np.concatenate([params_img.flatten(), params_txt.flatten()])
     new_flat = _param_update(opt, flat, grad, cfg)

@@ -1,17 +1,20 @@
 """Verbatim copies of the original full-batch evaluations and step cores,
 of the original loop-based simplex grid oracle, and of rgcl verify's
 estimator_degeneration check with the test-only full-batch estimator and
-exact-s helper it ran on.
+exact-s helper it ran on, and the square-matrix off-diagonal scatter and
+embedding-gradient assembly that estimator called.
 
-The suite compares the shared row kernel and the blocked evaluation with
-these, bit for bit: the rewrite may change memory layout, allocation and
-the order in which independent rows are processed, but never an operand,
-an operation order or a reduction length.  The copies keep the original
-boolean-mask gathers and scatters and the encode_backward that re-runs the
-forward pass.  The grid copy scores one point at a time; the vectorised
-grid must return the same point and the same value.  The copied check
-calls the copied estimator, whose hardness rows come from the
-_anchor_h_rows copy above; the production check builds the same direction
+The suite compares the shared row kernel and the steps with these, bit for
+bit: the rewrite may change memory layout, allocation and the order in
+which independent rows are processed, but never an operand, an operation
+order or a reduction length.  The blocked evaluation sums the negative-role
+terms of its embedding gradients block by block, so it is compared with
+the evaluation copies to 1e-10 relative, not bit for bit.  The copies keep
+the original boolean-mask gathers and scatters and the encode_backward that
+re-runs the forward pass.  The grid copy scores one point at a time; the
+vectorised grid must return the same point and the same value.  The copied
+check calls the copied estimator, whose hardness rows come from the
+_anchor_h_rows copy below; the production check builds the same direction
 from the step's own pieces and must report the same figure.  Not collected
 as tests; do not edit the copied bodies.
 """
@@ -26,7 +29,7 @@ from rgcl import loss, oracle
 from rgcl.encoder import EncoderParams, encode, encode_backward
 from rgcl.harness import _check, _small_instance
 from rgcl.loss import RgclConfig, ViewPairs, kl_uniform, primal_rgcl_value
-from rgcl.loss import _offdiag_rows, _softmax_rows, _unimodal_embedding_grads
+from rgcl.loss import _softmax_rows
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     ADAM_BETA1,
@@ -35,6 +38,45 @@ from rgcl.optimizer import (
     OptimizerState,
     sample_batch,
 )
+
+
+def _offdiag_rows(mats, lo: int, hi: int, rows: np.ndarray, scatter: bool = False, tmp=None) -> None:
+    """Gather the off-diagonal entries of rows lo..hi-1 of each square
+    C-ordered matrix in mats side by side into rows (hi-lo, len(mats)*(n-1)),
+    or scatter rows back into them.  Row-major, those entries are the head of
+    row lo, hi-lo-1 stretches of n entries between consecutive diagonal
+    entries (over all rows: a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]), and
+    the tail of row hi-1.  tmp is optional contiguous (hi-lo, n-1) scratch."""
+    n = mats[0].shape[0]
+    tmp = np.empty((hi - lo, n - 1)) if tmp is None else tmp
+    buf, k = tmp.reshape(-1), lo + (hi - lo - 1) * n
+    for j, a in enumerate(mats):
+        flat = a.reshape(-1)
+        block = rows[:, j * (n - 1) : (j + 1) * (n - 1)]
+        if scatter:
+            np.copyto(tmp, block)
+        for part, tmp_part in (
+            (flat[lo * n : lo * (n + 1)], buf[:lo]),
+            (flat[lo * (n + 1) + 1 : (hi - 1) * (n + 1) + 1].reshape(-1, n + 1)[:, :n], buf[lo:k].reshape(-1, n)),
+            (flat[(hi - 1) * (n + 1) + 1 : hi * n], buf[k:]),
+        ):
+            if scatter:
+                part[...] = tmp_part
+            else:
+                tmp_part[...] = part
+        if not scatter:
+            np.copyto(block, tmp)
+
+
+def _unimodal_embedding_grads(wa, wb, ya, yb):
+    """Embedding gradients of sum_ij w_ij h_ij in the two-view layout, where
+    wa and wb weight anchor i's a-view and b-view negatives."""
+    rs = wa.sum(axis=1) + wb.sum(axis=1)
+    # anchor role: dL/d ya_i += sum_j w_ij (neg_j - pos_i); then the negative
+    # role of the a-views; the b-views take the positive and negative roles
+    dya = wa @ ya + wb @ yb - rs[:, None] * yb + wa.T @ ya
+    dyb = -rs[:, None] * ya + wb.T @ ya
+    return dya, dyb
 
 
 def _anchor_h_rows(ya: np.ndarray, yb: np.ndarray):
@@ -467,5 +509,5 @@ def _vcheck_degeneration(seed):
 def _exact_s(params, views, taus, cfg):
     ya = encode(params, views.views_a).embeddings
     yb = encode(params, views.views_b).embeddings
-    hmat, _ = loss._anchor_h_rows(ya, yb)
+    hmat, _ = _anchor_h_rows(ya, yb)
     return np.array([loss.g_value(hmat[i], taus[i], cfg.log_epsilon) for i in range(views.n)])

@@ -1,6 +1,8 @@
-"""The blocked full-batch evaluations, the shared row kernel, the merged
-optimizer state and verify's estimator_degeneration check against verbatim
-copies of the original code (tests/original_reference.py), bit for bit."""
+"""The blocked full-batch evaluations against verbatim copies of the
+original code (tests/original_reference.py) to 1e-10 relative and against
+the loop oracle; the shared row kernel, the merged optimizer state, the
+steps and verify's estimator_degeneration check against those copies, bit
+for bit."""
 
 import copy
 from types import SimpleNamespace
@@ -9,13 +11,16 @@ import numpy as np
 import pytest
 import original_reference as original
 
-from rgcl import harness, loss, optimizer
+from rgcl import harness, loss, optimizer, oracle
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import init_encoder_params
 from rgcl.loss import _EVAL_ROWS, RgclConfig, ViewPairs, _offdiag_rows
 from rgcl.numerics import RandomStream
 
-SIZES = [2, 3, _EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 3]
+# sizes around the original evaluation's 256-anchor blocks; many blocks each
+SIZES = [2, 3, 255, 256, 257, 515]
+# sizes around the evaluation's own blocks, small enough for the loop oracle
+BLOCK_SIZES = [_EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 3]
 EPSILONS = [0.0, 0.25]
 
 
@@ -23,6 +28,14 @@ def assert_identical(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+
+
+def assert_close(got, want, rel=1e-10):
+    """Each result within rel of the original, relative to its largest entry:
+    the negative-role sums now run block by block, in a different order."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=rel, atol=rel * np.max(np.abs(b)))
 
 
 def instance(n, log_epsilon, d=5):
@@ -37,11 +50,17 @@ def instance(n, log_epsilon, d=5):
     return params, views, taus, cfg
 
 
+def bimodal_args(n, log_epsilon):
+    params, views, taus, cfg = instance(n, log_epsilon)
+    p_txt = init_encoder_params(5, 4, 6, "tanh", RandomStream(n, ("txt",)))
+    return params, p_txt, views.views_a, views.views_b, taus, taus[::-1].copy(), cfg
+
+
 @pytest.mark.parametrize("log_epsilon", EPSILONS)
 @pytest.mark.parametrize("n", SIZES)
 def test_unimodal_evaluation(n, log_epsilon):
     params, views, taus, cfg = instance(n, log_epsilon)
-    assert_identical(
+    assert_close(
         loss.unimodal_value_and_grads(params, views, taus, cfg),
         original.unimodal_value_and_grads(params, views, taus, cfg),
     )
@@ -50,10 +69,8 @@ def test_unimodal_evaluation(n, log_epsilon):
 @pytest.mark.parametrize("log_epsilon", EPSILONS)
 @pytest.mark.parametrize("n", SIZES)
 def test_bimodal_evaluation(n, log_epsilon):
-    params, views, taus, cfg = instance(n, log_epsilon)
-    p_txt = init_encoder_params(5, 4, 6, "tanh", RandomStream(n, ("txt",)))
-    args = (params, p_txt, views.views_a, views.views_b, taus, taus[::-1].copy(), cfg)
-    assert_identical(loss.bimodal_value_and_grads(*args), original.bimodal_value_and_grads(*args))
+    args = bimodal_args(n, log_epsilon)
+    assert_close(loss.bimodal_value_and_grads(*args), original.bimodal_value_and_grads(*args))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -61,9 +78,23 @@ def test_bimodal_evaluation_mirrored(n):
     params, views, taus, cfg = instance(n, 0.0)
     args = (params, params.copy(), views.views_a, views.views_a.copy(), taus, taus.copy(), cfg)
     got = loss.bimodal_value_and_grads(*args)
-    assert_identical(got, original.bimodal_value_and_grads(*args))
+    assert_close(got, original.bimodal_value_and_grads(*args))
     np.testing.assert_array_equal(got[1], got[2])
     np.testing.assert_array_equal(got[3], got[4])
+
+
+@pytest.mark.parametrize("log_epsilon", EPSILONS)
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_evaluation_matches_oracle_across_blocks(n, log_epsilon):
+    # the loop oracle, at test_oracle.py's tolerance
+    params, views, taus, cfg = instance(n, log_epsilon)
+    got = loss.unimodal_value_and_grads(params, views, taus, cfg)
+    for a, b in zip(got, oracle.full_batch_reference(params, views, taus, cfg)):
+        np.testing.assert_allclose(a, b, atol=1e-12)
+    args = bimodal_args(n, log_epsilon)
+    got = loss.bimodal_value_and_grads(*args)
+    for a, b in zip(got, oracle.full_batch_reference_bimodal(*args)):
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 SHARED_FIELDS = ("v", "initialized", "adam_m2", "min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen")
@@ -137,22 +168,23 @@ def test_bimodal_steps(mirrored, log_epsilon):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_strided_offdiag_matches_boolean_mask(n):
+    # every (hi - lo, n) block of rows, whose diagonal starts at column lo
     stream = RandomStream(n, ("offdiag",))
     a, b = stream.normal(n, n), stream.normal(n, n)
     off = ~np.eye(n, dtype=bool)
+    want = np.concatenate([a[off].reshape(n, n - 1), b[off].reshape(n, n - 1)], axis=1)
     for lo in range(n):
         for hi in range(lo + 1, n + 1):
             rows = np.empty((hi - lo, 2 * (n - 1)))
-            _offdiag_rows([a, b], lo, hi, rows)
-            want = np.concatenate([a[off].reshape(n, n - 1), b[off].reshape(n, n - 1)], axis=1)
+            _offdiag_rows([a[lo:hi], b[lo:hi]], lo, rows)
             np.testing.assert_array_equal(rows, want[lo:hi])
 
-            back = [np.zeros((n, n)), np.zeros((n, n))]
-            _offdiag_rows(back, lo, hi, rows, scatter=True)
+            back = [np.zeros((hi - lo, n)), np.zeros((hi - lo, n))]
+            _offdiag_rows(back, lo, rows, scatter=True)
             for got, src in zip(back, (a, b)):
                 expect = np.zeros((n, n))
-                expect[lo:hi][off[lo:hi]] = src[lo:hi][off[lo:hi]]
-                np.testing.assert_array_equal(got, expect)
+                expect[off] = src[off]
+                np.testing.assert_array_equal(got, expect[lo:hi])
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ class TestBimodal:
 
         x = encode(p_img, images).embeddings
         t = encode(p_txt, texts).embeddings
-        hx, ht, _ = _bimodal_h_rows(x, t)
+        hx, ht = _bimodal_h_rows(x, t)
         want = sum(
             cfg.tau0 * math.log(g_value(hx[i], cfg.tau0))
             + cfg.tau0 * math.log(g_value(ht[i], cfg.tau0))
@@ -376,3 +377,37 @@ class TestBimodal:
         )
         assert np.linalg.norm(gx - fd_x) / np.linalg.norm(fd_x) <= 1e-6
         assert np.linalg.norm(gtv - fd_tv) / np.linalg.norm(fd_tv) <= 1e-6
+
+
+class TestEvaluationMemory:
+    def test_peak_below_one_square_matrix(self):
+        # the blocked evaluation holds no (n, n) array: one float64 (n, n)
+        # array at n = 1500 is 18 MB
+        n = 1500
+        params, views, taus, cfg = small_unimodal(17, n=n, d=16, hidden=3, embed=16)
+        p_img, p_txt, images, texts, taus_v, taus_t, _ = small_bimodal(18, n=n, d=16, hidden=3, embed=16)
+        for call in (
+            lambda: unimodal_value_and_grads(params, views, taus, cfg),
+            lambda: bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
+
+
+class TestNonFinite:
+    def test_unimodal_names_the_anchor(self):
+        params, views, taus, cfg = small_unimodal(19, n=5)
+        taus[3] = np.nan
+        with pytest.raises(ValueError, match="^anchor 3 has a non-finite value: g = nan, grad_tau = nan$"):
+            unimodal_value_and_grads(params, views, taus, cfg)
+
+    def test_bimodal_names_the_side_and_anchor(self):
+        p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(20, n=4)
+        taus_t[2] = np.nan
+        with pytest.raises(ValueError, match="^text anchor 2 has a non-finite value"):
+            bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg)

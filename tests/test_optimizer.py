@@ -121,8 +121,8 @@ class TestGradTauEstimator:
         cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.45, beta1=1.0, tau_grad_scale=1.0)
         taus = np.full(6, 0.45)
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
-        hmat, _ = _anchor_h_rows(encode(params, views.views_a).embeddings,
-                                 encode(params, views.views_b).embeddings)
+        hmat = _anchor_h_rows(encode(params, views.views_a).embeddings,
+                              encode(params, views.views_b).embeddings)
         opt = side_state(6, cfg)
         _side_step(opt, 0, np.arange(6), hmat, cfg, 0.0)
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
@@ -151,7 +151,7 @@ class TestHardnessRows:
         vb = np.vstack([row_b, row_b, other + 0.1])
         ya = encode(params, va).embeddings
         yb = encode(params, vb).embeddings
-        hmat, _ = _anchor_h_rows(ya, yb)
+        hmat = _anchor_h_rows(ya, yb)
         np.testing.assert_allclose(np.sort(hmat[0]), np.sort(hmat[1]), atol=1e-14)
 
 
@@ -321,6 +321,29 @@ class TestStepBimodal:
         images, texts, cfg, p_img, p_txt, opt = self.mirrored_setup(9)
         with pytest.raises(ValueError):
             step_bimodal(opt, p_img, p_txt, images, texts, cfg, 1)
+
+
+class TestNonFinite:
+    """A non-finite g, s or tau stops the step before it writes any table,
+    naming the dataset index of the first such anchor in the batch."""
+
+    def test_unimodal_step(self):
+        data, cfg, params, opt = training_setup(10)
+        opt.tau[0, 12:] = np.nan
+        before = [opt.s.copy(), opt.u.copy(), opt.tau.copy()]
+        with pytest.raises(ValueError, match=r"^anchor (\d+) has a non-finite value: g = nan, s = nan, tau = nan$") as err:
+            step_unimodal(opt, params, data.inputs, cfg, 8, 0.3)
+        assert int(err.value.args[0].split()[1]) >= 12
+        for got, want in zip([opt.s, opt.u, opt.tau], before):
+            np.testing.assert_array_equal(got, want)
+        assert opt.t == 0
+
+    def test_bimodal_step_names_the_side(self):
+        images, texts, cfg, p_img, p_txt, opt = TestStepBimodal().mirrored_setup(11)
+        opt.tau[1, 10:] = np.nan
+        with pytest.raises(ValueError, match=r"^text anchor (\d+) has a non-finite value") as err:
+            step_bimodal(opt, p_img, p_txt, images, texts, cfg, 8)
+        assert int(err.value.args[0].split()[2]) >= 10
 
 
 class TestStateSizeChecked:
