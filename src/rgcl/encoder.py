@@ -186,19 +186,22 @@ def save_params(params: EncoderParams, path: str) -> None:
 
 
 def load_params(path: str) -> EncoderParams:
+    """Read a file written by save_params.  The header fixes the exact file
+    size; any other size, an unknown magic or activation flag or a negative
+    dimension is rejected with ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError("not an encoder checkpoint")
-        d_in, d_hidden, d_embed, act = struct.unpack("<qqqq", fh.read(32))
-        if not 0 <= act < len(_ACTIVATIONS):
-            raise ValueError("unknown activation flag %d in encoder checkpoint" % act)
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    template = EncoderParams(
-        np.zeros((d_hidden, d_in)),
-        np.zeros(d_hidden),
-        np.zeros((d_embed, d_hidden)),
-        np.zeros(d_embed),
-        _ACTIVATIONS[act],
-    )
-    return template.from_flat(flat)
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise ValueError("not an encoder checkpoint")
+    if len(data) < 40:
+        raise ValueError("encoder checkpoint is %d bytes, shorter than its 40-byte header" % len(data))
+    d_in, d_hidden, d_embed, act = struct.unpack_from("<qqqq", data, 8)
+    if not 0 <= act < len(_ACTIVATIONS) or min(d_in, d_hidden, d_embed) < 0:
+        raise ValueError("corrupt encoder checkpoint header: dimensions %d, %d, %d, activation flag %d"
+                         % (d_in, d_hidden, d_embed, act))
+    size = 40 + 8 * (d_hidden * (d_in + 1) + d_embed * (d_hidden + 1))
+    if len(data) != size:
+        raise ValueError("encoder checkpoint is %d bytes, its header implies %d" % (len(data), size))
+    template = EncoderParams(np.zeros((d_hidden, d_in)), np.zeros(d_hidden),
+                             np.zeros((d_embed, d_hidden)), np.zeros(d_embed), _ACTIVATIONS[act])
+    return template.from_flat(np.frombuffer(data, "<f8", offset=40).astype(np.float64))

@@ -542,7 +542,7 @@ def _vcheck_finite_diff(seed):
 
 
 def _vcheck_degeneration(seed):
-    """The step's parameter direction, built from its own pieces over the
+    """The step's parameter direction, from the step's block pass over the
     whole set with every s exact, must be the exact gradient.  (A real step
     would draw augmentation noise and so change the fixed views.)"""
     params, views, taus, cfg0 = _small_instance(seed, n=6, d=4)
@@ -555,13 +555,13 @@ def _vcheck_degeneration(seed):
     for _ in range(5):
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
         ea, eb = encode(p, views.views_a), encode(p, views.views_b)
-        hmat = loss._anchor_h_rows(ea.embeddings, eb.embeddings)
-        s = np.array([loss.g_value(hmat[i], tau[i], cfg.log_epsilon) for i in range(n)])
-        w = loss._softmax_rows(hmat, tau, cfg.log_epsilon, n, lambda g: s)[-1]
-        wa, wb = np.zeros((n, n)), np.zeros((n, n))
-        loss._offdiag_rows([wa, wb], 0, w, scatter=True)
-        anchor, (roles_a, dyb) = loss._embedding_grad_pieces([wa, wb], 0, ea.embeddings, [ea.embeddings, eb.embeddings])
-        gw = encode_backward(p, ea, anchor + roles_a).flatten() + encode_backward(p, eb, dyb).flatten()
+
+        def kernel(lo, hi, hs):
+            s = np.array([loss.g_value(h, t, cfg.log_epsilon) for h, t in zip(hs[0], tau)])
+            return [loss._softmax_rows(hs[0], tau, cfg.log_epsilon, n, lambda g: s)[-1]]
+
+        dya, dyb = loss._contrast([ea.embeddings, eb.embeddings], loss._anchor_h_rows, n, kernel)
+        gw = encode_backward(p, ea, dya).flatten() + encode_backward(p, eb, dyb).flatten()
         rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))
         worst = max(worst, rel)
         p = p.from_flat(p.flatten() - cfg.eta_w * gw)
@@ -617,7 +617,7 @@ def _vcheck_unbiasedness(seed):
     views = ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
     ya = encode(params, views.views_a).embeddings
     yb = encode(params, views.views_b).embeddings
-    hmat = loss._anchor_h_rows(ya, yb)
+    hmat = loss._h_rows(ya, [ya, yb], 0, n)[0]
     tau = 0.5
     anchor = 0
     g_full = loss.g_value(hmat[anchor], tau)

@@ -10,15 +10,16 @@ KL ball are the softmax p*_j = exp(h_j/tau) / sum_k exp(h_k/tau).  The
 full objective averages the per-anchor dual losses, each with its own
 learnable temperature.
 
-This module also provides the exact full-batch gradients of the objective
+This module also provides the exact full-batch objective and its gradients
 with respect to encoder parameters and temperatures, computed analytically
-through the hardness scores and the encoder backward pass.  The evaluation
-runs one row kernel and one weights-to-gradient assembly, both shared with
-the stochastic step, over fixed blocks of _EVAL_ROWS anchors: each block's
-score rows, pair weights and gradient pieces are built and used in place,
-so no (n, n) array exists and memory is O(n * (_EVAL_ROWS + d)).  The
-block size fixes the summation order of the negative-role gradient sums,
-so the parameter gradient depends on it in its last bits.
+through the hardness scores and the encoder backward pass.  One block pass,
+_contrast, serves the exact evaluation, both stochastic steps and verify's
+degeneration check: per block of anchors, the hardness rows of each
+direction of the loss, a caller's kernel that turns them into pair weights,
+and the embedding gradients.  The exact objective and evaluation use blocks
+of _EVAL_ROWS anchors, so memory is O(n * (_EVAL_ROWS + d)); the block size
+fixes the order of the negative-role gradient sums, and so the last bits of
+the parameter gradient.
 """
 
 from __future__ import annotations
@@ -257,18 +258,21 @@ def _h_rows(y, negs, lo: int, hi: int):
     return h, blocks
 
 
-def _anchor_h_rows(ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
-    """Hardness rows (n, 2(n-1)) of every anchor: anchor i is row i of ya, its
-    positive row i of yb, its negatives both views of every other sample."""
-    return _h_rows(ya, [ya, yb], 0, len(ya))[0]
+def _anchor_h_rows(towers, lo: int, hi: int):
+    """The one direction of the unimodal loss over the anchors at rows lo..hi-1
+    of towers = [ya, yb], as (anchor tower, negative towers, hardness rows,
+    score blocks): anchor i is row i of ya, its positive row i of yb, its
+    negatives both views of every other sample."""
+    return [(0, (0, 1), *_h_rows(towers[0], towers, lo, hi))]
 
 
-def _bimodal_h_rows(x_emb: np.ndarray, t_emb: np.ndarray):
-    """Hardness rows of both directions of the bimodal loss: hx[i] over the
-    texts other than t_i, ht[i] over the images other than x_i.  Both come
-    from the same code path, so mirrored towers give bitwise-equal rows."""
-    n = len(x_emb)
-    return _h_rows(x_emb, [t_emb], 0, n)[0], _h_rows(t_emb, [x_emb], 0, n)[0]
+def _bimodal_h_rows(towers, lo: int, hi: int):
+    """Both directions of the bimodal loss over the pairs at rows lo..hi-1 of
+    towers = [x, t], as in _anchor_h_rows: image anchor i over the texts other
+    than t_i, text anchor i over the images other than x_i.  Both come from
+    the same code path, so mirrored towers give bitwise-equal rows."""
+    x, t = towers
+    return [(0, (1,), *_h_rows(x, [t], lo, hi)), (1, (0,), *_h_rows(t, [x], lo, hi))]
 
 
 def _softmax_rows(h, taus, log_epsilon: float, count, denom=None):
@@ -318,53 +322,82 @@ def _embedding_grad_pieces(ws, lo: int, y, negs):
     return anchor, roles
 
 
-def _full_batch(towers, directions, cfg: RgclConfig):
-    """Exact objective terms and gradients of either modality, block by block.
-    towers are the (n, d) embeddings; each direction (what, a, negs, taus)
-    makes the rows of towers[a] anchors over towers[j] for j in negs, as in
-    _h_rows.  Returns per direction the terms tau log g + (tau - tau0) rho
-    and the temperature gradient, and per tower its embedding gradient."""
+def _contrast(towers, h_rows, rows: int, kernel):
+    """The block pass of every contrastive computation.  For each block of up
+    to `rows` anchors, h_rows(towers, lo, hi) gives each direction of the loss
+    as (anchor tower, negative towers, hardness rows, score blocks), towers by
+    index and laid out as in _h_rows; kernel(lo, hi, hs) turns the hardness
+    rows into pair weights, which are scattered into the score blocks.
+    Returns per tower the embedding gradient of the weighted hardness sum."""
     n = towers[0].shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 samples")
     # anchor-role rows apart from the summed negative and positive roles,
     # so mirrored bimodal towers see the same operations in the same order
     anchor, other = [np.zeros_like(y) for y in towers], [np.zeros_like(y) for y in towers]
-    stats = [(np.empty(n), np.empty(n), np.empty(n)) for _ in directions]
-    directions = [(what, a, negs, np.asarray(taus, dtype=np.float64)) for what, a, negs, taus in directions]
-    for lo in range(0, n, _EVAL_ROWS):
-        hi = min(lo + _EVAL_ROWS, n)
-        for (_, a, negs, taus), (g, ratio, eph) in zip(directions, stats):
-            h, blocks = _h_rows(towers[a], [towers[j] for j in negs], lo, hi)
-            g[lo:hi], _, ratio[lo:hi], eph[lo:hi], w = _softmax_rows(h, taus[lo:hi], cfg.log_epsilon, n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        directions = h_rows(towers, lo, hi)
+        ws = kernel(lo, hi, [d[2] for d in directions])
+        # the kernel has spent the hardness rows: the scatter reuses their memory
+        directions = [(a, negs, blocks) for a, negs, _, blocks in directions]
+        for (a, negs, blocks), w in zip(directions, ws):
             _offdiag_rows(blocks, lo, w, scatter=True)
             for block in blocks:
                 block.reshape(-1)[lo :: n + 1] = 0.0
             anchor[a][lo:hi], roles = _embedding_grad_pieces(blocks, lo, towers[a], [towers[j] for j in negs])
             for j, part in zip(negs, roles):
                 other[j] += part
+    return [p + q for p, q in zip(anchor, other)]
+
+
+def _full_batch(towers, h_rows, taus, cfg: RgclConfig):
+    """Exact objective terms and gradients of either modality, in blocks of
+    _EVAL_ROWS anchors; h_rows gives the directions of the loss as in
+    _contrast, taus the temperatures of each.  Returns per direction the terms
+    tau log g + (tau - tau0) rho and the temperature gradient, and per tower
+    its embedding gradient."""
+    n = towers[0].shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    taus = [np.asarray(t, dtype=np.float64) for t in taus]
+    stats = [(np.empty(n), np.empty(n), np.empty(n)) for _ in taus]
+
+    def kernel(lo, hi, hs):
+        ws = []
+        for h, tau, (g, ratio, eph) in zip(hs, taus, stats):
+            g[lo:hi], _, ratio[lo:hi], eph[lo:hi], w = _softmax_rows(h, tau[lo:hi], cfg.log_epsilon, n)
+            ws.append(w)
+        return ws
+
+    grads = _contrast(towers, h_rows, _EVAL_ROWS, kernel)
     out = []
-    for (what, _, _, taus), (g, ratio, eph) in zip(directions, stats):
+    for what, tau, (g, ratio, eph) in zip(_ANCHOR_NAMES[len(taus)], taus, stats):
         log_g = np.log(g)
-        grad_tau = (-ratio * eph / taus + log_g + cfg.rho) / n
+        grad_tau = (-ratio * eph / tau + log_g + cfg.rho) / n
         _require_finite_rows(what, range(n), g=g, grad_tau=grad_tau)
-        out.append((taus * log_g + (taus - cfg.tau0) * cfg.rho, grad_tau))
-    return out, [p + q for p, q in zip(anchor, other)]
+        out.append((tau * log_g + (tau - cfg.tau0) * cfg.rho, grad_tau))
+    return out, grads
+
+
+def _objective(towers, h_rows, taus, cfg: RgclConfig) -> float:
+    """Exact objective: the dual losses of every direction of the loss, per
+    anchor in order, summed over the hardness rows of blocks of _EVAL_ROWS
+    anchors and divided by n."""
+    n = towers[0].shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    total = 0.0
+    for lo in range(0, n, _EVAL_ROWS):
+        hs = [d[2] for d in h_rows(towers, lo, min(lo + _EVAL_ROWS, n))]
+        for k in range(len(hs[0])):
+            for h, tau in zip(hs, taus):
+                total += dual_loss_anchor(h[k], tau[lo + k], cfg)
+    return total / n
 
 
 def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
     """Exact full-batch objective: mean over anchors of the dual loss."""
-    n = views.n
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    taus = np.asarray(taus, dtype=np.float64)
-    ya = encode(params, views.views_a).embeddings
-    yb = encode(params, views.views_b).embeddings
-    hmat = _anchor_h_rows(ya, yb)
-    total = 0.0
-    for i in range(n):
-        total += dual_loss_anchor(hmat[i], taus[i], cfg)
-    return total / n
+    towers = [encode(params, views.views_a).embeddings, encode(params, views.views_b).embeddings]
+    return _objective(towers, _anchor_h_rows, [taus], cfg)
 
 
 def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
@@ -372,9 +405,7 @@ def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg:
     parameters and the temperature vector.  Vectorized over anchors."""
     ea = encode(params, views.views_a)
     eb = encode(params, views.views_b)
-    [(terms, grad_tau)], (dya, dyb) = _full_batch(
-        [ea.embeddings, eb.embeddings], [(_ANCHOR_NAMES[1][0], 0, (0, 1), taus)], cfg
-    )
+    [(terms, grad_tau)], (dya, dyb) = _full_batch([ea.embeddings, eb.embeddings], _anchor_h_rows, [taus], cfg)
     grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
     return float(np.mean(terms)), grad_w, grad_tau
 
@@ -389,19 +420,8 @@ def objective_bimodal(
     cfg: RgclConfig,
 ) -> float:
     """Exact two-way full-batch objective over n image-text pairs."""
-    n = images.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 pairs")
-    taus_v = np.asarray(taus_v, dtype=np.float64)
-    taus_t = np.asarray(taus_t, dtype=np.float64)
-    x_emb = encode(params_img, images).embeddings
-    t_emb = encode(params_txt, texts).embeddings
-    hx, ht = _bimodal_h_rows(x_emb, t_emb)
-    total = 0.0
-    for i in range(n):
-        total += dual_loss_anchor(hx[i], taus_v[i], cfg)
-        total += dual_loss_anchor(ht[i], taus_t[i], cfg)
-    return total / n
+    towers = [encode(params_img, images).embeddings, encode(params_txt, texts).embeddings]
+    return _objective(towers, _bimodal_h_rows, [taus_v, taus_t], cfg)
 
 
 def bimodal_value_and_grads(
@@ -419,9 +439,8 @@ def bimodal_value_and_grads(
     """
     ex = encode(params_img, images)
     et = encode(params_txt, texts)
-    img, txt = _ANCHOR_NAMES[2]
     [(terms_v, grad_tau_v), (terms_t, grad_tau_t)], (dx, dt) = _full_batch(
-        [ex.embeddings, et.embeddings], [(img, 0, (1,), taus_v), (txt, 1, (0,), taus_t)], cfg
+        [ex.embeddings, et.embeddings], _bimodal_h_rows, [taus_v, taus_t], cfg
     )
     gx = encode_backward(params_img, ex, dx).flatten()
     gt = encode_backward(params_txt, et, dt).flatten()

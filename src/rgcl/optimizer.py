@@ -14,22 +14,24 @@ temperature tau_i.  Every step:
     w      <- w - eta_w v
 
 With a full batch and beta0 = beta1 = 1 this degenerates to exact gradient
-descent on the objective.  The fixed-temperature baseline mode runs the
-same step with eta_tau forced to 0.  Parameter updates optionally use an
-Adam-style rule instead of momentum; temperatures always use momentum.
+descent on the objective.  A step scores its batch as one block of
+loss._contrast, whose kernel _tables writes every side's tables only once
+all of them are finite.  The fixed-temperature baseline runs the same step
+with eta_tau = 0.  Parameter updates optionally use an Adam-style rule
+instead of momentum; temperatures always use momentum.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .encoder import EncoderParams, encode, encode_backward
-from .loss import _ANCHOR_NAMES, RgclConfig, _anchor_h_rows, _bimodal_h_rows, _offdiag_rows, _softmax_rows
-from .loss import _embedding_grad_pieces, _require_finite_rows
+from .loss import _ANCHOR_NAMES, RgclConfig, _anchor_h_rows, _bimodal_h_rows, _contrast, _require_finite_rows
+from .loss import _softmax_rows
 from .numerics import RandomStream
 
 __all__ = [
@@ -143,37 +145,35 @@ def _param_update(opt, params_flat: np.ndarray, grad: np.ndarray, cfg: RgclConfi
     return params_flat - cfg.eta_w * opt.v
 
 
-def _side_step(opt: OptimizerState, side: int, idx, hmat, cfg: RgclConfig, eta_tau: float):
-    """One side's share of a step: the row kernel on the batch hardness
-    rows, then in-place updates of the batch anchors' s, u and projected tau
-    in row `side` of the tables.  Returns the (B, B) pair-weight matrices,
-    one per score matrix the rows came from, computed with the temperatures
-    the batch was scored with and the fresh s.  A non-finite g, s or new tau
-    raises ValueError naming its dataset index before any table is written."""
-    s_arr, u_arr, tau_arr = opt.s[side], opt.u[side], opt.tau[side]
-    n = opt.n
-    scale = cfg.resolved_tau_grad_scale(n)
-    taus = tau_arr[idx].copy()
+def _tables(opt: OptimizerState, idx, hs, cfg: RgclConfig):
+    """The step's kernel: the row kernel on each side's batch hardness rows
+    hs[side], then in-place updates of the batch anchors' s, u and projected
+    tau in every side's tables.  Returns each side's pair weights, computed
+    with the temperatures the batch was scored with and the fresh s.  A
+    non-finite g, s or new tau on any side raises ValueError naming its side
+    and dataset index before any table of any side is written."""
     init = opt.initialized[idx]
-    s_old = s_arr[idx]
-    g, s_new, ratio, eph, w = _softmax_rows(
-        hmat, taus, cfg.log_epsilon, len(idx),
-        lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g),
-    )
-    grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / n * scale
-    u_new = (1.0 - cfg.beta1) * u_arr[idx] + cfg.beta1 * grad_tau
-    tau_new = taus - eta_tau * u_new
-    if not opt._disable_tau_projection:
-        tau_new = np.clip(tau_new, cfg.tau0, cfg.tau_max)
-    _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)
-    s_arr[idx], u_arr[idx], tau_arr[idx] = s_new, u_new, tau_new
-    opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
-    opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
-    opt.min_tau_seen = min(opt.min_tau_seen, float(np.min(tau_new)))
-    opt.max_tau_seen = max(opt.max_tau_seen, float(np.max(tau_new)))
-    mats = [np.zeros((len(idx), len(idx))) for _ in range(hmat.shape[1] // (len(idx) - 1))]
-    _offdiag_rows(mats, 0, w, scatter=True)
-    return mats
+    updates = []
+    for side, h in enumerate(hs):
+        taus, s_old = opt.tau[side][idx], opt.s[side][idx]
+        g, s_new, ratio, eph, w = _softmax_rows(
+            h, taus, cfg.log_epsilon, len(idx),
+            lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g),
+        )
+        grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / opt.n * cfg.resolved_tau_grad_scale(opt.n)
+        u_new = (1.0 - cfg.beta1) * opt.u[side][idx] + cfg.beta1 * grad_tau
+        tau_new = taus - cfg.eta_tau * u_new
+        if not opt._disable_tau_projection:
+            tau_new = np.clip(tau_new, cfg.tau0, cfg.tau_max)
+        _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)
+        updates.append((w, g, s_new, u_new, tau_new))
+    for side, (_, g, s_new, u_new, tau_new) in enumerate(updates):
+        opt.s[side][idx], opt.u[side][idx], opt.tau[side][idx] = s_new, u_new, tau_new
+        opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
+        opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
+        opt.min_tau_seen = min(opt.min_tau_seen, float(np.min(tau_new)))
+        opt.max_tau_seen = max(opt.max_tau_seen, float(np.max(tau_new)))
+    return [update[0] for update in updates]
 
 
 def _check_rows(opt: OptimizerState, n: int) -> None:
@@ -181,38 +181,6 @@ def _check_rows(opt: OptimizerState, n: int) -> None:
         raise ValueError("dataset must have at least 2 samples")
     if opt.n != n:
         raise ValueError("the optimizer state holds %d anchors, the dataset %d rows" % (opt.n, n))
-
-
-def _step_unimodal_core(
-    opt: OptimizerState,
-    params: EncoderParams,
-    inputs: np.ndarray,
-    cfg: RgclConfig,
-    batch_size: int,
-    aug_strength: float,
-    eta_tau: float,
-) -> EncoderParams:
-    if opt.sides != 1:
-        raise ValueError("a unimodal step needs a one-sided state, not %d sides" % opt.sides)
-    n = inputs.shape[0]
-    _check_rows(opt, n)
-    step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
-    idx, noise_a, noise_b = sample_batch(step_stream, n, batch_size, inputs.shape[1])
-    views_a = inputs[idx] + aug_strength * noise_a
-    views_b = inputs[idx] + aug_strength * noise_b
-
-    ea = encode(params, views_a)
-    eb = encode(params, views_b)
-    hmat = _anchor_h_rows(ea.embeddings, eb.embeddings)
-    wa, wb = _side_step(opt, 0, idx, hmat, cfg, eta_tau)
-    opt.initialized[idx] = True
-
-    anchor, (roles_a, dyb) = _embedding_grad_pieces([wa, wb], 0, ea.embeddings, [ea.embeddings, eb.embeddings])
-    grad_w = encode_backward(params, ea, anchor + roles_a).flatten() + encode_backward(params, eb, dyb).flatten()
-
-    new_flat = _param_update(opt, params.flatten(), grad_w, cfg)
-    opt.t += 1
-    return params.from_flat(new_flat)
 
 
 def step_unimodal(
@@ -229,7 +197,22 @@ def step_unimodal(
     drawn from a stream keyed by the step counter, so a resumed run
     continues bit-identically.
     """
-    return _step_unimodal_core(opt, params, inputs, cfg, batch_size, aug_strength, cfg.eta_tau)
+    if opt.sides != 1:
+        raise ValueError("a unimodal step needs a one-sided state, not %d sides" % opt.sides)
+    n = inputs.shape[0]
+    _check_rows(opt, n)
+    step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
+    idx, noise_a, noise_b = sample_batch(step_stream, n, batch_size, inputs.shape[1])
+    ea = encode(params, inputs[idx] + aug_strength * noise_a)
+    eb = encode(params, inputs[idx] + aug_strength * noise_b)
+    dya, dyb = _contrast([ea.embeddings, eb.embeddings], _anchor_h_rows, batch_size,
+                         lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
+    opt.initialized[idx] = True
+    grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
+
+    new_flat = _param_update(opt, params.flatten(), grad_w, cfg)
+    opt.t += 1
+    return params.from_flat(new_flat)
 
 
 def step_sogclr_baseline(
@@ -242,7 +225,7 @@ def step_sogclr_baseline(
 ) -> EncoderParams:
     """Fixed-temperature baseline: the same step with the tau update
     disabled (eta_tau = 0), so every tau stays at tau_init."""
-    return _step_unimodal_core(opt, params, inputs, cfg, batch_size, aug_strength, 0.0)
+    return step_unimodal(opt, params, inputs, replace(cfg, eta_tau=0.0), batch_size, aug_strength)
 
 
 def step_bimodal(
@@ -266,16 +249,11 @@ def step_bimodal(
 
     ex = encode(params_img, images[idx])
     et = encode(params_txt, texts[idx])
-    hx, ht = _bimodal_h_rows(ex.embeddings, et.embeddings)
-    (wv,) = _side_step(opt, 0, idx, hx, cfg, cfg.eta_tau)
-    (wt,) = _side_step(opt, 1, idx, ht, cfg, cfg.eta_tau)
+    dx, dt = _contrast([ex.embeddings, et.embeddings], _bimodal_h_rows, batch_size,
+                       lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
     opt.initialized[idx] = True
-
-    anchor_x, (roles_t,) = _embedding_grad_pieces([wv], 0, ex.embeddings, [et.embeddings])
-    anchor_t, (roles_x,) = _embedding_grad_pieces([wt], 0, et.embeddings, [ex.embeddings])
-    # the anchor role first in both towers, so mirrored inputs stay bitwise symmetric
-    grad = np.concatenate([encode_backward(params_img, ex, anchor_x + roles_x).flatten(),
-                           encode_backward(params_txt, et, anchor_t + roles_t).flatten()])
+    grad = np.concatenate([encode_backward(params_img, ex, dx).flatten(),
+                           encode_backward(params_txt, et, dt).flatten()])
 
     flat = np.concatenate([params_img.flatten(), params_txt.flatten()])
     new_flat = _param_update(opt, flat, grad, cfg)

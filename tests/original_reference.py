@@ -1,4 +1,5 @@
-"""Verbatim copies of the original full-batch evaluations and step cores,
+"""Verbatim copies of the original full-batch evaluations, exact objectives
+and step cores,
 of the original loop-based simplex grid oracle, and of rgcl verify's
 estimator_degeneration check with the test-only full-batch estimator and
 exact-s helper it ran on, and the square-matrix off-diagonal scatter and
@@ -15,8 +16,11 @@ re-runs the forward pass.  The grid copy scores one point at a time; the
 vectorised grid must return the same point and the same value.  The copied
 check calls the copied estimator, whose hardness rows come from the
 _anchor_h_rows copy below; the production check builds the same direction
-from the step's own pieces and must report the same figure.  Not collected
-as tests; do not edit the copied bodies.
+from the step's own pieces and must report the same figure.  The exact
+objectives are the full-matrix ones that preceded the blocked objective;
+they take their hardness rows from the copies above, which run the same
+operations, and the blocked objective must return the same float.  Not
+collected as tests; do not edit the copied bodies.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from rgcl import loss, oracle
 from rgcl.encoder import EncoderParams, encode, encode_backward
 from rgcl.harness import _check, _small_instance
-from rgcl.loss import RgclConfig, ViewPairs, kl_uniform, primal_rgcl_value
+from rgcl.loss import RgclConfig, ViewPairs, dual_loss_anchor, kl_uniform, primal_rgcl_value
 from rgcl.loss import _softmax_rows
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
@@ -511,3 +515,43 @@ def _exact_s(params, views, taus, cfg):
     yb = encode(params, views.views_b).embeddings
     hmat, _ = _anchor_h_rows(ya, yb)
     return np.array([loss.g_value(hmat[i], taus[i], cfg.log_epsilon) for i in range(views.n)])
+
+
+def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
+    """Exact full-batch objective: mean over anchors of the dual loss."""
+    n = views.n
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    taus = np.asarray(taus, dtype=np.float64)
+    ya = encode(params, views.views_a).embeddings
+    yb = encode(params, views.views_b).embeddings
+    hmat, _ = _anchor_h_rows(ya, yb)
+    total = 0.0
+    for i in range(n):
+        total += dual_loss_anchor(hmat[i], taus[i], cfg)
+    return total / n
+
+
+def objective_bimodal(
+    params_img: EncoderParams,
+    params_txt: EncoderParams,
+    images: np.ndarray,
+    texts: np.ndarray,
+    taus_v,
+    taus_t,
+    cfg: RgclConfig,
+) -> float:
+    """Exact two-way full-batch objective over n image-text pairs."""
+    n = images.shape[0]
+    if n < 2:
+        raise ValueError("need at least 2 pairs")
+    taus_v = np.asarray(taus_v, dtype=np.float64)
+    taus_t = np.asarray(taus_t, dtype=np.float64)
+    x_emb = encode(params_img, images).embeddings
+    t_emb = encode(params_txt, texts).embeddings
+    hx, ht, _ = _bimodal_h_rows(x_emb, t_emb)
+    total = 0.0
+    for i in range(n):
+        total += dual_loss_anchor(hx[i], taus_v[i], cfg)
+        total += dual_loss_anchor(ht[i], taus_t[i], cfg)
+    return total / n

@@ -1,10 +1,11 @@
 """The blocked full-batch evaluations against verbatim copies of the
 original code (tests/original_reference.py) to 1e-10 relative and against
-the loop oracle; the shared row kernel, the merged optimizer state, the
-steps and verify's estimator_degeneration check against those copies, bit
-for bit."""
+the loop oracle; the blocked exact objectives, the shared row kernel, the
+merged optimizer state, the steps and verify's estimator_degeneration check
+against those copies, bit for bit."""
 
 import copy
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,6 +98,18 @@ def test_evaluation_matches_oracle_across_blocks(n, log_epsilon):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("log_epsilon", EPSILONS)
+@pytest.mark.parametrize("n", SIZES + BLOCK_SIZES)
+def test_objectives(n, log_epsilon):
+    # bit for bit: verify's finite-difference checks difference these values
+    params, views, taus, cfg = instance(n, log_epsilon)
+    np.testing.assert_array_equal(
+        loss.objective_unimodal(params, views, taus, cfg), original.objective_unimodal(params, views, taus, cfg)
+    )
+    args = bimodal_args(n, log_epsilon)
+    np.testing.assert_array_equal(loss.objective_bimodal(*args), original.objective_bimodal(*args))
+
+
 SHARED_FIELDS = ("v", "initialized", "adam_m2", "min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen")
 # the original per-anchor attributes: (table, side) for each
 ORIGINAL_TABLES = {
@@ -141,7 +154,7 @@ def test_unimodal_steps(mode, eta_tau, log_epsilon):
     old = original_state(opt)
     got = want = params
     for _ in range(20):
-        got = optimizer._step_unimodal_core(opt, got, inputs, cfg, 128, 0.35, eta_tau)
+        got = optimizer.step_unimodal(opt, got, inputs, replace(cfg, eta_tau=eta_tau), 128, 0.35)
         want = original._step_unimodal_core(old, want, inputs, cfg, 128, 0.35, eta_tau)
         np.testing.assert_array_equal(got.flatten(), want.flatten())
     assert_same_state(opt, old)

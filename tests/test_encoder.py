@@ -148,6 +148,32 @@ class TestParams:
         with pytest.raises(ValueError, match="activation flag"):
             load_params(str(path))
 
+    @pytest.mark.parametrize(
+        "cut,extra,match",
+        [
+            (20, b"", "is 20 bytes, shorter than its 40-byte header"),
+            (None, b"\x00", "is 449 bytes, its header implies 448"),
+            (None, struct.pack("<d", 1.5), "is 456 bytes, its header implies 448"),
+            (-8, b"", "is 440 bytes, its header implies 448"),
+        ],
+        ids=["truncated-header", "trailing-byte", "extra-float64", "missing-float64"],
+    )
+    def test_load_rejects_wrong_size(self, tmp_path, cut, extra, match):
+        # d_in 4, d_hidden 6, d_embed 3: 51 float64, 408 bytes, after the 40-byte header
+        path = tmp_path / "enc.ckpt"
+        save_params(random_params(13, d_in=4, d_hidden=6, d_embed=3), str(path))
+        path.write_bytes(path.read_bytes()[:cut] + extra)
+        with pytest.raises(ValueError, match=match):
+            load_params(str(path))
+
+    def test_load_rejects_negative_dimension(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        save_params(identity_params(3), str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:16] + struct.pack("<q", -2) + data[24:])
+        with pytest.raises(ValueError, match="corrupt encoder checkpoint header: dimensions 3, -2, "):
+            load_params(str(path))
+
 
 class TestInit:
     def test_deterministic(self):

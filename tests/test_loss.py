@@ -14,6 +14,9 @@ from rgcl.loss import (
     RgclConfig,
     ViewPairs,
     bimodal_value_and_grads,
+    _anchor_h_rows,
+    _bimodal_h_rows,
+    _contrast,
     _softmax_rows,
     dual_loss_anchor,
     g_value,
@@ -351,11 +354,11 @@ class TestBimodal:
         v = objective_bimodal(p_img, p_txt, images, texts, taus, taus, cfg)
         # recompute without the (tau - tau0) rho terms: they must be zero
         from rgcl.encoder import encode
-        from rgcl.loss import _bimodal_h_rows
+        from rgcl.loss import _h_rows
 
         x = encode(p_img, images).embeddings
         t = encode(p_txt, texts).embeddings
-        hx, ht = _bimodal_h_rows(x, t)
+        hx, ht = _h_rows(x, [t], 0, n)[0], _h_rows(t, [x], 0, n)[0]
         want = sum(
             cfg.tau0 * math.log(g_value(hx[i], cfg.tau0))
             + cfg.tau0 * math.log(g_value(ht[i], cfg.tau0))
@@ -379,16 +382,57 @@ class TestBimodal:
         assert np.linalg.norm(gtv - fd_tv) / np.linalg.norm(fd_tv) <= 1e-6
 
 
+class TestContrastBlocks:
+    """_contrast in blocks of any size against one block of every anchor."""
+
+    @given(
+        st.integers(min_value=2, max_value=40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.integers(min_value=2, max_value=8),
+        st.sampled_from([_anchor_h_rows, _bimodal_h_rows]),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_blocked_equals_unblocked(self, n_rows, d, h_rows, seed):
+        n, rows = n_rows
+        stream = RandomStream(seed, ("blocks",))
+        towers = [stream.split(name).normal(n, d) for name in ("a", "b")]
+        towers = [y / np.linalg.norm(y, axis=1, keepdims=True) for y in towers]
+        taus = [0.05 + stream.split(name).uniform(n) for name in ("ta", "tb")]
+
+        def run(rows):
+            """The blocks and hardness rows a recording kernel sees, and the
+            embedding gradients of its softmax weights."""
+            seen = []
+
+            def kernel(lo, hi, hs):
+                seen.append((lo, hi, [h.copy() for h in hs]))
+                return [_softmax_rows(h, tau[lo:hi], 0.0, n)[-1] for h, tau in zip(hs, taus)]
+
+            return seen, _contrast(towers, h_rows, rows, kernel)
+
+        (whole,), want = run(n)
+        blocked, got = run(rows)
+        assert [(lo, hi) for lo, hi, _ in blocked] == [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+        for k, h in enumerate(whole[2]):
+            # a block's score GEMM may round an entry differently from the whole
+            # matrix's (BLAS picks its kernel by shape): a few ulps of |h| <= 2
+            np.testing.assert_allclose(np.concatenate([hs[k] for _, _, hs in blocked]), h, rtol=0, atol=4e-15)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
 class TestEvaluationMemory:
     def test_peak_below_one_square_matrix(self):
-        # the blocked evaluation holds no (n, n) array: one float64 (n, n)
-        # array at n = 1500 is 18 MB
+        # the blocked evaluations and exact objectives hold no (n, n) array:
+        # one float64 (n, n) array at n = 1500 is 18 MB
         n = 1500
         params, views, taus, cfg = small_unimodal(17, n=n, d=16, hidden=3, embed=16)
         p_img, p_txt, images, texts, taus_v, taus_t, _ = small_bimodal(18, n=n, d=16, hidden=3, embed=16)
         for call in (
             lambda: unimodal_value_and_grads(params, views, taus, cfg),
             lambda: bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg),
+            lambda: objective_unimodal(params, views, taus, cfg),
+            lambda: objective_bimodal(p_img, p_txt, images, texts, taus_v, taus_t, cfg),
         ):
             tracemalloc.start()
             try:

@@ -1,4 +1,6 @@
+import copy
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +8,11 @@ import pytest
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
-from rgcl.loss import RgclConfig, ViewPairs, _anchor_h_rows, g_value, unimodal_value_and_grads
+from rgcl.loss import RgclConfig, ViewPairs, _h_rows, g_value, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     OptimizerState,
-    _side_step,
+    _tables,
     init_optimizer_state,
     load_optimizer_state,
     sample_batch,
@@ -54,7 +56,7 @@ class TestSampleBatch:
 
 def side_state(n, cfg, s=None, initialized=False):
     """A one-sided state for n anchors with the given s and first-touch
-    flags, for driving _side_step directly."""
+    flags, for driving _tables directly."""
     opt = init_optimizer_state(n, 1, cfg, seed=0)
     if s is not None:
         opt.s[0] = s
@@ -63,13 +65,14 @@ def side_state(n, cfg, s=None, initialized=False):
 
 
 def side_step(opt, hmat, cfg, eta_tau=0.0):
-    """_side_step on every anchor of opt with the hardness rows hmat (n,
-    n-1), one score matrix; hmat itself is left untouched."""
-    return _side_step(opt, 0, np.arange(opt.n), np.array(hmat, dtype=np.float64), cfg, eta_tau)
+    """_tables on every anchor of opt with the hardness rows hmat (n, n-1)
+    of its one side, at the step size eta_tau; hmat itself is left
+    untouched."""
+    return _tables(opt, np.arange(opt.n), [np.array(hmat, dtype=np.float64)], replace(cfg, eta_tau=eta_tau))
 
 
 class TestUpdateS:
-    """The moving-average update of s inside the step's _side_step."""
+    """The moving-average update of s inside the step's kernel, _tables."""
 
     def test_first_touch_takes_batch_value(self):
         cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.5, beta0=0.1)
@@ -78,7 +81,7 @@ class TestUpdateS:
         side_step(opt, h, cfg)
         want = [g_value(row, 0.5) for row in h]
         np.testing.assert_allclose(opt.s[0], want, rtol=1e-14)
-        assert not opt.initialized.any()  # the step, not _side_step, sets the flags
+        assert not opt.initialized.any()  # the step, not _tables, sets the flags
 
     def test_arithmetic(self):
         # g = exp(c / tau) = 3 on every row, s = 1, beta0 = 0.5 -> s = 2
@@ -101,7 +104,7 @@ class TestUpdateS:
 
 
 class TestGradTauEstimator:
-    """The temperature gradient that _side_step feeds into the momentum u;
+    """The temperature gradient that _tables feeds into the momentum u;
     with beta1 = 1 and u = 0, u holds the gradient itself."""
 
     def test_constant_hardness(self):
@@ -121,10 +124,9 @@ class TestGradTauEstimator:
         cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.45, beta1=1.0, tau_grad_scale=1.0)
         taus = np.full(6, 0.45)
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
-        hmat = _anchor_h_rows(encode(params, views.views_a).embeddings,
-                              encode(params, views.views_b).embeddings)
+        ya, yb = encode(params, views.views_a).embeddings, encode(params, views.views_b).embeddings
         opt = side_state(6, cfg)
-        _side_step(opt, 0, np.arange(6), hmat, cfg, 0.0)
+        _tables(opt, np.arange(6), [_h_rows(ya, [ya, yb], 0, 6)[0]], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
     def test_scale_linearity(self):
@@ -151,7 +153,7 @@ class TestHardnessRows:
         vb = np.vstack([row_b, row_b, other + 0.1])
         ya = encode(params, va).embeddings
         yb = encode(params, vb).embeddings
-        hmat = _anchor_h_rows(ya, yb)
+        hmat = _h_rows(ya, [ya, yb], 0, 3)[0]
         np.testing.assert_allclose(np.sort(hmat[0]), np.sort(hmat[1]), atol=1e-14)
 
 
@@ -341,9 +343,14 @@ class TestNonFinite:
     def test_bimodal_step_names_the_side(self):
         images, texts, cfg, p_img, p_txt, opt = TestStepBimodal().mirrored_setup(11)
         opt.tau[1, 10:] = np.nan
+        names = ("s", "u", "tau", "initialized", "v", "t")
+        before = {name: copy.copy(getattr(opt, name)) for name in names}
         with pytest.raises(ValueError, match=r"^text anchor (\d+) has a non-finite value") as err:
             step_bimodal(opt, p_img, p_txt, images, texts, cfg, 8)
         assert int(err.value.args[0].split()[2]) >= 10
+        # the image side comes first, yet no table of either side is written
+        for name in names:
+            np.testing.assert_array_equal(getattr(opt, name), before[name])
 
 
 class TestStateSizeChecked:
