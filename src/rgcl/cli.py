@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train-unimodal, train-bimodal, verify, gen-data, dump-tau.
-Shared flags: --config <path>, --seed <u64>, --out <dir>, --set key=value
-(repeatable).  Exit status 0 means success, 1 a failed verify check, 2 bad
-input; errors print as one line on stderr.
+Shared flags: --config <path>, --seed <int64>, --out <dir>, --set key=value
+(repeatable).  The seed is a signed 64-bit integer, in [-2**63, 2**63).
+Exit status 0 means success, 1 a failed verify check, 2 bad input; errors
+print as one line on stderr.
 """
 
 from __future__ import annotations

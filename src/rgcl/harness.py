@@ -97,6 +97,7 @@ class ExperimentConfig:
             if isinstance(value, np.generic):
                 setattr(self, name, value.item())  # so the report serialises it
         loss.require_finite(self)
+        optimizer._checked_seed(self.seed)
         if self.mode not in ("isogclr", "sogclr-baseline", "bimodal"):
             raise ValueError("unknown mode %r" % self.mode)
         if self.param_update not in ("momentum", "adam"):
@@ -139,7 +140,10 @@ def load_config(path: str | None = None, data: dict | None = None) -> Experiment
     merged = {}
     if path is not None:
         with open(path) as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config must be a JSON object: %s" % path)
+        merged.update(loaded)
     if data is not None:
         merged.update(data)
     known = set(_FIELD_TYPES)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class OptimizerState:
     min_s_seen: float = math.inf
     min_tau_seen: float = math.inf
     max_tau_seen: float = -math.inf
-    # test hook: disables the temperature clamp so the bound check can be
-    # demonstrated to catch violations
-    _disable_tau_projection: bool = field(default=False, repr=False)
 
     @property
     def sides(self) -> int:
@@ -92,6 +89,13 @@ class OptimizerState:
     @property
     def n(self) -> int:
         return self.s.shape[1]
+
+
+def _checked_seed(seed) -> int:
+    """seed as an int, which the checkpoint stores as a signed 64-bit integer."""
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError("seed must be in [-2**63, 2**63), not %d" % seed)
+    return int(seed)
 
 
 def init_optimizer_state(
@@ -105,7 +109,7 @@ def init_optimizer_state(
         raise ValueError("sides must be 1 or 2, not %r" % (sides,))
     return OptimizerState(
         mode=mode,
-        seed=int(seed),
+        seed=_checked_seed(seed),
         t=0,
         s=np.ones((sides, n)),
         u=np.zeros((sides, n)),
@@ -145,6 +149,11 @@ def _param_update(opt, params_flat: np.ndarray, grad: np.ndarray, cfg: RgclConfi
     return params_flat - cfg.eta_w * opt.v
 
 
+def _project_tau(tau: np.ndarray, cfg: RgclConfig) -> np.ndarray:
+    """Clamp updated temperatures onto the box [tau0, tau_max]."""
+    return np.clip(tau, cfg.tau0, cfg.tau_max)
+
+
 def _tables(opt: OptimizerState, idx, hs, cfg: RgclConfig):
     """The step's kernel: the row kernel on each side's batch hardness rows
     hs[side], then in-place updates of the batch anchors' s, u and projected
@@ -162,9 +171,7 @@ def _tables(opt: OptimizerState, idx, hs, cfg: RgclConfig):
         )
         grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / opt.n * cfg.resolved_tau_grad_scale(opt.n)
         u_new = (1.0 - cfg.beta1) * opt.u[side][idx] + cfg.beta1 * grad_tau
-        tau_new = taus - cfg.eta_tau * u_new
-        if not opt._disable_tau_projection:
-            tau_new = np.clip(tau_new, cfg.tau0, cfg.tau_max)
+        tau_new = _project_tau(taus - cfg.eta_tau * u_new, cfg)
         _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)
         updates.append((w, g, s_new, u_new, tau_new))
     for side, (_, g, s_new, u_new, tau_new) in enumerate(updates):

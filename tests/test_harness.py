@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import os
 
@@ -397,10 +396,8 @@ class TestVerify:
         assert report["all_passed"]
 
     def test_fault_injection_fails_containment(self, tmp_path, monkeypatch):
-        # verify's training runs get states without the temperature clamp
-        init = optimizer.init_optimizer_state
-        monkeypatch.setattr(optimizer, "init_optimizer_state",
-                            lambda *a, **kw: dataclasses.replace(init(*a, **kw), _disable_tau_projection=True))
+        # verify's training runs step without the temperature clamp
+        monkeypatch.setattr(optimizer, "_project_tau", lambda tau, cfg: tau)
         cfg = small_cfg(tmp_path, name="verify_fault")
         report = run_verify(cfg)
         by_name = {c["name"]: c["passed"] for c in report["checks"]}
@@ -447,6 +444,22 @@ class TestCli:
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = cli.main(["gen-data", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("config,argv,message", [
+        ("[1, 2]", [], "config must be a JSON object"),
+        ("null", [], "config must be a JSON object"),
+        # the optimizer checkpoint stores the seed as an int64: refused before
+        # training, not after it with a truncated checkpoint
+        ('{"n": 80, "k": 4, "epochs": 1, "batch_size": 16}', ["--seed", str(2**63)],
+         "seed must be in [-2**63, 2**63)"),
+    ], ids=["array", "null", "seed-2**63"])
+    def test_rejected_before_any_output(self, tmp_path, capsys, config, argv, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        assert cli.main(["train-unimodal", "--config", str(path), "--out", str(tmp_path / "run"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message) and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "run")
 
     @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"epochs": 2.5}, {"mirrored": "yes"}])
     def test_config_file_wrong_type_exit_two(self, tmp_path, capsys, bad):

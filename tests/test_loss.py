@@ -248,6 +248,33 @@ class TestPairWeights:
         assert np.all(w == w[:, :1])
 
 
+class TestRowKernelProperties:
+    @given(st.integers(1, 4), st.integers(1, 8), st.sampled_from([0.0, 0.25]), st.integers(0, 2**16))
+    @settings(deadline=None, max_examples=60)
+    def test_shift_invariance(self, k, m, log_epsilon, seed):
+        # adding c_i to row i leaves p unchanged and shifts E_p[h] by c_i;
+        # with log_epsilon = 0 it scales g_i by exp(c_i / tau_i)
+        stream = RandomStream(seed, ("shift",))
+        h = np.clip(stream.split("h").normal(k, m), -2.0, 2.0)
+        taus, c = 0.05 + 5.0 * stream.split("tau").uniform(k), stream.split("c").uniform(k) * 2.0 - 1.0
+        g, _, ratio, eph, w = _softmax_rows(h.copy(), taus, log_epsilon, 3)
+        g_c, _, ratio_c, eph_c, w_c = _softmax_rows(h + c[:, None], taus, log_epsilon, 3)
+        np.testing.assert_allclose(w_c / ratio_c[:, None], w / ratio[:, None], rtol=1e-12)
+        np.testing.assert_allclose(eph_c, eph + c, rtol=0, atol=1e-12)
+        if log_epsilon == 0.0:
+            np.testing.assert_allclose(g_c, g * np.exp(c / taus), rtol=1e-12)
+
+    @given(st.integers(1, 8), st.integers(0, 2**16))
+    @settings(deadline=None, max_examples=60)
+    def test_expected_hardness_falls_with_tau(self, m, seed):
+        # dE_p[h]/dtau = -Var_p(h) / tau^2, from max h as tau -> 0 to mean h
+        stream = RandomStream(seed, ("tau-order",))
+        h = np.clip(stream.split("h").normal(m), -2.0, 2.0)
+        eph = _softmax_rows(np.tile(h, (12, 1)), np.sort(0.05 + 5.0 * stream.split("tau").uniform(12)), 0.0, 1)[3]
+        assert np.all(np.diff(eph) <= 1e-12)
+        assert np.all(eph >= h.mean() - 1e-12) and np.all(eph <= h.max() + 1e-12)
+
+
 def small_unimodal(seed, n=4, d=3, hidden=5, embed=3):
     stream = RandomStream(seed, ("inst",))
     params = init_encoder_params(d, hidden, embed, "tanh", stream.split("enc"))

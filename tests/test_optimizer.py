@@ -21,7 +21,7 @@ from rgcl.optimizer import (
     step_sogclr_baseline,
     step_unimodal,
 )
-from rgcl.oracle import full_batch_reference
+from rgcl.oracle import full_batch_reference, full_batch_reference_bimodal
 
 
 class TestSampleBatch:
@@ -196,28 +196,35 @@ def training_setup(seed, n=24, d=5, beta0=0.9, beta1=0.9, eta_w=0.05, eta_tau=0.
     return data, cfg, params, opt
 
 
+# full batch, beta0 = beta1 = 1, scale 1 and no augmentation: every step is
+# exact gradient descent
+EXACT_CFG = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=1.0, beta1=1.0,
+                       eta_w=0.05, eta_tau=0.02, tau_grad_scale=1.0)
+
+
+def assert_exact_descent(opt, towers, step, reference):
+    """Over 5 steps, the gradients recovered from the deltas of each tower's
+    parameters and each side's temperatures match reference(towers) to 1e-10
+    relative, and no temperature is clamped (the delta would not be the
+    gradient)."""
+    for _ in range(5):
+        want = reference(towers)
+        before = [p.flatten() for p in towers] + list(opt.tau.copy())
+        towers = step(towers)
+        etas = [EXACT_CFG.eta_w] * len(towers) + [EXACT_CFG.eta_tau] * opt.sides
+        for b, a, eta, w in zip(before, [p.flatten() for p in towers] + list(opt.tau), etas, want):
+            assert np.linalg.norm((b - a) / eta - w) / np.linalg.norm(w) <= 1e-10
+        assert opt.tau.min() > EXACT_CFG.tau0 and opt.tau.max() < EXACT_CFG.tau_max
+
+
 class TestStepUnimodal:
     def test_exact_degeneration(self):
-        # full batch, beta0 = beta1 = 1, scale 1, zero augmentation: every
-        # step is exact gradient descent; recover the per-step gradients
-        # from the parameter and temperature deltas
         n = 12
         data, _, params, _ = training_setup(0, n=n)
-        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=1.0, beta1=1.0,
-                         eta_w=0.05, eta_tau=0.02, tau_grad_scale=1.0)
-        opt = init_optimizer_state(n, params.n_params, cfg, seed=0)
+        opt = init_optimizer_state(n, params.n_params, EXACT_CFG, seed=0)
         views = ViewPairs(data.inputs, data.inputs)
-        for _ in range(5):
-            _, ref_gw, ref_gt = full_batch_reference(params, views, opt.tau[0], cfg)
-            before_w = params.flatten()
-            before_tau = opt.tau[0].copy()
-            params = step_unimodal(opt, params, data.inputs, cfg, n, 0.0)
-            step_gw = (before_w - params.flatten()) / cfg.eta_w
-            step_gt = (before_tau - opt.tau[0]) / cfg.eta_tau
-            assert np.linalg.norm(step_gw - ref_gw) / np.linalg.norm(ref_gw) <= 1e-10
-            assert np.linalg.norm(step_gt - ref_gt) / np.linalg.norm(ref_gt) <= 1e-10
-            # no clamping happened, otherwise the delta is not the gradient
-            assert opt.tau.min() > cfg.tau0 and opt.tau.max() < cfg.tau_max
+        assert_exact_descent(opt, [params], lambda ps: [step_unimodal(opt, ps[0], data.inputs, EXACT_CFG, n, 0.0)],
+                             lambda ps: full_batch_reference(ps[0], views, opt.tau[0], EXACT_CFG)[1:])
 
     def test_zero_learning_rates_freeze_model(self):
         data, _, params, _ = training_setup(1)
@@ -249,11 +256,11 @@ class TestStepUnimodal:
         assert opt.min_tau_seen >= cfg.tau0 - 1e-15
         assert opt.max_tau_seen <= cfg.tau_max + 1e-15
 
-    def test_projection_fault_injection(self):
+    def test_projection_fault_injection(self, monkeypatch):
         data, _, params, _ = training_setup(3)
         cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, eta_tau=5.0, eta_w=0.05)
         opt = init_optimizer_state(24, params.n_params, cfg, seed=3)
-        opt._disable_tau_projection = True
+        monkeypatch.setattr(optimizer, "_project_tau", lambda tau, cfg: tau)
         for _ in range(8):
             params = step_unimodal(opt, params, data.inputs, cfg, 8, 0.3)
         assert opt.min_tau_seen < cfg.tau0 or opt.max_tau_seen > cfg.tau_max
@@ -318,6 +325,17 @@ class TestStepBimodal:
             results.append((p_img.flatten(), opt.tau.copy()))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
+
+    def test_exact_degeneration(self):
+        # both towers and both temperature sides
+        n, d = 10, 4
+        stream = RandomStream(10, ("bi-exact",))
+        images, texts = stream.split("x").normal(n, d), stream.split("t").normal(n, d)
+        towers = [init_encoder_params(d, 6, 4, "tanh", stream.split("enc-x")),
+                  init_encoder_params(d, 5, 4, "tanh", stream.split("enc-t"))]
+        opt = init_optimizer_state(n, sum(p.n_params for p in towers), EXACT_CFG, seed=10, sides=2)
+        assert_exact_descent(opt, towers, lambda ps: step_bimodal(opt, *ps, images, texts, EXACT_CFG, n),
+                             lambda ps: full_batch_reference_bimodal(*ps, images, texts, *opt.tau, EXACT_CFG)[1:])
 
     def test_batch_size_validation(self):
         images, texts, cfg, p_img, p_txt, opt = self.mirrored_setup(9)
@@ -453,6 +471,15 @@ class TestCheckpoint:
         for mode in ("sgd", "sogclr-baseline"):
             with pytest.raises(ValueError, match="unknown mode"):
                 init_optimizer_state(4, 10, RgclConfig(), 0, mode=mode)
+
+    def test_seed_outside_int64_rejected(self, tmp_path):
+        # the checkpoint stores the seed as an int64
+        for seed in (2**63, -(2**63) - 1):
+            with pytest.raises(ValueError, match="seed must be in"):
+                init_optimizer_state(4, 10, RgclConfig(), seed)
+        for seed in (2**63 - 1, -(2**63)):
+            save_optimizer_state(init_optimizer_state(4, 10, RgclConfig(), seed), str(tmp_path / "s.ckpt"))
+            assert load_optimizer_state(str(tmp_path / "s.ckpt")).seed == seed
 
     @pytest.mark.parametrize("sides", [1, 2])
     @pytest.mark.parametrize("mode", ["momentum", "adam"])

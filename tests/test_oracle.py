@@ -1,5 +1,4 @@
 import numpy as np
-import original_reference as original
 import pytest
 
 from rgcl import oracle
@@ -10,6 +9,7 @@ from rgcl.loss import (
     RgclConfig,
     ViewPairs,
     kl_uniform,
+    primal_rgcl_value,
     unimodal_value_and_grads,
 )
 from rgcl.numerics import RandomStream
@@ -24,6 +24,46 @@ from rgcl.oracle import (
 
 def random_h(stream, m):
     return np.clip(stream.normal(m), -2.0, 2.0)
+
+
+def loop_grid_best(hv, rho, tau0, lows, highs, res):
+    """The reference for oracle._grid_best: the best feasible grid point in
+    a box of the free coordinates, scoring one point at a time."""
+    axes = [np.arange(lo, hi + 0.5 * res, res) for lo, hi in zip(lows, highs)]
+    axes = [np.clip(a, 0.0, 1.0) for a in axes]
+    if len(axes) == 1:
+        free = axes[0][:, None]
+    else:
+        a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
+        keep = a + b <= 1.0 + 1e-12
+        free = np.stack([a[keep], b[keep]], axis=1)
+    best_p, best_v = None, -np.inf
+    for row in free:
+        last = 1.0 - row.sum()
+        if last < -1e-12:
+            continue
+        p = np.append(row, max(last, 0.0))
+        if kl_uniform(p) > rho:
+            continue
+        v = primal_rgcl_value(hv, p, tau0)
+        if v > best_v:
+            best_v, best_p = v, p
+    return best_p, best_v
+
+
+def loop_grid_search(h, rho, tau0, step=0.005):
+    """The reference for oracle.grid_search_simplex with m = 2: a pass at
+    resolution step, then four passes, each over four steps either side of
+    the incumbent at a tenth of the previous resolution."""
+    res = step
+    best_p, best_v = loop_grid_best(h, rho, tau0, [0.0], [1.0], res)
+    for _ in range(4):
+        lows, highs = [max(0.0, best_p[0] - 4.0 * res)], [min(1.0, best_p[0] + 4.0 * res)]
+        res /= 10.0
+        p, v = loop_grid_best(h, rho, tau0, lows, highs, res)
+        if v > best_v:
+            best_p, best_v = p, v
+    return best_p, best_v
 
 
 class TestSolvePrimal:
@@ -125,7 +165,7 @@ class TestGridSearch:
             h = _random_instance(stream.split("h%d" % i), 2)
             rho = 0.1 + 0.5 * float(stream.uniform())
             p, v = grid_search_simplex(h, rho, 0.05)
-            want_p, want_v = original.grid_search_simplex(h, rho, 0.05)
+            want_p, want_v = loop_grid_search(h, rho, 0.05)
             np.testing.assert_array_equal(p, want_p)
             assert v == want_v
 
@@ -136,7 +176,7 @@ def _axis(lo, hi, res):
 
 def assert_same_best(hv, rho, tau0, lows, highs, res):
     p, v = oracle._grid_best(hv, rho, tau0, lows, highs, res)
-    want_p, want_v = original._grid_best(hv, rho, tau0, lows, highs, res)
+    want_p, want_v = loop_grid_best(hv, rho, tau0, lows, highs, res)
     if want_p is None:
         assert p is None
     else:
