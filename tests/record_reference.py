@@ -5,12 +5,12 @@ package against a recording:
     PYTHONPATH=src python tests/record_reference.py --compare FILE
 
 Recording writes tests/reference_outputs.npz from the rgcl on the path: each
-case's outputs under "<test id>|<output>", the seed code's evaluation
-outputs under "seed:<test id>|<output>" (computed where the seed's
-tests/original_reference.py imports, carried over otherwise), and the
-environment: Python, numpy, BLAS and a hash of the CPU flags, which select
-the BLAS kernels.  Comparing prints each case's largest relative change
-against FILE and writes nothing.
+case's outputs under "<test id>|<output>", and the environment that
+environment() describes.  It carries the "seed:<test id>|<output>" arrays
+over from the file it replaces: the seed code's evaluation outputs, computed
+once at cc0c596 by the frozen copy of the seed's evaluations that
+tests/original_reference.py held there.  Comparing prints each case's
+largest relative change against FILE and writes nothing.
 """
 
 import argparse
@@ -68,18 +68,18 @@ def _named(values, names=("value", "grad_w", "grad_tau")):
     return dict(zip(names, map(np.asarray, values)))
 
 
-def unimodal_evaluation(n, log_epsilon, code=loss):
-    return _named(code.unimodal_value_and_grads(*instance(n, log_epsilon)))
+def unimodal_evaluation(n, log_epsilon):
+    return _named(loss.unimodal_value_and_grads(*instance(n, log_epsilon)))
 
 
-def bimodal_evaluation(n, log_epsilon, code=loss):
-    return _named(code.bimodal_value_and_grads(*bimodal_args(n, log_epsilon)), BIMODAL)
+def bimodal_evaluation(n, log_epsilon):
+    return _named(loss.bimodal_value_and_grads(*bimodal_args(n, log_epsilon)), BIMODAL)
 
 
-def bimodal_evaluation_mirrored(n, code=loss):
+def bimodal_evaluation_mirrored(n):
     params, views, taus, cfg = instance(n, 0.0)
     args = (params, params.copy(), views.views_a, views.views_a.copy(), taus, taus.copy(), cfg)
-    return _named(code.bimodal_value_and_grads(*args), BIMODAL)
+    return _named(loss.bimodal_value_and_grads(*args), BIMODAL)
 
 
 def objectives(n, log_epsilon):
@@ -130,32 +130,40 @@ CASES = {
     "test_bimodal_steps": (bimodal_steps, [(mirrored, e) for e in EPSILONS for mirrored in (False, True)]),
     "test_degeneration_check_matches_original": (degeneration_check, [(seed,) for seed in range(20)]),
 }
-SEEDED = ["test_unimodal_evaluation", "test_bimodal_evaluation", "test_bimodal_evaluation_mirrored"]
 
 
 def case_id(name, params):
     return "%s[%s]" % (name, "-".join(map(str, params)))
 
 
-def cases(names=CASES):
-    for name in names:
-        run, all_params = CASES[name]
+def cases():
+    for name, (run, all_params) in CASES.items():
         for params in all_params:
             yield case_id(name, params), run, params
 
 
 def environment():
+    """The host: Python, numpy, machine, BLAS and a hash of the CPU flags,
+    which select the BLAS kernels; None for what cannot be read."""
     flags = ""
     if os.path.exists("/proc/cpuinfo"):
-        with open("/proc/cpuinfo") as fh:
-            flags = next((line.split(":", 1)[1] for line in fh if line.startswith("flags")), "")
+        with open("/proc/cpuinfo") as fh:  # "Features" on aarch64
+            flags = next((line.split(":", 1)[1] for line in fh if line.startswith(("flags", "Features"))), "")
+    flags = " ".join(sorted(flags.split()))
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy before 1.25 only prints its configuration
-        blas = {}
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": "%s %s" % (blas.get("name"), blas.get("version")),
-            "cpu_flags_sha256": hashlib.sha256(" ".join(sorted(flags.split())).encode()).hexdigest()[:16]}
+        blas = "%s %s" % (blas["name"], blas["version"])
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its configuration
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine() or None,
+            "blas": blas, "cpu_flags_sha256": hashlib.sha256(flags.encode()).hexdigest()[:16] if flags else None}
+
+
+def exact_here(env):
+    """Whether pins recorded in env hold exactly here: on the same host, and
+    only if everything that identifies it could be read."""
+    here = environment()
+    return env == here and None not in here.values()
 
 
 def load(path=PATH):
@@ -170,7 +178,8 @@ def load(path=PATH):
 
 def relative_change(got, want, floor=0.0):
     """The largest |got - want| of an output over its largest |want| (or
-    floor); inf for a missing or reshaped output, or a changed non-float."""
+    floor); inf for a missing or reshaped output, a changed non-float, or a
+    NaN or infinity that appeared, vanished or changed."""
     if sorted(got) != sorted(want):
         return np.inf
     worst = 0.0
@@ -179,7 +188,11 @@ def relative_change(got, want, floor=0.0):
         if g.shape != w.shape or (w.dtype.kind != "f" and not np.array_equal(g, w)):
             return np.inf
         if w.dtype.kind == "f":
-            diff, scale = np.max(np.abs(g - w), initial=0.0), max(np.max(np.abs(w), initial=0.0), floor)
+            finite = np.isfinite(w)
+            if not (np.array_equal(np.isfinite(g), finite) and np.array_equal(g[~finite], w[~finite], equal_nan=True)):
+                return np.inf
+            diff = np.max(np.abs(g[finite] - w[finite]), initial=0.0)
+            scale = max(np.max(np.abs(w[finite]), initial=0.0), floor)
             worst = max(worst, diff / scale if scale > 0 else np.inf if diff > 0 else 0.0)
     return worst
 
@@ -188,21 +201,14 @@ def record():
     arrays = {"|environment": np.asarray(json.dumps(environment(), sort_keys=True))}
     for key, run, params in cases():
         arrays.update(("%s|%s" % (key, name), value) for name, value in run(*params).items())
-    try:
-        import original_reference
-    except ImportError:
-        with np.load(PATH) as old:
-            arrays.update((name, old[name]) for name in old.files if name.startswith(SEED))
-    else:
-        for key, run, params in cases(SEEDED):
-            arrays.update(("%s%s|%s" % (SEED, key, name), value)
-                          for name, value in run(*params, code=original_reference).items())
+    with np.load(PATH) as old:
+        arrays.update((name, old[name]) for name in old.files if name.startswith(SEED))
     np.savez_compressed(PATH, **arrays)
 
 
 def compare(path):
     env, recorded = load(path)
-    print("environment:", "as recorded" if env == environment() else "%s, recorded %s" % (environment(), env))
+    print("environment:", "as recorded" if exact_here(env) else "%s, recorded %s" % (environment(), env))
     for key, run, params in cases():
         got = run(*params)
         line = "%-52s %.3g" % (key, relative_change(got, recorded.get(key, {})))

@@ -293,17 +293,13 @@ def test_criterion_12_cli_determinism(tmp_path):
         "--set", "d_hidden=4", "--set", "d_embed=4", "--set", "batch_size=16",
         "--set", "epochs=4",
     ]
-    assert cli.main(list(args)) == 0
-    first_report = open(os.path.join(out, "report.json")).read()
-    first_tau = open(os.path.join(out, "tau.csv"), "rb").read()
-    assert cli.main(list(args)) == 0
-    second_report = open(os.path.join(out, "report.json")).read()
-    second_tau = open(os.path.join(out, "tau.csv"), "rb").read()
 
-    assert second_tau == first_tau
-    kept = [l for l in first_report.splitlines() if "wall_clock_sec" not in l]
-    kept2 = [l for l in second_report.splitlines() if "wall_clock_sec" not in l]
-    assert kept == kept2
+    def artifacts():
+        assert cli.main(list(args)) == 0
+        report = [l for l in open(os.path.join(out, "report.json")) if "wall_clock_sec" not in l]
+        return report, open(os.path.join(out, "tau.csv"), "rb").read()
+
+    assert artifacts() == artifacts()
 
     # a stateless subcommand reproduces its artifact byte for byte
     gen = ["gen-data", "--out", out, "--seed", "3", "--set", "n=80", "--set", "k=4",

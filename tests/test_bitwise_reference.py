@@ -17,7 +17,7 @@ from rgcl.optimizer import OptimizerState
 @pytest.fixture(scope="module")
 def recorded():
     env, outputs = rec.load()
-    return env == rec.environment(), outputs
+    return rec.exact_here(env), outputs
 
 
 def pinned(recorded, name, *params, floor=0.0):
@@ -31,6 +31,13 @@ def pinned(recorded, name, *params, floor=0.0):
         # the negative-role sums now run block by block, in another order
         assert rec.relative_change(got, outputs[rec.SEED + key]) <= 1e-10
     return got
+
+
+def test_relative_change_catches_non_finite():
+    want = {"x": np.array([1.0, np.nan, np.inf])}
+    assert rec.relative_change({"x": np.array([1.0, np.nan, np.inf])}, want) == 0.0
+    for poisoned in ([np.nan, np.nan, np.inf], [1.0, 0.0, np.inf], [1.0, np.nan, -np.inf], [1.0, np.inf, np.nan]):
+        assert rec.relative_change({"x": np.array(poisoned)}, want) == np.inf
 
 
 @pytest.mark.parametrize("n,log_epsilon", rec.CASES["test_unimodal_evaluation"][1])
