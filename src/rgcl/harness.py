@@ -106,6 +106,12 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 0 and eval_every >= 1")
         if not (0 < self.held_out_fraction < 1):
             raise ValueError("held_out_fraction must be in (0, 1)")
+        # knn_accuracy would refuse these only after training
+        if self.knn_k < 1 or self.knn_k % 2 == 0:
+            raise ValueError("knn_k must be odd and >= 1, not %d" % self.knn_k)
+        n_train = self.n - _held_out_count(self.n, self.held_out_fraction)
+        if n_train < self.knn_k:
+            raise ValueError("knn_k %d exceeds the %d training points of the held-out split" % (self.knn_k, n_train))
         self.rgcl_config()  # validate loss hyperparameters early
 
     def rgcl_config(self) -> RgclConfig:
@@ -179,31 +185,61 @@ def _config_code_hash(cfg: ExperimentConfig) -> str:
     return h.hexdigest()
 
 
+def _held_out_count(n: int, held_out_fraction: float) -> int:
+    """Rows of n that knn_accuracy holds out; the other rows vote."""
+    return max(1, int(round(held_out_fraction * n)))
+
+
+# Held-out rows scored per block of knn_accuracy: its similarity rows then
+# take 16 * n_train floats, never n_test * n_train.
+_KNN_ROWS = 16
+
+
+def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
+    """Per row of similarities, the column indices of the k most similar
+    training points, ascending: every column above the row's k-th largest
+    value, then the lowest columns equal to it.  That is the set the first k
+    entries of a stable argsort of the negated row hold."""
+    kth = np.partition(sims, -k, axis=1)[:, -k, None]
+    keep = sims >= kth
+    # a row with more than k such columns is tied at its k-th largest value;
+    # it keeps only its lowest tied columns, so the lower training index wins
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    rows, at = sims[over], kth[over]
+    tied = rows == at
+    open_slots = k - np.count_nonzero(rows > at, axis=1, keepdims=True)
+    keep[over] &= (np.cumsum(tied, axis=1) <= open_slots) | ~tied
+    return np.flatnonzero(keep).reshape(len(sims), k) % sims.shape[1]
+
+
 def knn_accuracy(embeddings, labels, k: int, held_out_fraction: float, stream: RandomStream) -> float:
     """Cosine k-nearest-neighbor accuracy on a held-out split.
 
-    Majority vote among the k most similar training embeddings; vote ties
-    broken by the lowest class id.
+    Majority vote among the k most similar training embeddings, the lower
+    training index first among equal similarities; vote ties broken by the
+    lowest class id.  Held-out rows are scored in blocks of _KNN_ROWS, so
+    memory grows as 16 * n, not as n_test * n_train.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and >= 1")
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     n = emb.shape[0]
-    n_test = max(1, int(round(held_out_fraction * n)))
-    test_idx = np.sort(stream.choice_without_replacement(n, n_test))
+    if labels.shape != (n,):
+        raise ValueError("labels of shape %s for %d embedding rows" % (labels.shape, n))
+    if not np.isfinite(emb).all():
+        raise ValueError("embeddings must be finite")
+    test_idx = np.sort(stream.choice_without_replacement(n, _held_out_count(n, held_out_fraction)))
     mask = np.zeros(n, dtype=bool)
     mask[test_idx] = True
     train_idx = np.nonzero(~mask)[0]
     if len(train_idx) < k:
         raise ValueError("fewer than k training points")
 
-    sims = emb[test_idx] @ emb[train_idx].T
-    np.negative(sims, out=sims)  # ascending order is nearest first
-    # sorting blocks of rows keeps the index array small next to sims
-    nn = np.empty((len(sims), k), dtype=np.intp)
-    for r in range(0, len(sims), 64):
-        nn[r : r + 64] = np.argsort(sims[r : r + 64], axis=1, kind="stable")[:, :k]
+    test, train_t = emb[test_idx], emb[train_idx].T.copy()
+    nn = np.empty((len(test_idx), k), dtype=np.intp)
+    for r in range(0, len(test_idx), _KNN_ROWS):
+        nn[r : r + _KNN_ROWS] = _nearest(test[r : r + _KNN_ROWS] @ train_t, k)
     # classes ascend, so the first of the tied maxima is the lowest class id
     classes, votes = np.unique(labels[train_idx[nn]], return_inverse=True)
     counts = (votes.reshape(nn.shape)[:, :, None] == np.arange(len(classes))).sum(axis=1)

@@ -161,7 +161,7 @@ def hardness_scores(anchor, positive, negatives) -> np.ndarray:
 def g_value(h, tau: float, log_epsilon: float = 0.0) -> float:
     """Mean of exp(h_j / tau), plus the optional smoothing constant."""
     v = np.asarray(h, dtype=np.float64)
-    return float(np.mean(np.exp(v / tau))) + log_epsilon
+    return float(np.exp(v / tau).mean()) + log_epsilon
 
 
 def dual_loss_anchor(h, tau: float, cfg: RgclConfig) -> float:
@@ -184,8 +184,8 @@ def kl_uniform(p) -> float:
     """KL(p, uniform) = sum p_j log(m p_j), with 0 log 0 = 0."""
     pv = p.p if isinstance(p, DistributionalWeights) else np.asarray(p, dtype=np.float64)
     m = len(pv)
-    nz = pv > 0.0
-    return float(np.sum(pv[nz] * np.log(m * pv[nz])))
+    nz = pv[pv > 0.0]
+    return float((nz * np.log(m * nz)).sum())
 
 
 def primal_rgcl_value(h, p, tau0: float) -> float:

@@ -26,8 +26,8 @@ def log_sum_exp(values) -> float:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty reduction")
-    m = float(np.max(v))
-    return m + float(np.log(np.sum(np.exp(v - m))))
+    m = float(v.max())
+    return m + float(np.log(np.exp(v - m).sum()))
 
 
 def softmax_shifted(values) -> np.ndarray:
@@ -36,8 +36,8 @@ def softmax_shifted(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty reduction")
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
+    e = np.exp(v - v.max())
+    return e / e.sum()
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

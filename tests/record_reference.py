@@ -10,7 +10,9 @@ environment() describes.  It carries the "seed:<test id>|<output>" arrays
 over from the file it replaces: the seed code's evaluation outputs, computed
 once at cc0c596 by the frozen copy of the seed's evaluations that
 tests/original_reference.py held there.  Comparing prints each case's
-largest relative change against FILE and writes nothing.
+largest relative change against FILE, writes nothing, and exits 1 when a
+case moved beyond what test_bitwise_reference.py accepts (see changes()),
+is missing from FILE, or is recorded in FILE but no longer computed.
 """
 
 import argparse
@@ -139,7 +141,7 @@ def case_id(name, params):
 def cases():
     for name, (run, all_params) in CASES.items():
         for params in all_params:
-            yield case_id(name, params), run, params
+            yield name, run, params
 
 
 def environment():
@@ -197,10 +199,31 @@ def relative_change(got, want, floor=0.0):
     return worst
 
 
+# on a host other than the recording's, since BLAS may round differently
+TOLERANCE = 1e-10
+# worst_rel_err is itself a relative error: on another host, 1e-10 absolute
+FLOORS = {"test_degeneration_check_matches_original": 1.0}
+
+
+def changes(name, params, got, recorded, exact):
+    """[(label, change, bound)] for a case's outputs got: against the
+    recording, relative to each output's largest entry (or the case's floor),
+    exactly where the environment is the recording's; and, where recorded,
+    against the seed code's outputs at TOLERANCE, since the negative-role
+    sums now run block by block, in another order.  A case missing from the
+    recording changes by inf."""
+    key = case_id(name, params)
+    found = [("recorded", relative_change(got, recorded.get(key, {}), FLOORS.get(name, 0.0)), 0.0 if exact else TOLERANCE)]
+    if SEED + key in recorded:
+        found.append(("seed", relative_change(got, recorded[SEED + key]), TOLERANCE))
+    return found
+
+
 def record():
     arrays = {"|environment": np.asarray(json.dumps(environment(), sort_keys=True))}
-    for key, run, params in cases():
-        arrays.update(("%s|%s" % (key, name), value) for name, value in run(*params).items())
+    for name, run, params in cases():
+        key = case_id(name, params)
+        arrays.update(("%s|%s" % (key, output), value) for output, value in run(*params).items())
     with np.load(PATH) as old:
         arrays.update((name, old[name]) for name in old.files if name.startswith(SEED))
     np.savez_compressed(PATH, **arrays)
@@ -208,13 +231,20 @@ def record():
 
 def compare(path):
     env, recorded = load(path)
-    print("environment:", "as recorded" if exact_here(env) else "%s, recorded %s" % (environment(), env))
-    for key, run, params in cases():
-        got = run(*params)
-        line = "%-52s %.3g" % (key, relative_change(got, recorded.get(key, {})))
-        if SEED + key in recorded:
-            line += "   seed %.3g" % relative_change(got, recorded[SEED + key])
-        print(line)
+    exact = exact_here(env)
+    print("environment:", "as recorded" if exact else "%s, recorded %s" % (environment(), env))
+    moved, ids = 0, set()
+    for name, run, params in cases():
+        key = case_id(name, params)
+        ids.add(key)
+        found = changes(name, params, run(*params), recorded, exact)
+        print("%-52s %s" % (key, "   ".join("%s %.3g" % change[:2] for change in found)))
+        moved += any(change > bound for _, change, bound in found)
+    for key in sorted(key for key in recorded if key.removeprefix(SEED) not in ids):
+        print("%-52s recorded, no longer computed" % key)
+        moved += 1
+    print("%d of %d cases beyond what the pins accept" % (moved, len(ids)))
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

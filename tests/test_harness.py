@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ class TestConfig:
             ExperimentConfig(epochs=-1)
         with pytest.raises(ValueError):
             ExperimentConfig(held_out_fraction=1.5)
+        for knn_k in (0, -1, 2):
+            with pytest.raises(ValueError, match="^knn_k must be odd"):
+                ExperimentConfig(knn_k=knn_k)
+        # n=20 holds out 5 and leaves 15 voters; n=19 holds out 5 too
+        assert ExperimentConfig(n=20, knn_k=15).knn_k == 15
+        with pytest.raises(ValueError, match="^knn_k 15 exceeds the 14 training points"):
+            ExperimentConfig(n=19, knn_k=15)
         with pytest.raises(ValueError):
             ExperimentConfig(rho=-1.0)  # loss hyperparameters validated too
         for key in ["eta_w", "eta_tau", "rho", "beta0", "log_epsilon", "tau_grad_scale",
@@ -181,14 +189,40 @@ class TestKnn:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_on_ties(self, seed):
-        # few distinct integer embeddings: many tied similarities and votes
-        stream = RandomStream(seed, ("knn-ties",))
-        emb = stream.integers(0, 3, size=(90, 3)).astype(float)
-        labels = np.array([2, 5, 9, 11])[stream.integers(0, 4, size=90)]
-        for k in (1, 3, 5, 7, 15):
-            got = knn_accuracy(emb, labels, k, 0.3, RandomStream(seed, ("split",)))
-            want = self.loop_knn(emb, labels, k, 0.3, RandomStream(seed, ("split",)))
-            assert got == want
+        # few distinct integer embeddings: many tied similarities and votes;
+        # 27, 69 and 90 held-out rows span blocks of 16, the last one partial
+        for n in (90, 230, 301):
+            stream = RandomStream(seed, ("knn-ties",))
+            emb = stream.integers(0, 3, size=(n, 3)).astype(float)
+            labels = np.array([2, 5, 9, 11])[stream.integers(0, 4, size=n)]
+            for k in (1, 3, 5, 7, 15):
+                got = knn_accuracy(emb, labels, k, 0.3, RandomStream(seed, ("split",)))
+                want = self.loop_knn(emb, labels, k, 0.3, RandomStream(seed, ("split",)))
+                assert got == want
+
+    def test_memory_linear_in_n(self):
+        # the (1000, 3000) similarity matrix alone is 24 MB
+        stream = RandomStream(5, ("knn-memory",))
+        emb = stream.normal(4000, 16)
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        labels = stream.integers(0, 10, size=4000)
+        tracemalloc.start()
+        try:
+            knn_accuracy(emb, labels, 5, 0.25, stream.split("split"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="labels of shape \\(74,\\) for 24 embedding rows"):
+            knn_accuracy(np.eye(3)[np.repeat(np.arange(3), 8)], np.zeros(74, int), 1, 0.25, RandomStream(0))
+
+    def test_non_finite_embeddings_rejected(self):
+        emb = np.eye(3)[np.repeat(np.arange(3), 8)]
+        emb[4] = np.nan
+        with pytest.raises(ValueError, match="embeddings must be finite"):
+            knn_accuracy(emb, np.repeat(np.arange(3), 8), 1, 0.25, RandomStream(0))
 
 
 class TestTrainUnimodal:
@@ -452,7 +486,12 @@ class TestCli:
         # training, not after it with a truncated checkpoint
         ('{"n": 80, "k": 4, "epochs": 1, "batch_size": 16}', ["--seed", str(2**63)],
          "seed must be in [-2**63, 2**63)"),
-    ], ids=["array", "null", "seed-2**63"])
+        # knn_accuracy, which runs after training, would refuse these
+        ('{"n": 80, "k": 4, "epochs": 1, "batch_size": 16}', ["--set", "knn_k=4"],
+         "knn_k must be odd and >= 1, not 4"),
+        ('{"n": 200, "k": 4, "epochs": 1, "batch_size": 16}', ["--set", "knn_k=151"],
+         "knn_k 151 exceeds the 150 training points of the held-out split"),
+    ], ids=["array", "null", "seed-2**63", "knn_k-even", "knn_k-over-train"])
     def test_rejected_before_any_output(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "cfg.json"
         path.write_text(config)
