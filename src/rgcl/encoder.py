@@ -141,7 +141,7 @@ def _forward(params: EncoderParams, inputs: np.ndarray):
     if np.any(norms < 1e-12):
         raise ValueError("degenerate embedding")
     y = z2 / norms[:, None]
-    return y, (x, a1, z2, norms)
+    return y, (x, a1, norms)
 
 
 def encode(params: EncoderParams, inputs: np.ndarray) -> EmbeddingBatch:
@@ -157,9 +157,9 @@ def encode_backward(params: EncoderParams, inputs, grad_embeddings: np.ndarray) 
     Returns an EncoderParams holding the gradients (same shapes as params).
     """
     if isinstance(inputs, EmbeddingBatch):
-        y, (x, a1, z2, norms) = inputs.embeddings, inputs.cache
+        y, (x, a1, norms) = inputs.embeddings, inputs.cache
     else:
-        y, (x, a1, z2, norms) = _forward(params, inputs)
+        y, (x, a1, norms) = _forward(params, inputs)
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != y.shape:
         raise ValueError("grad_embeddings shape mismatch")

@@ -106,12 +106,20 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 0 and eval_every >= 1")
         if not (0 < self.held_out_fraction < 1):
             raise ValueError("held_out_fraction must be in (0, 1)")
+        for name in ("d_in", "d_latent", "d_img", "d_txt", "d_hidden", "d_embed"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1, not %d" % (name, getattr(self, name)))
+        for name in ("noise", "aug_strength"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be nonnegative, not %r" % (name, getattr(self, name)))
         # knn_accuracy would refuse these only after training
         if self.knn_k < 1 or self.knn_k % 2 == 0:
             raise ValueError("knn_k must be odd and >= 1, not %d" % self.knn_k)
         n_train = self.n - _held_out_count(self.n, self.held_out_fraction)
         if n_train < self.knn_k:
             raise ValueError("knn_k %d exceeds the %d training points of the held-out split" % (self.knn_k, n_train))
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2, not %d" % self.batch_size)
         self.rgcl_config()  # validate loss hyperparameters early
 
     def rgcl_config(self) -> RgclConfig:
@@ -213,12 +221,15 @@ def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
 
 
 def knn_accuracy(embeddings, labels, k: int, held_out_fraction: float, stream: RandomStream) -> float:
-    """Cosine k-nearest-neighbor accuracy on a held-out split.
+    """k-nearest-neighbor accuracy on a held-out split, ranking training
+    embeddings by their dot product with a held-out row: cosine similarity
+    for unit-norm rows, which every training run passes.
 
     Majority vote among the k most similar training embeddings, the lower
     training index first among equal similarities; vote ties broken by the
     lowest class id.  Held-out rows are scored in blocks of _KNN_ROWS, so
-    memory grows as 16 * n, not as n_test * n_train.
+    memory grows as 16 * n, not as n_test * n_train, and votes are counted
+    from each row's k neighbour labels, in n_test * k * k.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be odd and >= 1")
@@ -240,10 +251,12 @@ def knn_accuracy(embeddings, labels, k: int, held_out_fraction: float, stream: R
     nn = np.empty((len(test_idx), k), dtype=np.intp)
     for r in range(0, len(test_idx), _KNN_ROWS):
         nn[r : r + _KNN_ROWS] = _nearest(test[r : r + _KNN_ROWS] @ train_t, k)
-    # classes ascend, so the first of the tied maxima is the lowest class id
-    classes, votes = np.unique(labels[train_idx[nn]], return_inverse=True)
-    counts = (votes.reshape(nn.shape)[:, :, None] == np.arange(len(classes))).sum(axis=1)
-    return float(np.mean(classes[counts.argmax(axis=1)] == labels[test_idx]))
+    # each neighbour's votes are the count of its label among the row's k;
+    # labels ascend, so the first of the tied maxima is the lowest class id
+    voted = np.sort(labels[train_idx[nn]], axis=1)
+    counts = np.count_nonzero(voted[:, :, None] == voted[:, None, :], axis=2)
+    winner = np.take_along_axis(voted, counts.argmax(axis=1)[:, None], axis=1)[:, 0]
+    return float(np.mean(winner == labels[test_idx]))
 
 
 def export_tau_csv(opt, labels, path: str) -> None:
@@ -342,7 +355,11 @@ _ENCODER_FILES = (("encoder.ckpt",), ("encoder_img.ckpt", "encoder_txt.ckpt"))
 
 def _setup(cfg: ExperimentConfig, towers):
     """The output directory, the loss config, one encoder per (d_in, init
-    stream path) tower and an optimizer state with one side per tower."""
+    stream path) tower and an optimizer state with one side per tower.
+    A batch larger than the data is refused before the directory exists;
+    the config allows one, since gen-data and verify take no batches."""
+    if cfg.batch_size > cfg.n:
+        raise ValueError("batch_size %d exceeds the n = %d samples" % (cfg.batch_size, cfg.n))
     os.makedirs(cfg.out, exist_ok=True)
     rcfg = cfg.rgcl_config()
     params = [
@@ -505,12 +522,12 @@ def _vcheck_primal_feasibility(seed):
 
 def _vcheck_primal_dual(seed):
     stream = RandomStream(seed, ("verify", "dual"))
+    cfgs = {rho: RgclConfig(rho=rho, tau0=0.05, tau_init=0.05) for rho in (0.1, 0.5, 1.0)}
     worst = 0.0
     for m in range(2, 7):
-        for rho in (0.1, 0.5, 1.0):
+        for rho, cfg in cfgs.items():
             for i in range(5):
                 h = _random_instance(stream.split("h%d-%d-%s" % (m, i, rho)), m)
-                cfg = RgclConfig(rho=rho, tau0=0.05, tau_init=0.05)
                 _, dual_value = oracle.solve_dual_tau(h, cfg)
                 sol = oracle.solve_primal(h, rho, cfg.tau0)
                 worst = max(worst, abs(dual_value - sol.value))
@@ -637,12 +654,12 @@ def _vcheck_g_floor(opt, cfg):
 
 def _vcheck_fixed_tau_identity(seed):
     stream = RandomStream(seed, ("verify", "gcl"))
+    cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.1)
     worst = 0.0
     for i in range(20):
         m = 3 + int(stream.integers(0, 6))
         h = _random_instance(stream.split("h%d" % i), m)
         tau = 0.1 + float(stream.uniform())
-        cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.1)
         gcl = tau * math.log(float(np.sum(np.exp(h / tau))))
         dual = loss.dual_loss_anchor(h, tau, cfg)
         ident = gcl - tau * math.log(m) + (tau - cfg.tau0) * cfg.rho
@@ -661,15 +678,16 @@ def _vcheck_unbiasedness(seed):
     tau = 0.5
     anchor = 0
     g_full = loss.g_value(hmat[anchor], tau)
-    draws = []
     bstream = stream.split("batches")
     all_negs = np.concatenate([np.delete(ya, anchor, 0), np.delete(yb, anchor, 0)])
     pos = float(ya[anchor] @ yb[anchor])
-    for _ in range(2000):
-        pick = bstream.choice_without_replacement(all_negs.shape[0], 8)
-        hb = all_negs[pick] @ ya[anchor] - pos
-        draws.append(loss.g_value(hb, tau))
-    draws = np.asarray(draws)
+    scores = all_negs @ ya[anchor]
+    # 2000 batches of 8 negatives, drawn one by one; each batch's g is the
+    # mean of exp(h / tau) over its row of picks
+    picks = np.empty((2000, 8), dtype=np.intp)
+    for pick in picks:
+        pick[:] = bstream.choice_without_replacement(len(all_negs), 8)
+    draws = np.exp((scores[picks] - pos) / tau).mean(axis=1)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     dev = abs(draws.mean() - g_full)
     return _check("estimator_unbiasedness", dev <= 3 * se, {"deviation": dev, "three_se": 3 * se})

@@ -160,8 +160,8 @@ def hardness_scores(anchor, positive, negatives) -> np.ndarray:
 
 def g_value(h, tau: float, log_epsilon: float = 0.0) -> float:
     """Mean of exp(h_j / tau), plus the optional smoothing constant."""
-    v = np.asarray(h, dtype=np.float64)
-    return float(np.exp(v / tau).mean()) + log_epsilon
+    e = np.exp(np.asarray(h, dtype=np.float64) / tau)
+    return float(np.add.reduce(e, axis=None) / e.size) + log_epsilon
 
 
 def dual_loss_anchor(h, tau: float, cfg: RgclConfig) -> float:
@@ -185,7 +185,7 @@ def kl_uniform(p) -> float:
     pv = p.p if isinstance(p, DistributionalWeights) else np.asarray(p, dtype=np.float64)
     m = len(pv)
     nz = pv[pv > 0.0]
-    return float((nz * np.log(m * nz)).sum())
+    return float(np.add.reduce(nz * np.log(m * nz)))
 
 
 def primal_rgcl_value(h, p, tau0: float) -> float:

@@ -21,13 +21,18 @@ __all__ = [
 ]
 
 
+# The scalar helpers here and in loss call the ufunc reductions that
+# ndarray.max, .sum and .mean run, without those methods' Python wrappers:
+# the oracle calls them thousands of times per verify on a few numbers each.
+
+
 def log_sum_exp(values) -> float:
     """log(sum(exp(v_j))) with max-shift; safe for |v_j| up to ~700."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty reduction")
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum()))
+    m = float(np.maximum.reduce(v, axis=None))
+    return m + float(np.log(np.add.reduce(np.exp(v - m), axis=None)))
 
 
 def softmax_shifted(values) -> np.ndarray:
@@ -36,8 +41,8 @@ def softmax_shifted(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("empty reduction")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(v - np.maximum.reduce(v, axis=None))
+    return e / np.add.reduce(e, axis=None)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

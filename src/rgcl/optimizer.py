@@ -123,7 +123,7 @@ def init_optimizer_state(
 def _batch_indices(stream: RandomStream, n: int, batch_size: int) -> np.ndarray:
     """Sorted distinct batch indices from the stream's "indices" sub-stream."""
     if not (2 <= batch_size <= n):
-        raise ValueError("need 2 <= batch_size <= n")
+        raise ValueError("need 2 <= batch_size <= n, not batch_size %d with n %d" % (batch_size, n))
     return np.sort(stream.split("indices").choice_without_replacement(n, batch_size))
 
 

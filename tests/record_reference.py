@@ -21,6 +21,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,18 @@ def degeneration_check(seed):
     return _named([check["name"], check["passed"], *check["detail"].values()], ["name", "passed", *check["detail"]])
 
 
+def verify_report(seed):
+    """Each check of the rgcl verify report: its passed flag and every value
+    of its detail."""
+    with tempfile.TemporaryDirectory() as out:
+        report = harness.run_verify(harness.load_config(data={"seed": seed, "out": out}))
+    outputs = {}
+    for check in report["checks"]:
+        outputs[check["name"] + ".passed"] = check["passed"]
+        outputs.update(("%s.%s" % (check["name"], key), value) for key, value in check["detail"].items())
+    return _named(outputs.values(), outputs)
+
+
 # test name: (case function, the tuples of its parameters)
 CASES = {
     "test_unimodal_evaluation": (unimodal_evaluation, [(n, e) for e in EPSILONS for n in SIZES]),
@@ -131,6 +144,7 @@ CASES = {
                                              in [("momentum", None), ("adam", None), ("momentum", 0.0)]]),
     "test_bimodal_steps": (bimodal_steps, [(mirrored, e) for e in EPSILONS for mirrored in (False, True)]),
     "test_degeneration_check_matches_original": (degeneration_check, [(seed,) for seed in range(20)]),
+    "test_verify_report": (verify_report, [(seed,) for seed in range(5)]),
 }
 
 
@@ -201,8 +215,9 @@ def relative_change(got, want, floor=0.0):
 
 # on a host other than the recording's, since BLAS may round differently
 TOLERANCE = 1e-10
-# worst_rel_err is itself a relative error: on another host, 1e-10 absolute
-FLOORS = {"test_degeneration_check_matches_original": 1.0}
+# worst_rel_err and verify's other details are errors, gaps and values of
+# order 1 or below: on another host, 1e-10 absolute
+FLOORS = {"test_degeneration_check_matches_original": 1.0, "test_verify_report": 1.0}
 
 
 def changes(name, params, got, recorded, exact):

@@ -128,3 +128,9 @@ def test_strided_offdiag_matches_boolean_mask(n):
 @pytest.mark.parametrize(["seed"], rec.CASES["test_degeneration_check_matches_original"][1])
 def test_degeneration_check_matches_original(recorded, seed):
     assert pinned(recorded, "test_degeneration_check_matches_original", seed)["passed"]
+
+
+@pytest.mark.parametrize(["seed"], rec.CASES["test_verify_report"][1])
+def test_verify_report(recorded, seed):
+    # every check's detail, as the verify report prints it
+    pinned(recorded, "test_verify_report", seed)

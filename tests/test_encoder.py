@@ -85,6 +85,14 @@ class TestBackward:
         g = encode_backward(params, x, 2.5 * y)
         assert np.linalg.norm(g.flatten()) <= 1e-12
 
+    def test_cached_forward_matches_recomputed(self):
+        # the forward cache spares the second forward pass, bit for bit
+        params = random_params(11)
+        x = RandomStream(12).normal(6, 3)
+        target = RandomStream(13).normal(6, 2)
+        cached = encode_backward(params, encode(params, x), target).flatten()
+        np.testing.assert_array_equal(cached, encode_backward(params, x, target).flatten())
+
 
 class TestCosine:
     """Cosine similarity is the inner product of encoded (unit) rows."""

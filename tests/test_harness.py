@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rgcl import cli, harness, optimizer
+from rgcl import cli, harness, loss, optimizer
+from rgcl.encoder import encode, init_encoder_params
 from rgcl.harness import (
     ExperimentConfig,
     apply_overrides,
@@ -84,9 +85,20 @@ class TestConfig:
             with pytest.raises(ValueError, match="^knn_k must be odd"):
                 ExperimentConfig(knn_k=knn_k)
         # n=20 holds out 5 and leaves 15 voters; n=19 holds out 5 too
-        assert ExperimentConfig(n=20, knn_k=15).knn_k == 15
+        assert ExperimentConfig(n=20, knn_k=15, batch_size=16).knn_k == 15
         with pytest.raises(ValueError, match="^knn_k 15 exceeds the 14 training points"):
             ExperimentConfig(n=19, knn_k=15)
+        for key in ["d_in", "d_latent", "d_img", "d_txt", "d_hidden", "d_embed"]:
+            for bad in [0, -1]:
+                with pytest.raises(ValueError, match="^%s must be >= 1, not %d$" % (key, bad)):
+                    ExperimentConfig(**{key: bad})
+        for key in ["noise", "aug_strength"]:
+            with pytest.raises(ValueError, match="^%s must be nonnegative, not -0.5$" % key):
+                ExperimentConfig(**{key: -0.5})
+            assert getattr(ExperimentConfig(**{key: 0.0}), key) == 0.0
+        for batch_size in [1, 0, -3]:
+            with pytest.raises(ValueError, match="^batch_size must be >= 2, not %d$" % batch_size):
+                ExperimentConfig(batch_size=batch_size)
         with pytest.raises(ValueError):
             ExperimentConfig(rho=-1.0)  # loss hyperparameters validated too
         for key in ["eta_w", "eta_tau", "rho", "beta0", "log_epsilon", "tau_grad_scale",
@@ -213,6 +225,19 @@ class TestKnn:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_memory_independent_of_label_count(self):
+        # one label per row: counting votes through a per-class array traced 31 MB
+        stream = RandomStream(6, ("knn-labels",))
+        emb = stream.normal(4000, 16)
+        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            knn_accuracy(emb, np.arange(4000), 5, 0.25, stream.split("split"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels of shape \\(74,\\) for 24 embedding rows"):
@@ -446,6 +471,35 @@ class TestVerify:
         assert [c["name"] for c in report["checks"]] == [c["name"] for c in committed["checks"]]
         assert report["n_checks"] == committed["n_checks"] == len(committed["checks"])
 
+    @staticmethod
+    def unbiasedness_loop(seed):
+        """The estimator_unbiasedness detail with each batch drawn, scored
+        and reduced by loss.g_value one at a time."""
+        stream = RandomStream(seed, ("verify", "unbias"))
+        n, d = 20, 5
+        params = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
+        ya = encode(params, stream.split("va").normal(n, d)).embeddings
+        yb = encode(params, stream.split("vb").normal(n, d)).embeddings
+        g_full = loss.g_value(loss._h_rows(ya, [ya, yb], 0, n)[0][0], 0.5)
+        bstream = stream.split("batches")
+        all_negs = np.concatenate([ya[1:], yb[1:]])
+        pos = float(ya[0] @ yb[0])
+        draws = []
+        for _ in range(2000):
+            pick = bstream.choice_without_replacement(len(all_negs), 8)
+            draws.append(loss.g_value(all_negs[pick] @ ya[0] - pos, 0.5))
+        draws = np.asarray(draws)
+        se = draws.std(ddof=1) / np.sqrt(len(draws))
+        dev = abs(draws.mean() - g_full)
+        return {"deviation": dev, "three_se": 3 * se}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unbiasedness_matches_per_draw_loop(self, seed):
+        # all draws are scored as one array; every bit of the detail stays
+        check = harness._vcheck_unbiasedness(seed)
+        assert check["passed"]
+        assert check["detail"] == self.unbiasedness_loop(seed)
+
 
 class TestCli:
     def test_train_unimodal_exit_zero(self, tmp_path, capsys):
@@ -491,7 +545,18 @@ class TestCli:
          "knn_k must be odd and >= 1, not 4"),
         ('{"n": 200, "k": 4, "epochs": 1, "batch_size": 16}', ["--set", "knn_k=151"],
          "knn_k 151 exceeds the 150 training points of the held-out split"),
-    ], ids=["array", "null", "seed-2**63", "knn_k-even", "knn_k-over-train"])
+        # each trained to the end and exited 0, or failed only after --out existed
+        *[('{"n": 80, "k": 4, "epochs": 1, "batch_size": 16}', ["--set", setting], message)
+          for setting, message in [
+              ("d_in=0", "d_in must be >= 1, not 0"),
+              ("d_hidden=0", "d_hidden must be >= 1, not 0"),
+              ("d_embed=0", "d_embed must be >= 1, not 0"),
+              ("noise=-1", "noise must be nonnegative, not -1.0"),
+              ("aug_strength=-0.5", "aug_strength must be nonnegative, not -0.5"),
+              ("batch_size=1", "batch_size must be >= 2, not 1"),
+          ]],
+    ], ids=["array", "null", "seed-2**63", "knn_k-even", "knn_k-over-train", "d_in-0", "d_hidden-0", "d_embed-0",
+            "noise-negative", "aug_strength-negative", "batch_size-1"])
     def test_rejected_before_any_output(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "cfg.json"
         path.write_text(config)
@@ -499,6 +564,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + message) and err.count("\n") == 1
         assert not os.path.exists(tmp_path / "run")
+
+    @pytest.mark.parametrize("command", ["train-unimodal", "train-bimodal"])
+    def test_batch_over_n_refused_before_any_output(self, tmp_path, capsys, command):
+        # gen-data and verify take a config whose batch exceeds n; training does not
+        argv = ["--out", str(tmp_path / "run"), "--set", "n=80", "--set", "k=4", "--set", "batch_size=81"]
+        assert cli.main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: batch_size 81 exceeds the n = 80 samples\n"
+        assert not os.path.exists(tmp_path / "run")
+        assert cli.main(["gen-data", *argv]) == 0
 
     @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"epochs": 2.5}, {"mirrored": "yes"}])
     def test_config_file_wrong_type_exit_two(self, tmp_path, capsys, bad):

@@ -59,9 +59,9 @@ class TestSampleBatch:
         assert np.all(np.abs(counts - expect) <= 3 * sigma)
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not batch_size 1 with n 10$"):
             sample_batch(RandomStream(0), 10, 1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not batch_size 11 with n 10$"):
             sample_batch(RandomStream(0), 10, 11, 2)
 
 
