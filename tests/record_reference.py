@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from rgcl import harness, loss, optimizer
+from rgcl import harness, loss, optimizer, oracle
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import init_encoder_params
 from rgcl.loss import _EVAL_ROWS, RgclConfig, ViewPairs
@@ -38,6 +38,7 @@ SEED = "seed:"
 SIZES = [2, 3, 255, 256, 257, 515]
 BLOCK_SIZES = [_EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 3]
 EPSILONS = [0.0, 0.25]
+ORACLE_SIZES = [2, 3, 17, 40]
 STATE_FIELDS = ("mode", "seed", "t", "s", "u", "tau", "initialized", "v", "adam_m2",
                 "min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen")
 BIMODAL = ("value", "grad_w_img", "grad_w_txt", "grad_tau_img", "grad_tau_txt")
@@ -83,6 +84,21 @@ def bimodal_evaluation_mirrored(n):
     params, views, taus, cfg = instance(n, 0.0)
     args = (params, params.copy(), views.views_a, views.views_a.copy(), taus, taus.copy(), cfg)
     return _named(loss.bimodal_value_and_grads(*args), BIMODAL)
+
+
+def oracle_references(n, log_epsilon):
+    """Every output of the loop oracle's unimodal and bimodal references, and
+    of the bimodal one on mirrored towers."""
+    params, views, taus, cfg = instance(n, log_epsilon)
+    mirrored = (params, params.copy(), views.views_a, views.views_a.copy(), taus, taus.copy(), cfg)
+    outputs = {}
+    for name, values, names in [
+        ("unimodal", oracle.full_batch_reference(params, views, taus, cfg), ("value", "grad_w", "grad_tau")),
+        ("bimodal", oracle.full_batch_reference_bimodal(*bimodal_args(n, log_epsilon)), BIMODAL),
+        ("mirrored", oracle.full_batch_reference_bimodal(*mirrored), BIMODAL),
+    ]:
+        outputs.update(("%s.%s" % (name, key), value) for key, value in _named(values, names).items())
+    return outputs
 
 
 def objectives(n, log_epsilon):
@@ -139,6 +155,7 @@ CASES = {
     "test_unimodal_evaluation": (unimodal_evaluation, [(n, e) for e in EPSILONS for n in SIZES]),
     "test_bimodal_evaluation": (bimodal_evaluation, [(n, e) for e in EPSILONS for n in SIZES]),
     "test_bimodal_evaluation_mirrored": (bimodal_evaluation_mirrored, [(n,) for n in SIZES]),
+    "test_oracle_references": (oracle_references, [(n, e) for e in EPSILONS for n in ORACLE_SIZES]),
     "test_objectives": (objectives, [(n, e) for e in EPSILONS for n in SIZES + BLOCK_SIZES]),
     "test_unimodal_steps": (unimodal_steps, [(mode, eta_tau, e) for e in EPSILONS for mode, eta_tau
                                              in [("momentum", None), ("adam", None), ("momentum", 0.0)]]),

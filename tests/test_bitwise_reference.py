@@ -85,6 +85,12 @@ def test_evaluation_matches_oracle_across_blocks(n, log_epsilon):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,log_epsilon", rec.CASES["test_oracle_references"][1])
+def test_oracle_references(recorded, n, log_epsilon):
+    # the judge's own outputs, so a rewrite of the loop oracle cannot move them unseen
+    pinned(recorded, "test_oracle_references", n, log_epsilon)
+
+
 @pytest.mark.parametrize("n,log_epsilon", rec.CASES["test_objectives"][1])
 def test_objectives(recorded, n, log_epsilon):
     # bit for bit: verify's finite-difference checks difference these values
