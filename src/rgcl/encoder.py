@@ -149,17 +149,11 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> EmbeddingBatch:
     return EmbeddingBatch(y, cache)
 
 
-def encode_backward(params: EncoderParams, inputs, grad_embeddings: np.ndarray) -> EncoderParams:
-    """Exact parameter gradient of sum(grad_embeddings * encode(inputs)).
-
-    inputs may instead be the EmbeddingBatch that encode(params, inputs)
-    returned; its forward cache then spares a second forward pass.
-    Returns an EncoderParams holding the gradients (same shapes as params).
-    """
-    if isinstance(inputs, EmbeddingBatch):
-        y, (x, a1, norms) = inputs.embeddings, inputs.cache
-    else:
-        y, (x, a1, norms) = _forward(params, inputs)
+def encode_backward(params: EncoderParams, batch: EmbeddingBatch, grad_embeddings: np.ndarray) -> EncoderParams:
+    """Exact parameter gradient of sum(grad_embeddings * batch.embeddings),
+    from the forward cache of batch, the EmbeddingBatch that encode(params,
+    inputs) returned; the gradients come in an EncoderParams shaped as params."""
+    y, (x, a1, norms) = batch.embeddings, batch.cache
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != y.shape:
         raise ValueError("grad_embeddings shape mismatch")

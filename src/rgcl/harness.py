@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import datasynth, loss, optimizer, oracle
-from .encoder import encode, encode_backward, init_encoder_params, save_params
+from .encoder import encode, init_encoder_params, save_params
 from .loss import RgclConfig, ViewPairs
 from .numerics import RandomStream, spearman_rank_corr
 
@@ -611,14 +611,12 @@ def _vcheck_degeneration(seed):
     worst = 0.0
     for _ in range(5):
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
-        ea, eb = encode(p, views.views_a), encode(p, views.views_b)
 
         def kernel(lo, hi, hs):
             s = np.array([loss.g_value(h, t, cfg.log_epsilon) for h, t in zip(hs[0], tau)])
             return [loss._softmax_rows(hs[0], tau, cfg.log_epsilon, n, lambda g: s)[-1]]
 
-        dya, dyb = loss._contrast([ea.embeddings, eb.embeddings], loss._anchor_h_rows, n, kernel)
-        gw = encode_backward(p, ea, dya).flatten() + encode_backward(p, eb, dyb).flatten()
+        [gw] = loss._encoder_pass([p], [(0, views.views_a), (0, views.views_b)], loss._anchor_h_rows, n, kernel)
         rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))
         worst = max(worst, rel)
         p = p.from_flat(p.flatten() - cfg.eta_w * gw)

@@ -100,6 +100,8 @@ class RgclConfig:
             raise ValueError("beta0 and beta1 must lie in (0, 1]")
         if self.eta_w < 0 or self.eta_tau < 0:
             raise ValueError("learning rates must be nonnegative")
+        if self.tau_grad_scale is not None and self.tau_grad_scale < 0:
+            raise ValueError("tau_grad_scale must be nonnegative, not %r" % self.tau_grad_scale)
         if self.log_epsilon < 0:
             raise ValueError("log_epsilon must be nonnegative")
         if not (self.tau0 <= self.tau_init <= self.tau_max):
@@ -349,13 +351,27 @@ def _contrast(towers, h_rows, rows: int, kernel):
     return [p + q for p, q in zip(anchor, other)]
 
 
-def _full_batch(towers, h_rows, taus, cfg: RgclConfig):
+def _encoder_pass(params, towers, h_rows, rows: int, kernel):
+    """Encode each tower, given as (index into params, input rows), run
+    _contrast over the embeddings with h_rows, rows and kernel, and
+    back-propagate each tower's embedding gradient.  Returns per encoder in
+    params its flat parameter gradient, summed over the towers it encodes."""
+    batches = [encode(params[e], inputs) for e, inputs in towers]
+    dys = _contrast([b.embeddings for b in batches], h_rows, rows, kernel)
+    grads = [None] * len(params)
+    for (e, _), batch, dy in zip(towers, batches, dys):
+        grad = encode_backward(params[e], batch, dy).flatten()
+        grads[e] = grad if grads[e] is None else grads[e] + grad
+    return grads
+
+
+def _full_batch(params, towers, h_rows, taus, cfg: RgclConfig):
     """Exact objective terms and gradients of either modality, in blocks of
-    _EVAL_ROWS anchors; h_rows gives the directions of the loss as in
-    _contrast, taus the temperatures of each.  Returns per direction the terms
-    tau log g + (tau - tau0) rho and the temperature gradient, and per tower
-    its embedding gradient."""
-    n = towers[0].shape[0]
+    _EVAL_ROWS anchors; params, towers and h_rows are as in _encoder_pass,
+    taus the temperatures of each direction of the loss.  Returns per
+    direction the terms tau log g + (tau - tau0) rho and the temperature
+    gradient, and per encoder its flat parameter gradient."""
+    n = len(towers[0][1])
     if n < 2:
         raise ValueError("need at least 2 samples")
     taus = [np.asarray(t, dtype=np.float64) for t in taus]
@@ -368,7 +384,7 @@ def _full_batch(towers, h_rows, taus, cfg: RgclConfig):
             ws.append(w)
         return ws
 
-    grads = _contrast(towers, h_rows, _EVAL_ROWS, kernel)
+    grads = _encoder_pass(params, towers, h_rows, _EVAL_ROWS, kernel)
     out = []
     for what, tau, (g, ratio, eph) in zip(_ANCHOR_NAMES[len(taus)], taus, stats):
         log_g = np.log(g)
@@ -403,10 +419,8 @@ def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclC
 def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
     """Objective value plus exact gradients w.r.t. the flattened encoder
     parameters and the temperature vector.  Vectorized over anchors."""
-    ea = encode(params, views.views_a)
-    eb = encode(params, views.views_b)
-    [(terms, grad_tau)], (dya, dyb) = _full_batch([ea.embeddings, eb.embeddings], _anchor_h_rows, [taus], cfg)
-    grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
+    [(terms, grad_tau)], [grad_w] = _full_batch([params], [(0, views.views_a), (0, views.views_b)],
+                                                _anchor_h_rows, [taus], cfg)
     return float(np.mean(terms)), grad_w, grad_tau
 
 
@@ -437,11 +451,7 @@ def bimodal_value_and_grads(
 
     Returns (value, grad_w_img_flat, grad_w_txt_flat, grad_tau_v, grad_tau_t).
     """
-    ex = encode(params_img, images)
-    et = encode(params_txt, texts)
-    [(terms_v, grad_tau_v), (terms_t, grad_tau_t)], (dx, dt) = _full_batch(
-        [ex.embeddings, et.embeddings], _bimodal_h_rows, [taus_v, taus_t], cfg
+    [(terms_v, grad_tau_v), (terms_t, grad_tau_t)], (gx, gt) = _full_batch(
+        [params_img, params_txt], [(0, images), (1, texts)], _bimodal_h_rows, [taus_v, taus_t], cfg
     )
-    gx = encode_backward(params_img, ex, dx).flatten()
-    gt = encode_backward(params_txt, et, dt).flatten()
     return float(np.mean(terms_v + terms_t)), gx, gt, grad_tau_v, grad_tau_t

@@ -1,9 +1,10 @@
 """Shared numerical primitives: stable exponential reductions, rank statistics,
 and deterministic counter-based random streams.
 
-Everything here is double precision.  With a temperature floor of 0.005 and
-hardness scores bounded by 2, intermediate values reach exp(400), which is
-representable in float64 (max ~ exp(709)) but not in float32.
+Everything here is double precision.  Hardness scores are bounded by C = 2
+and the temperature floor is C / log(DBL_MAX) ~ 0.00282 (loss.RgclConfig
+rejects a lower tau0), so intermediate values such as exp(C / tau) reach
+DBL_MAX ~ exp(709.8): representable in float64, but not in float32.
 """
 
 from __future__ import annotations

@@ -14,11 +14,11 @@ temperature tau_i.  Every step:
     w      <- w - eta_w v
 
 With a full batch and beta0 = beta1 = 1 this degenerates to exact gradient
-descent on the objective.  A step scores its batch as one block of
-loss._contrast, whose kernel _tables writes every side's tables only once
-all of them are finite.  The fixed-temperature baseline runs the same step
-with eta_tau = 0.  Parameter updates optionally use an Adam-style rule
-instead of momentum; temperatures always use momentum.
+descent on the objective.  Both modalities' steps run _step, which scores
+the batch as one block of loss._contrast, whose kernel _tables writes every
+side's tables only once all of them are finite.  The fixed-temperature
+baseline runs the same step with eta_tau = 0.  Parameter updates optionally
+use an Adam-style rule instead of momentum; temperatures always use momentum.
 """
 
 from __future__ import annotations
@@ -190,6 +190,25 @@ def _check_rows(opt: OptimizerState, n: int) -> None:
         raise ValueError("the optimizer state holds %d anchors, the dataset %d rows" % (opt.n, n))
 
 
+def _step(opt: OptimizerState, params, towers, idx, h_rows, cfg: RgclConfig):
+    """The step of both modalities: encode each tower, given as (index into
+    params, batch rows), score the batch as one block of _contrast with the
+    kernel _tables, back-propagate, and update the concatenated parameters of
+    every encoder in params at once.  Returns the new parameters of each."""
+    batches = [encode(params[e], rows) for e, rows in towers]
+    dys = _contrast([b.embeddings for b in batches], h_rows, len(idx), lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
+    opt.initialized[idx] = True
+    grads = [None] * len(params)
+    for (e, _), batch, dy in zip(towers, batches, dys):
+        grad = encode_backward(params[e], batch, dy).flatten()
+        grads[e] = grad if grads[e] is None else grads[e] + grad
+
+    new_flat = _param_update(opt, np.concatenate([p.flatten() for p in params]), np.concatenate(grads), cfg)
+    opt.t += 1
+    ends = [sum(p.n_params for p in params[: k + 1]) for k in range(len(params))]
+    return tuple(p.from_flat(new_flat[end - p.n_params : end]) for p, end in zip(params, ends))
+
+
 def step_unimodal(
     opt: OptimizerState,
     params: EncoderParams,
@@ -210,16 +229,9 @@ def step_unimodal(
     _check_rows(opt, n)
     step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
     idx, noise_a, noise_b = sample_batch(step_stream, n, batch_size, inputs.shape[1])
-    ea = encode(params, inputs[idx] + aug_strength * noise_a)
-    eb = encode(params, inputs[idx] + aug_strength * noise_b)
-    dya, dyb = _contrast([ea.embeddings, eb.embeddings], _anchor_h_rows, batch_size,
-                         lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
-    opt.initialized[idx] = True
-    grad_w = encode_backward(params, ea, dya).flatten() + encode_backward(params, eb, dyb).flatten()
-
-    new_flat = _param_update(opt, params.flatten(), grad_w, cfg)
-    opt.t += 1
-    return params.from_flat(new_flat)
+    towers = [(0, inputs[idx] + aug_strength * noise_a), (0, inputs[idx] + aug_strength * noise_b)]
+    [new_params] = _step(opt, [params], towers, idx, _anchor_h_rows, cfg)
+    return new_params
 
 
 def step_sogclr_baseline(
@@ -253,24 +265,12 @@ def step_bimodal(
     _check_rows(opt, n)
     _check_rows(opt, texts.shape[0])
     idx = _batch_indices(RandomStream(opt.seed, ("train", str(opt.t))), n, batch_size)
-
-    ex = encode(params_img, images[idx])
-    et = encode(params_txt, texts[idx])
-    dx, dt = _contrast([ex.embeddings, et.embeddings], _bimodal_h_rows, batch_size,
-                       lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
-    opt.initialized[idx] = True
-    grad = np.concatenate([encode_backward(params_img, ex, dx).flatten(),
-                           encode_backward(params_txt, et, dt).flatten()])
-
-    flat = np.concatenate([params_img.flatten(), params_txt.flatten()])
-    new_flat = _param_update(opt, flat, grad, cfg)
-    opt.t += 1
-    n_img = params_img.n_params
-    return params_img.from_flat(new_flat[:n_img]), params_txt.from_flat(new_flat[n_img:])
+    return _step(opt, [params_img, params_txt], [(0, images[idx]), (1, texts[idx])], idx, _bimodal_h_rows, cfg)
 
 
 # per-anchor tables, written side by side in this order
 _TABLES = ("s", "u", "tau")
+_EXTREMA = ("min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen")
 _HEADER_BYTES = 8 + 6 * 8 + 4 * 8
 
 
@@ -293,7 +293,7 @@ def save_optimizer_state(opt: OptimizerState, path: str) -> None:
                 0 if opt.adam_m2 is None else 1,
             )
         )
-        fh.write(struct.pack("<dddd", opt.min_g_seen, opt.min_s_seen, opt.min_tau_seen, opt.max_tau_seen))
+        fh.write(struct.pack("<dddd", *(getattr(opt, name) for name in _EXTREMA)))
         fh.write(opt.v.astype("<f8").tobytes())
         for side in range(opt.sides):
             for name in _TABLES:
@@ -306,7 +306,9 @@ def save_optimizer_state(opt: OptimizerState, path: str) -> None:
 def load_optimizer_state(path: str) -> OptimizerState:
     """Read a checkpoint written by save_optimizer_state.  The header fixes
     the exact file size; any other size, an unknown magic or mode flag, a
-    negative size or a malformed flag is rejected with ValueError."""
+    negative step or size, a malformed flag, a NaN extremum or a non-finite
+    value in v, s, u, tau or the Adam second moment is rejected with
+    ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:8]
@@ -314,10 +316,10 @@ def load_optimizer_state(path: str) -> OptimizerState:
         raise ValueError("not an optimizer checkpoint")
     sides = _MAGICS.index(magic) + 1
     mode_flag, seed, t, n, nv, has_adam = struct.unpack_from("<qqqqqq", data, 8)
-    min_g, min_s, min_tau, max_tau = struct.unpack_from("<dddd", data, 56)
-    if not (0 <= mode_flag < len(_MODES) and n >= 0 and nv >= 0 and has_adam in (0, 1)):
-        raise ValueError("corrupt checkpoint header: mode %d, n %d, len(v) %d, adam flag %d"
-                         % (mode_flag, n, nv, has_adam))
+    extrema = dict(zip(_EXTREMA, struct.unpack_from("<dddd", data, 56)))
+    if not (0 <= mode_flag < len(_MODES) and t >= 0 and n >= 0 and nv >= 0 and has_adam in (0, 1)):
+        raise ValueError("corrupt checkpoint header: mode %d, step %d, n %d, len(v) %d, adam flag %d"
+                         % (mode_flag, t, n, nv, has_adam))
     size = _HEADER_BYTES + 8 * nv * (1 + has_adam) + 8 * n * len(_TABLES) * sides + n
     if len(data) != size:
         raise ValueError("checkpoint is %d bytes, its header implies %d" % (len(data), size))
@@ -329,24 +331,27 @@ def load_optimizer_state(path: str) -> OptimizerState:
         offset += out.nbytes
         return out
 
-    v = take(nv).astype(np.float64)
-    tables = {name: np.empty((sides, n)) for name in _TABLES}
+    arrays = {"v": take(nv).astype(np.float64)}
+    arrays.update((name, np.empty((sides, n))) for name in _TABLES)
     for side in range(sides):
         for name in _TABLES:
-            tables[name][side] = take(n)
+            arrays[name][side] = take(n)
     flags = take(n, np.uint8)
     if np.any(flags > 1):
         raise ValueError("checkpoint initialized flags must be 0 or 1")
+    if has_adam:
+        arrays["adam_m2"] = take(nv).astype(np.float64)
+    for name, value in arrays.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError("checkpoint %s holds a non-finite value" % name)
+    for name, value in extrema.items():
+        if math.isnan(value):
+            raise ValueError("checkpoint %s is NaN" % name)
     return OptimizerState(
         mode=_MODES[mode_flag],
         seed=seed,
         t=t,
         initialized=flags.astype(bool),
-        v=v,
-        adam_m2=take(nv).astype(np.float64) if has_adam else None,
-        min_g_seen=min_g,
-        min_s_seen=min_s,
-        min_tau_seen=min_tau,
-        max_tau_seen=max_tau,
-        **tables,
+        **arrays,
+        **extrema,
     )

@@ -11,8 +11,9 @@ These deliberately avoid the code paths they are used to check:
 * solve_dual_tau minimizes the one-dimensional dual by derivative-free
   golden-section search;
 * finite_diff_grad is plain central differences;
-* full_batch_reference recomputes the full objective and its gradients
-  as straight-line per-anchor loops.
+* full_batch_reference and full_batch_reference_bimodal recompute the
+  full objective and its gradients in one straight-line per-anchor loop,
+  _reference_loop, which uses none of loss's block machinery.
 """
 
 from __future__ import annotations
@@ -266,47 +267,52 @@ def finite_diff_grad(func, point) -> np.ndarray:
     return grad
 
 
+def _reference_loop(n: int, directions, cfg: RgclConfig) -> float:
+    """The objective over n anchors as one straight-line per-anchor loop,
+    which adds its gradients into the buffers of each direction of the loss
+    (anchor, positive, negatives, taus, (grad_tau, d_anchor, d_positive,
+    d_negatives)): anchor i is row i of anchor, its positive row i of
+    positive, its negatives the rows j != i of each matrix in negatives, and
+    each d_ buffer is the embedding gradient of the matrix in its place."""
+    if n > _FULL_BATCH_CAP:
+        raise ValueError("full-batch reference capped at n <= %d" % _FULL_BATCH_CAP)
+    value = 0.0
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        for anchor, positive, negatives, taus, (grad_tau, d_anchor, d_positive, d_negatives) in directions:
+            negs = np.concatenate([neg[others] for neg in negatives], axis=0)
+            h = negs @ anchor[i] - float(anchor[i] @ positive[i])
+            m = len(h)
+            tau = taus[i]
+            mean_exp = float(np.mean(np.exp(h / tau)))
+            g = mean_exp + cfg.log_epsilon
+            value += tau * math.log(g) + (tau - cfg.tau0) * cfg.rho
+            dg_dtau = float(np.mean(np.exp(h / tau) * (-h / tau**2)))
+            grad_tau[i] = (tau * dg_dtau / g + math.log(g) + cfg.rho) / n
+            w = np.exp(h / tau) / (m * g * n)
+            for b, (neg, d_neg) in enumerate(zip(negatives, d_negatives)):
+                for k, j in enumerate(others):
+                    wk = w[k + b * (n - 1)]
+                    d_anchor[i] += wk * (neg[j] - positive[i])
+                    d_neg[j] += wk * anchor[i]
+            d_positive[i] -= float(np.sum(w)) * anchor[i]
+    return value / n
+
+
 def full_batch_reference(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
     """Exact objective and gradients, written as an unvectorized loop.
 
     Reference implementation for verifying the production path and the
     stochastic estimators.  Returns (value, grad_w_flat, grad_tau).
     """
-    n = views.n
-    if n > _FULL_BATCH_CAP:
-        raise ValueError("full-batch reference capped at n <= %d" % _FULL_BATCH_CAP)
     taus = np.asarray(taus, dtype=np.float64)
-    ya = encode(params, views.views_a).embeddings
-    yb = encode(params, views.views_b).embeddings
-
-    value = 0.0
-    grad_tau = np.zeros(n)
-    dya = np.zeros_like(ya)
-    dyb = np.zeros_like(yb)
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        negs = np.concatenate([ya[others], yb[others]], axis=0)
-        h = negs @ ya[i] - float(ya[i] @ yb[i])
-        m = len(h)
-        tau = taus[i]
-        mean_exp = float(np.mean(np.exp(h / tau)))
-        g = mean_exp + cfg.log_epsilon
-        value += tau * math.log(g) + (tau - cfg.tau0) * cfg.rho
-        dg_dtau = float(np.mean(np.exp(h / tau) * (-h / tau**2)))
-        grad_tau[i] = (tau * dg_dtau / g + math.log(g) + cfg.rho) / n
-        w = np.exp(h / tau) / (m * g * n)
-        for k, j in enumerate(others):
-            dya[i] += w[k] * (ya[j] - yb[i])
-            dya[j] += w[k] * ya[i]
-        for k, j in enumerate(others):
-            wk = w[k + n - 1]
-            dya[i] += wk * (yb[j] - yb[i])
-            dyb[j] += wk * ya[i]
-        dyb[i] -= float(np.sum(w)) * ya[i]
-    value /= n
-
-    ga = encode_backward(params, views.views_a, dya)
-    gb = encode_backward(params, views.views_b, dyb)
+    ea, eb = encode(params, views.views_a), encode(params, views.views_b)
+    ya, yb = ea.embeddings, eb.embeddings
+    grad_tau = np.zeros(views.n)
+    dya, dyb = np.zeros_like(ya), np.zeros_like(yb)
+    value = _reference_loop(views.n, [(ya, yb, (ya, yb), taus, (grad_tau, dya, dyb, (dya, dyb)))], cfg)
+    ga = encode_backward(params, ea, dya)
+    gb = encode_backward(params, eb, dyb)
     return value, ga.flatten() + gb.flatten(), grad_tau
 
 
@@ -319,54 +325,23 @@ def full_batch_reference_bimodal(
     taus_t,
     cfg: RgclConfig,
 ):
-    """Loop implementation of the bimodal objective and gradients.
+    """Loop implementation of the bimodal objective and gradients: per pair,
+    the image anchor over the other texts, then the text anchor over the
+    other images.
 
     Returns (value, grad_w_img, grad_w_txt, grad_tau_v, grad_tau_t).
     """
     n = images.shape[0]
-    if n > _FULL_BATCH_CAP:
-        raise ValueError("full-batch reference capped at n <= %d" % _FULL_BATCH_CAP)
     taus_v = np.asarray(taus_v, dtype=np.float64)
     taus_t = np.asarray(taus_t, dtype=np.float64)
-    x_emb = encode(params_img, images).embeddings
-    t_emb = encode(params_txt, texts).embeddings
-
-    value = 0.0
-    grad_tau_v = np.zeros(n)
-    grad_tau_t = np.zeros(n)
-    dx = np.zeros_like(x_emb)
-    dt = np.zeros_like(t_emb)
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        pos = float(x_emb[i] @ t_emb[i])
-
-        hx = t_emb[others] @ x_emb[i] - pos
-        tau = taus_v[i]
-        mean_exp = float(np.mean(np.exp(hx / tau)))
-        g = mean_exp + cfg.log_epsilon
-        value += tau * math.log(g) + (tau - cfg.tau0) * cfg.rho
-        dg = float(np.mean(np.exp(hx / tau) * (-hx / tau**2)))
-        grad_tau_v[i] = (tau * dg / g + math.log(g) + cfg.rho) / n
-        w = np.exp(hx / tau) / (len(hx) * g * n)
-        for k, j in enumerate(others):
-            dx[i] += w[k] * (t_emb[j] - t_emb[i])
-            dt[j] += w[k] * x_emb[i]
-        dt[i] -= float(np.sum(w)) * x_emb[i]
-
-        ht = x_emb[others] @ t_emb[i] - pos
-        tau = taus_t[i]
-        mean_exp = float(np.mean(np.exp(ht / tau)))
-        g = mean_exp + cfg.log_epsilon
-        value += tau * math.log(g) + (tau - cfg.tau0) * cfg.rho
-        dg = float(np.mean(np.exp(ht / tau) * (-ht / tau**2)))
-        grad_tau_t[i] = (tau * dg / g + math.log(g) + cfg.rho) / n
-        w = np.exp(ht / tau) / (len(ht) * g * n)
-        for k, j in enumerate(others):
-            dt[i] += w[k] * (x_emb[j] - x_emb[i])
-            dx[j] += w[k] * t_emb[i]
-        dx[i] -= float(np.sum(w)) * t_emb[i]
-    value /= n
-
-    gx = encode_backward(params_img, images, dx).flatten()
-    gt = encode_backward(params_txt, texts, dt).flatten()
+    ex, et = encode(params_img, images), encode(params_txt, texts)
+    x_emb, t_emb = ex.embeddings, et.embeddings
+    grad_tau_v, grad_tau_t = np.zeros(n), np.zeros(n)
+    dx, dt = np.zeros_like(x_emb), np.zeros_like(t_emb)
+    value = _reference_loop(n, [
+        (x_emb, t_emb, (t_emb,), taus_v, (grad_tau_v, dx, dt, (dt,))),
+        (t_emb, x_emb, (x_emb,), taus_t, (grad_tau_t, dt, dx, (dx,))),
+    ], cfg)
+    gx = encode_backward(params_img, ex, dx).flatten()
+    gt = encode_backward(params_txt, et, dt).flatten()
     return value, gx, gt, grad_tau_v, grad_tau_t

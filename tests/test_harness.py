@@ -554,9 +554,10 @@ class TestCli:
               ("noise=-1", "noise must be nonnegative, not -1.0"),
               ("aug_strength=-0.5", "aug_strength must be nonnegative, not -0.5"),
               ("batch_size=1", "batch_size must be >= 2, not 1"),
+              ("tau_grad_scale=-5", "tau_grad_scale must be nonnegative, not -5.0"),
           ]],
     ], ids=["array", "null", "seed-2**63", "knn_k-even", "knn_k-over-train", "d_in-0", "d_hidden-0", "d_embed-0",
-            "noise-negative", "aug_strength-negative", "batch_size-1"])
+            "noise-negative", "aug_strength-negative", "batch_size-1", "tau_grad_scale-negative"])
     def test_rejected_before_any_output(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "cfg.json"
         path.write_text(config)

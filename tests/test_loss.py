@@ -59,6 +59,10 @@ class TestConfig:
             RgclConfig(beta0=0.0)
         with pytest.raises(ValueError):
             RgclConfig(rho=2.0, tau0=0.05, tau_init=5.0)  # above tau_max
+        # a negative scale would turn the temperature update into ascent on the dual
+        with pytest.raises(ValueError, match="tau_grad_scale must be nonnegative, not -1.0"):
+            RgclConfig(tau_grad_scale=-1.0)
+        RgclConfig(tau_grad_scale=0.0)  # like eta_tau = 0, freezes the temperatures
         for key in ["rho", "tau0", "tau_init", "beta0", "beta1", "eta_w", "eta_tau",
                     "tau_grad_scale", "log_epsilon"]:
             for bad in [float("nan"), float("inf"), np.float32("nan")]:
@@ -394,19 +398,22 @@ class TestBimodal:
         assert v == pytest.approx(want, abs=1e-12)
 
     def test_grads_finite_difference(self):
+        # both towers and both sides' temperatures
         p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(16)
         _, gx, gt, gtv, gtt = bimodal_value_and_grads(
             p_img, p_txt, images, texts, taus_v, taus_t, cfg
         )
-        fd_x = finite_diff_grad(
-            lambda f: objective_bimodal(p_img.from_flat(f), p_txt, images, texts, taus_v, taus_t, cfg),
-            p_img.flatten(),
-        )
-        fd_tv = finite_diff_grad(
-            lambda tv: objective_bimodal(p_img, p_txt, images, texts, tv, taus_t, cfg), taus_v
-        )
-        assert np.linalg.norm(gx - fd_x) / np.linalg.norm(fd_x) <= 1e-6
-        assert np.linalg.norm(gtv - fd_tv) / np.linalg.norm(fd_tv) <= 1e-6
+        cases = [
+            (gx, p_img.flatten(),
+             lambda f: objective_bimodal(p_img.from_flat(f), p_txt, images, texts, taus_v, taus_t, cfg)),
+            (gt, p_txt.flatten(),
+             lambda f: objective_bimodal(p_img, p_txt.from_flat(f), images, texts, taus_v, taus_t, cfg)),
+            (gtv, taus_v, lambda tv: objective_bimodal(p_img, p_txt, images, texts, tv, taus_t, cfg)),
+            (gtt, taus_t, lambda tt: objective_bimodal(p_img, p_txt, images, texts, taus_v, tt, cfg)),
+        ]
+        for exact, point, func in cases:
+            fd = finite_diff_grad(func, point)
+            assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) <= 1e-6
 
 
 class TestContrastBlocks:

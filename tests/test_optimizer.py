@@ -561,7 +561,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="header implies"):
             load_optimizer_state(str(path))
 
-    @pytest.mark.parametrize("field,value", [(0, 2), (0, 3), (0, -1), (3, -1), (4, -1), (5, 2)])
+    @pytest.mark.parametrize("field,value", [(0, 2), (0, 3), (0, -1), (2, -1), (3, -1), (4, -1), (5, 2)])
     def test_corrupt_header_rejected(self, tmp_path, field, value):
         # field indexes (mode flag, seed, step, n, len(v), adam flag)
         path, data, _ = self.checkpoint_sections(tmp_path, False)
@@ -570,6 +570,30 @@ class TestCheckpoint:
         path.write_bytes(data[:8] + struct.pack("<qqqqqq", *header) + data[56:])
         with pytest.raises(ValueError, match="corrupt checkpoint header"):
             load_optimizer_state(str(path))
+
+    @pytest.mark.parametrize("bimodal", [False, True])
+    def test_non_finite_values_rejected(self, tmp_path, bimodal):
+        # the last entry of each float section after the extrema: v, each
+        # side's s, u and tau, and the Adam second moment
+        path, data, ends = self.checkpoint_sections(tmp_path, bimodal)
+        names = ["v", *["s", "u", "tau"] * (2 if bimodal else 1)]
+        for end, name in [*((ends[3 + k], name) for k, name in enumerate(names)), (ends[-1], "adam_m2")]:
+            for bad in (np.nan, np.inf, -np.inf):
+                path.write_bytes(data[: end - 8] + struct.pack("<d", bad) + data[end:])
+                with pytest.raises(ValueError, match="checkpoint %s holds a non-finite value" % name):
+                    load_optimizer_state(str(path))
+
+    def test_nan_extremum_rejected(self, tmp_path):
+        # extrema of +-inf stay legal: a fresh state holds them
+        path, data, _ = self.checkpoint_sections(tmp_path, False)
+        for k, name in enumerate(("min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen")):
+            at = 56 + 8 * k
+            path.write_bytes(data[:at] + struct.pack("<d", np.nan) + data[at + 8 :])
+            with pytest.raises(ValueError, match="checkpoint %s is NaN" % name):
+                load_optimizer_state(str(path))
+            for legal in (np.inf, -np.inf):
+                path.write_bytes(data[:at] + struct.pack("<d", legal) + data[at + 8 :])
+                assert getattr(load_optimizer_state(str(path)), name) == legal
 
     def test_initialized_flags_must_be_boolean(self, tmp_path):
         path, data, ends = self.checkpoint_sections(tmp_path, False)

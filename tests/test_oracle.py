@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rgcl import oracle
+from rgcl import loss, optimizer, oracle
 from rgcl.encoder import init_encoder_params
 from rgcl.harness import _random_instance
 from rgcl.loss import (
@@ -16,6 +16,7 @@ from rgcl.numerics import RandomStream
 from rgcl.oracle import (
     finite_diff_grad,
     full_batch_reference,
+    full_batch_reference_bimodal,
     grid_search_simplex,
     solve_dual_tau,
     solve_primal,
@@ -325,9 +326,52 @@ class TestFullBatchReference:
         np.testing.assert_allclose(rgw, gw, atol=1e-12)
         np.testing.assert_allclose(rgt, gt, atol=1e-12)
 
+    @pytest.mark.parametrize("log_epsilon", [0.0, 0.25])
+    def test_grads_finite_difference(self, log_epsilon):
+        # every gradient of both references against central differences of
+        # the reference's own value, so the loop is judged against calculus
+        stream = RandomStream(8, ("fd",))
+        p_img = init_encoder_params(4, 5, 3, "tanh", stream.split("img"))
+        p_txt = init_encoder_params(3, 4, 3, "tanh", stream.split("txt"))
+        images, texts = stream.split("x").normal(5, 4), stream.split("t").normal(5, 3)
+        taus_v, taus_t = 0.2 + 0.6 * stream.split("tv").uniform(5), 0.2 + 0.6 * stream.split("tt").uniform(5)
+        cfg = RgclConfig(rho=0.4, tau0=0.05, tau_init=0.6, log_epsilon=log_epsilon)
+        views = ViewPairs(images, stream.split("b").normal(5, 4))
+
+        def uni(params=p_img, taus=taus_v):
+            return full_batch_reference(params, views, taus, cfg)[0]
+
+        def bi(p_img=p_img, p_txt=p_txt, taus_v=taus_v, taus_t=taus_t):
+            return full_batch_reference_bimodal(p_img, p_txt, images, texts, taus_v, taus_t, cfg)[0]
+
+        _, gw, gtau = full_batch_reference(p_img, views, taus_v, cfg)
+        _, gx, gt, gtv, gtt = full_batch_reference_bimodal(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
+        cases = [
+            (gw, p_img.flatten(), lambda f: uni(params=p_img.from_flat(f))),
+            (gtau, taus_v, lambda t: uni(taus=t)),
+            (gx, p_img.flatten(), lambda f: bi(p_img=p_img.from_flat(f))),
+            (gt, p_txt.flatten(), lambda f: bi(p_txt=p_txt.from_flat(f))),
+            (gtv, taus_v, lambda t: bi(taus_v=t)),
+            (gtt, taus_t, lambda t: bi(taus_t=t)),
+        ]
+        for exact, point, func in cases:
+            fd = finite_diff_grad(func, point)
+            assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) <= 1e-6
+
     def test_size_cap(self):
         stream = RandomStream(7, ("cap",))
         params = init_encoder_params(3, 4, 2, "tanh", stream.split("enc"))
         big = ViewPairs(np.ones((300, 3)), np.ones((300, 3)))
-        with pytest.raises(ValueError):
-            full_batch_reference(params, big, np.full(300, 0.5), RgclConfig())
+        taus = np.full(300, 0.5)
+        with pytest.raises(ValueError, match="capped at n <= 256"):
+            full_batch_reference(params, big, taus, RgclConfig())
+        with pytest.raises(ValueError, match="capped at n <= 256"):
+            full_batch_reference_bimodal(params, params, big.views_a, big.views_b, taus, taus, RgclConfig())
+
+
+def test_independent_of_the_block_machinery():
+    # the oracle judges the production path, so it must not run any of it
+    names = {"_contrast", "_softmax_rows", "_h_rows", "_offdiag_rows", "_encoder_pass", "_full_batch", "_tables", "_step"}
+    machinery = [getattr(loss, name, None) or getattr(optimizer, name) for name in names]
+    assert not names & vars(oracle).keys()
+    assert not [value for value in vars(oracle).values() if any(value is m for m in machinery)]
