@@ -107,7 +107,7 @@ class EmbeddingBatch:
     encode_backward."""
 
     embeddings: np.ndarray  # (n, d_embed)
-    cache: tuple | None = field(default=None, repr=False)  # encode's forward intermediates
+    cache: tuple = field(repr=False)  # encode's forward intermediates
 
     def __post_init__(self):
         norms = np.linalg.norm(self.embeddings, axis=1)

@@ -12,11 +12,11 @@ learnable temperature.
 
 This module also provides the exact full-batch objective and its gradients
 with respect to encoder parameters and temperatures, computed analytically
-through the hardness scores and the encoder backward pass.  One block pass,
-_contrast, serves the exact evaluation, both stochastic steps and verify's
-degeneration check: per block of anchors, the hardness rows of each
-direction of the loss, a caller's kernel that turns them into pair weights,
-and the embedding gradients.  The exact objective and evaluation use blocks
+through the hardness scores and the encoder backward pass.  One encoder
+pass, _encoder_pass, serves the exact evaluation, both stochastic steps and
+verify's degeneration check; its block pass _contrast gives per block of
+anchors the hardness rows of each direction of the loss, a caller's kernel
+that turns them into pair weights, and the embedding gradients.  The exact objective and evaluation use blocks
 of _EVAL_ROWS anchors, so memory is O(n * (_EVAL_ROWS + d)); the block size
 fixes the order of the negative-role gradient sums, and so the last bits of
 the parameter gradient.

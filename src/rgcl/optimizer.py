@@ -15,10 +15,11 @@ temperature tau_i.  Every step:
 
 With a full batch and beta0 = beta1 = 1 this degenerates to exact gradient
 descent on the objective.  Both modalities' steps run _step, which scores
-the batch as one block of loss._contrast, whose kernel _tables writes every
-side's tables only once all of them are finite.  The fixed-temperature
+the batch as one block of loss._encoder_pass, whose kernel _tables writes
+every side's tables only once all of them are finite.  The fixed-temperature
 baseline runs the same step with eta_tau = 0.  Parameter updates optionally
-use an Adam-style rule instead of momentum; temperatures always use momentum.
+use an Adam-style rule instead of momentum; temperatures always use
+momentum.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# encode and encode_backward are bound here too: bench/spans.py looks them up in this module
 from .encoder import EncoderParams, encode, encode_backward
-from .loss import _ANCHOR_NAMES, RgclConfig, _anchor_h_rows, _bimodal_h_rows, _contrast, _require_finite_rows
+from .loss import _ANCHOR_NAMES, RgclConfig, _anchor_h_rows, _bimodal_h_rows, _encoder_pass, _require_finite_rows
 from .loss import _softmax_rows
 from .numerics import RandomStream
 
@@ -191,18 +193,12 @@ def _check_rows(opt: OptimizerState, n: int) -> None:
 
 
 def _step(opt: OptimizerState, params, towers, idx, h_rows, cfg: RgclConfig):
-    """The step of both modalities: encode each tower, given as (index into
-    params, batch rows), score the batch as one block of _contrast with the
-    kernel _tables, back-propagate, and update the concatenated parameters of
-    every encoder in params at once.  Returns the new parameters of each."""
-    batches = [encode(params[e], rows) for e, rows in towers]
-    dys = _contrast([b.embeddings for b in batches], h_rows, len(idx), lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
+    """The step of both modalities: one _encoder_pass over the towers, given
+    as (index into params, batch rows), that scores the batch as one block
+    with the kernel _tables, then one update of the concatenated parameters
+    of every encoder in params.  Returns the new parameters of each."""
+    grads = _encoder_pass(params, towers, h_rows, len(idx), lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
     opt.initialized[idx] = True
-    grads = [None] * len(params)
-    for (e, _), batch, dy in zip(towers, batches, dys):
-        grad = encode_backward(params[e], batch, dy).flatten()
-        grads[e] = grad if grads[e] is None else grads[e] + grad
-
     new_flat = _param_update(opt, np.concatenate([p.flatten() for p in params]), np.concatenate(grads), cfg)
     opt.t += 1
     ends = [sum(p.n_params for p in params[: k + 1]) for k in range(len(params))]
