@@ -612,9 +612,9 @@ def _vcheck_degeneration(seed):
     for _ in range(5):
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
 
-        def kernel(lo, hi, hs):
+        def kernel(lo, hi, hs, ws):
             s = np.array([loss.g_value(h, t, cfg.log_epsilon) for h, t in zip(hs[0], tau)])
-            return [loss._softmax_rows(hs[0], tau, cfg.log_epsilon, n, lambda g: s)[-1]]
+            loss._softmax_rows(hs[0], tau, cfg.log_epsilon, n, lambda g: s, out=ws[0])
 
         [gw] = loss._encoder_pass([p], [(0, views.views_a), (0, views.views_b)], loss._anchor_h_rows, n, kernel)
         rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))

@@ -16,7 +16,10 @@ through the hardness scores and the encoder backward pass.  One encoder
 pass, _encoder_pass, serves the exact evaluation, both stochastic steps and
 verify's degeneration check; its block pass _contrast gives per block of
 anchors the hardness rows of each direction of the loss, a caller's kernel
-that turns them into pair weights, and the embedding gradients.  The exact objective and evaluation use blocks
+that turns them into pair weights, and the embedding gradients.  Every
+block of a pass reuses one workspace of score blocks, hardness rows, pair
+weights and one (n, d) gradient buffer, allocated by the first block and
+sliced by a short last one.  The exact objective and evaluation use blocks
 of _EVAL_ROWS anchors, so memory is O(n * (_EVAL_ROWS + d)); the block size
 fixes the order of the negative-role gradient sums, and so the last bits of
 the parameter gradient.
@@ -219,21 +222,41 @@ def _require_finite_rows(what: str, index, **vectors) -> None:
         raise ValueError("%s %d has a non-finite value: %s" % (what, index[k], values))
 
 
-def _offdiag_rows(mats, lo: int, rows: np.ndarray, scatter: bool = False) -> None:
+def _rows(work, key, r: int, width: int) -> np.ndarray:
+    """Rows 0..r-1 of buffer `key` in the workspace dict work, which the first
+    block of a pass allocates as (r, width): blocks run in order and only the
+    last may be short, so every later block slices it.  A fresh array when
+    work is None."""
+    if work is None:
+        return np.empty((r, width))
+    if key not in work:
+        work[key] = np.empty((r, width))
+    return work[key][:r]
+
+
+def _offdiag_rows(mats, lo: int, rows: np.ndarray, scatter: bool = False, scratch=None) -> None:
     """Gather the off-diagonal entries of each C-ordered (r, n) block in mats,
     whose row k holds its diagonal entry in column lo + k, side by side into
     rows (r, len(mats)*(n-1)), or scatter rows back into them.  A square
     matrix is the block r = n, lo = 0.  Row-major, those entries are the head
     of row 0, r-1 stretches of n entries between consecutive diagonal entries
     (for a square matrix: a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]), and
-    the tail of row r-1."""
+    the tail of row r-1.  One block is copied straight to or from rows; with
+    more, each passes through the head of scratch, a contiguous array of at
+    least r*(n-1) entries (a fresh one when None)."""
     r, n = mats[0].shape
-    tmp = np.empty((r, n - 1))
+    staged = len(mats) > 1
+    if not staged:
+        tmp = rows
+    elif scratch is None:
+        tmp = np.empty((r, n - 1))
+    else:
+        tmp = scratch.reshape(-1)[: r * (n - 1)].reshape(r, n - 1)
     buf, k, last = tmp.reshape(-1), lo + (r - 1) * n, lo + (r - 1) * (n + 1)
     for j, a in enumerate(mats):
         flat = a.reshape(-1)
         block = rows[:, j * (n - 1) : (j + 1) * (n - 1)]
-        if scatter:
+        if scatter and staged:
             np.copyto(tmp, block)
         for part, tmp_part in (
             (flat[:lo], buf[:lo]),
@@ -244,40 +267,44 @@ def _offdiag_rows(mats, lo: int, rows: np.ndarray, scatter: bool = False) -> Non
                 part[...] = tmp_part
             else:
                 tmp_part[...] = part
-        if not scatter:
+        if staged and not scatter:
             np.copyto(block, tmp)
 
 
-def _h_rows(y, negs, lo: int, hi: int):
+def _h_rows(y, negs, lo: int, hi: int, work=None):
     """Hardness rows (hi-lo, len(negs)*(n-1)) of the anchors at rows lo..hi-1
-    of y, and their score blocks y[lo:hi] @ neg.T, one GEMM each.  Anchor i's
-    negatives are the rows j != i of each matrix in negs, side by side, and
-    its positive is row i of negs[-1]."""
-    blocks = [y[lo:hi] @ neg.T for neg in negs]
-    h = np.empty((hi - lo, len(negs) * (y.shape[0] - 1)))
-    _offdiag_rows(blocks, lo, h)
+    of y, and their score blocks y[lo:hi] @ neg.T, one GEMM each, all in
+    buffers of the workspace dict work (see _rows).  Anchor i's negatives are
+    the rows j != i of each matrix in negs, side by side, and its positive is
+    row i of negs[-1]."""
+    r, n = hi - lo, y.shape[0]
+    blocks = [np.matmul(y[lo:hi], neg.T, out=_rows(work, ("scores", k), r, n)) for k, neg in enumerate(negs)]
+    h = _rows(work, "hardness", r, len(negs) * (n - 1))
+    # the kernel writes the pair weights only later, so their buffer is free
+    _offdiag_rows(blocks, lo, h, scratch=_rows(work, "weights", *h.shape) if len(negs) > 1 else None)
     h -= blocks[-1].diagonal(lo)[:, None]
     return h, blocks
 
 
-def _anchor_h_rows(towers, lo: int, hi: int):
+def _anchor_h_rows(towers, lo: int, hi: int, work):
     """The one direction of the unimodal loss over the anchors at rows lo..hi-1
     of towers = [ya, yb], as (anchor tower, negative towers, hardness rows,
     score blocks): anchor i is row i of ya, its positive row i of yb, its
-    negatives both views of every other sample."""
-    return [(0, (0, 1), *_h_rows(towers[0], towers, lo, hi))]
+    negatives both views of every other sample.  work holds one workspace
+    dict per anchor tower."""
+    return [(0, (0, 1), *_h_rows(towers[0], towers, lo, hi, work[0]))]
 
 
-def _bimodal_h_rows(towers, lo: int, hi: int):
+def _bimodal_h_rows(towers, lo: int, hi: int, work):
     """Both directions of the bimodal loss over the pairs at rows lo..hi-1 of
     towers = [x, t], as in _anchor_h_rows: image anchor i over the texts other
     than t_i, text anchor i over the images other than x_i.  Both come from
     the same code path, so mirrored towers give bitwise-equal rows."""
     x, t = towers
-    return [(0, (1,), *_h_rows(x, [t], lo, hi)), (1, (0,), *_h_rows(t, [x], lo, hi))]
+    return [(0, (1,), *_h_rows(x, [t], lo, hi, work[0])), (1, (0,), *_h_rows(t, [x], lo, hi, work[1]))]
 
 
-def _softmax_rows(h, taus, log_epsilon: float, count, denom=None):
+def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
     """The row kernel of every full-batch evaluation and stochastic step.
 
     h (k, m) holds each anchor's hardness scores over its m negatives and is
@@ -286,10 +313,10 @@ def _softmax_rows(h, taus, log_epsilon: float, count, denom=None):
     g = mean_exp + log_epsilon; d = denom(g), or g when denom is None (the
     step passes its moving-average update of s); ratio = mean_exp / d;
     eph = E_p[h]; and the pair weights w = p * ratio / count of the
-    parameter gradient.
+    parameter gradient, written into out when it is given.
     """
     m = h.shape[1]
-    z = h / taus[:, None]
+    z = np.divide(h, taus[:, None], out=out)
     shift = z.max(axis=1, keepdims=True)
     np.subtract(z, shift, out=z)
     np.exp(z, out=z)
@@ -305,50 +332,64 @@ def _softmax_rows(h, taus, log_epsilon: float, count, denom=None):
     return g, d, ratio, eph, z
 
 
-def _embedding_grad_pieces(ws, lo: int, y, negs):
-    """Embedding gradients of sum_ij w_ij h_ij over the anchors at rows lo..hi-1
-    of y, laid out as in _h_rows; ws holds one (hi-lo, n) weight block per
-    matrix in negs, zero where j = i.  Returns the anchor role of those rows,
-    sum_k ws[k] @ negs[k] - rs * negs[-1][lo:hi] with rs the weights' row
-    sums, and per matrix in negs its negative role ws[k].T @ y[lo:hi], the
-    last plus the positive role -rs * y[lo:hi] on rows lo..hi-1."""
-    hi = lo + ws[0].shape[0]
-    rs = ws[0].sum(axis=1)
-    anchor = ws[0] @ negs[0]
-    for w, other in zip(ws[1:], negs[1:]):
+def _add_embedding_grads(blocks, lo: int, y, negs, anchor_rows, other, role) -> None:
+    """Embedding gradients of sum_ij w_ij h_ij over the anchors at rows
+    lo..hi-1 of y, laid out as in _h_rows; blocks holds one (hi-lo, n) weight
+    block per matrix in negs, zero where j = i.  Writes the anchor role of
+    those rows, sum_k blocks[k] @ negs[k] - rs * negs[-1][lo:hi] with rs the
+    weights' row sums, into anchor_rows.  Per matrix in negs, builds its
+    negative role blocks[k].T @ y[lo:hi], the last plus the positive role
+    -rs * y[lo:hi] on rows lo..hi-1, in the (n, d) buffer role and adds it
+    into other[k]."""
+    hi = lo + blocks[0].shape[0]
+    rs = blocks[0].sum(axis=1)
+    np.matmul(blocks[0], negs[0], out=anchor_rows)
+    for w, neg in zip(blocks[1:], negs[1:]):
         rs = rs + w.sum(axis=1)
-        anchor += w @ other
-    anchor -= rs[:, None] * negs[-1][lo:hi]
-    roles = [w.T @ y[lo:hi] for w in ws]
-    roles[-1][lo:hi] += -rs[:, None] * y[lo:hi]
-    return anchor, roles
+        anchor_rows += w @ neg
+    anchor_rows -= rs[:, None] * negs[-1][lo:hi]
+    for k, w in enumerate(blocks):
+        np.matmul(w.T, y[lo:hi], out=role)
+        if k == len(blocks) - 1:
+            role[lo:hi] += -rs[:, None] * y[lo:hi]
+        other[k] += role
 
 
 def _contrast(towers, h_rows, rows: int, kernel):
     """The block pass of every contrastive computation.  For each block of up
-    to `rows` anchors, h_rows(towers, lo, hi) gives each direction of the loss
-    as (anchor tower, negative towers, hardness rows, score blocks), towers by
-    index and laid out as in _h_rows; kernel(lo, hi, hs) turns the hardness
-    rows into pair weights, which are scattered into the score blocks.
-    Returns per tower the embedding gradient of the weighted hardness sum."""
+    to `rows` anchors, h_rows(towers, lo, hi, work) gives each direction of
+    the loss as (anchor tower, negative towers, hardness rows, score blocks),
+    towers by index and laid out as in _h_rows; kernel(lo, hi, hs, ws) turns
+    the hardness rows hs into pair weights written into ws, which are
+    scattered into the score blocks.  Returns per tower the embedding
+    gradient of the weighted hardness sum.
+
+    Every block runs in one workspace, one dict per anchor tower plus an
+    (n, d) role buffer, which a short last block slices; it is dropped on
+    return, before the caller back-propagates."""
     n = towers[0].shape[0]
-    # anchor-role rows apart from the summed negative and positive roles,
-    # so mirrored bimodal towers see the same operations in the same order
-    anchor, other = [np.zeros_like(y) for y in towers], [np.zeros_like(y) for y in towers]
+    # the anchor-role rows of each tower that anchors a direction, kept apart
+    # from every tower's summed negative and positive roles so mirrored
+    # bimodal towers see the same operations in the same order
+    anchor, other = {}, [np.zeros_like(y) for y in towers]
+    work, role = [{} for _ in towers], np.empty_like(towers[0])
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        directions = h_rows(towers, lo, hi)
-        ws = kernel(lo, hi, [d[2] for d in directions])
-        # the kernel has spent the hardness rows: the scatter reuses their memory
-        directions = [(a, negs, blocks) for a, negs, _, blocks in directions]
-        for (a, negs, blocks), w in zip(directions, ws):
-            _offdiag_rows(blocks, lo, w, scatter=True)
+        directions = h_rows(towers, lo, hi, work)
+        ws = [_rows(work[a], "weights", *h.shape) for a, _, h, _ in directions]
+        kernel(lo, hi, [d[2] for d in directions], ws)
+        for (a, negs, h, blocks), w in zip(directions, ws):
+            # the kernel has spent the hardness rows, so their buffer is free
+            _offdiag_rows(blocks, lo, w, scatter=True, scratch=h)
             for block in blocks:
                 block.reshape(-1)[lo :: n + 1] = 0.0
-            anchor[a][lo:hi], roles = _embedding_grad_pieces(blocks, lo, towers[a], [towers[j] for j in negs])
-            for j, part in zip(negs, roles):
-                other[j] += part
-    return [p + q for p, q in zip(anchor, other)]
+            if a not in anchor:
+                anchor[a] = np.empty_like(towers[a])  # every block writes its rows
+            _add_embedding_grads(blocks, lo, towers[a], [towers[j] for j in negs], anchor[a][lo:hi],
+                                 [other[j] for j in negs], role)
+    for a, rows_a in anchor.items():
+        other[a] += rows_a
+    return other
 
 
 def _encoder_pass(params, towers, h_rows, rows: int, kernel):
@@ -377,12 +418,9 @@ def _full_batch(params, towers, h_rows, taus, cfg: RgclConfig):
     taus = [np.asarray(t, dtype=np.float64) for t in taus]
     stats = [(np.empty(n), np.empty(n), np.empty(n)) for _ in taus]
 
-    def kernel(lo, hi, hs):
-        ws = []
-        for h, tau, (g, ratio, eph) in zip(hs, taus, stats):
-            g[lo:hi], _, ratio[lo:hi], eph[lo:hi], w = _softmax_rows(h, tau[lo:hi], cfg.log_epsilon, n)
-            ws.append(w)
-        return ws
+    def kernel(lo, hi, hs, ws):
+        for h, w, tau, (g, ratio, eph) in zip(hs, ws, taus, stats):
+            g[lo:hi], _, ratio[lo:hi], eph[lo:hi], _ = _softmax_rows(h, tau[lo:hi], cfg.log_epsilon, n, out=w)
 
     grads = _encoder_pass(params, towers, h_rows, _EVAL_ROWS, kernel)
     out = []
@@ -401,17 +439,27 @@ def _objective(towers, h_rows, taus, cfg: RgclConfig) -> float:
     n = towers[0].shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")
-    total = 0.0
+    total, work = 0.0, [{} for _ in towers]
     for lo in range(0, n, _EVAL_ROWS):
-        hs = [d[2] for d in h_rows(towers, lo, min(lo + _EVAL_ROWS, n))]
+        hs = [d[2] for d in h_rows(towers, lo, min(lo + _EVAL_ROWS, n), work)]
         for k in range(len(hs[0])):
             for h, tau in zip(hs, taus):
                 total += dual_loss_anchor(h[k], tau[lo + k], cfg)
     return total / n
 
 
+def require_same_length(**arrays) -> None:
+    """Raise ValueError naming every count unless the named per-sample
+    arrays all have the same length."""
+    counts = {name: len(a) for name, a in arrays.items()}
+    if len(set(counts.values())) > 1:
+        raise ValueError("%s must all have the same length, not %s"
+                         % (", ".join(counts), ", ".join("%d" % c for c in counts.values())))
+
+
 def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
     """Exact full-batch objective: mean over anchors of the dual loss."""
+    require_same_length(views=views.views_a, taus=taus)
     towers = [encode(params, views.views_a).embeddings, encode(params, views.views_b).embeddings]
     return _objective(towers, _anchor_h_rows, [taus], cfg)
 
@@ -419,6 +467,7 @@ def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclC
 def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
     """Objective value plus exact gradients w.r.t. the flattened encoder
     parameters and the temperature vector.  Vectorized over anchors."""
+    require_same_length(views=views.views_a, taus=taus)
     [(terms, grad_tau)], [grad_w] = _full_batch([params], [(0, views.views_a), (0, views.views_b)],
                                                 _anchor_h_rows, [taus], cfg)
     return float(np.mean(terms)), grad_w, grad_tau
@@ -434,6 +483,7 @@ def objective_bimodal(
     cfg: RgclConfig,
 ) -> float:
     """Exact two-way full-batch objective over n image-text pairs."""
+    require_same_length(images=images, texts=texts, taus_v=taus_v, taus_t=taus_t)
     towers = [encode(params_img, images).embeddings, encode(params_txt, texts).embeddings]
     return _objective(towers, _bimodal_h_rows, [taus_v, taus_t], cfg)
 
@@ -451,6 +501,7 @@ def bimodal_value_and_grads(
 
     Returns (value, grad_w_img_flat, grad_w_txt_flat, grad_tau_v, grad_tau_t).
     """
+    require_same_length(images=images, texts=texts, taus_v=taus_v, taus_t=taus_t)
     [(terms_v, grad_tau_v), (terms_t, grad_tau_t)], (gx, gt) = _full_batch(
         [params_img, params_txt], [(0, images), (1, texts)], _bimodal_h_rows, [taus_v, taus_t], cfg
     )

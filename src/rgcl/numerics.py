@@ -73,6 +73,25 @@ def spearman_rank_corr(a, b) -> float:
     return float(np.sum(ra * rb) / denom)
 
 
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed-sequence type of a Philox generator with a known 128-bit key:
+    it hands the generator the key's two 64-bit words.  Philox(key=k) would
+    first seed itself from a SeedSequence of OS entropy, then overwrite that
+    state with k; this gives the same state without drawing the entropy.
+    Built on the first draw: loading numpy.random when rgcl is imported
+    raised a training run's peak RSS by about 0.3 MB."""
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: bytes):
+            self.words = np.frombuffer(key, "<u8").astype(np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PhiloxKey
+
+
 class RandomStream:
     """Deterministic random stream backed by the counter-based Philox4x64
     generator.
@@ -94,8 +113,7 @@ class RandomStream:
     @functools.cached_property
     def _gen(self) -> np.random.Generator:
         material = ("%d/" % self.seed + "/".join(self.path)).encode()
-        key = int.from_bytes(hashlib.sha256(material).digest()[:16], "little")
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_philox_key_type()(hashlib.sha256(material).digest()[:16])))
 
     def split(self, name: str) -> "RandomStream":
         """Derive an independent sub-stream; does not advance this stream."""

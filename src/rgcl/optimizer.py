@@ -156,33 +156,33 @@ def _project_tau(tau: np.ndarray, cfg: RgclConfig) -> np.ndarray:
     return np.clip(tau, cfg.tau0, cfg.tau_max)
 
 
-def _tables(opt: OptimizerState, idx, hs, cfg: RgclConfig):
+def _tables(opt: OptimizerState, idx, hs, ws, cfg: RgclConfig) -> None:
     """The step's kernel: the row kernel on each side's batch hardness rows
     hs[side], then in-place updates of the batch anchors' s, u and projected
-    tau in every side's tables.  Returns each side's pair weights, computed
-    with the temperatures the batch was scored with and the fresh s.  A
-    non-finite g, s or new tau on any side raises ValueError naming its side
-    and dataset index before any table of any side is written."""
+    tau in every side's tables.  Writes each side's pair weights, computed
+    with the temperatures the batch was scored with and the fresh s, into
+    ws[side].  A non-finite g, s or new tau on any side raises ValueError
+    naming its side and dataset index before any table of any side is
+    written."""
     init = opt.initialized[idx]
     updates = []
-    for side, h in enumerate(hs):
+    for side, (h, w) in enumerate(zip(hs, ws)):
         taus, s_old = opt.tau[side][idx], opt.s[side][idx]
-        g, s_new, ratio, eph, w = _softmax_rows(
+        g, s_new, ratio, eph, _ = _softmax_rows(
             h, taus, cfg.log_epsilon, len(idx),
-            lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g),
+            lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g), out=w,
         )
         grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / opt.n * cfg.resolved_tau_grad_scale(opt.n)
         u_new = (1.0 - cfg.beta1) * opt.u[side][idx] + cfg.beta1 * grad_tau
         tau_new = _project_tau(taus - cfg.eta_tau * u_new, cfg)
         _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)
-        updates.append((w, g, s_new, u_new, tau_new))
-    for side, (_, g, s_new, u_new, tau_new) in enumerate(updates):
+        updates.append((g, s_new, u_new, tau_new))
+    for side, (g, s_new, u_new, tau_new) in enumerate(updates):
         opt.s[side][idx], opt.u[side][idx], opt.tau[side][idx] = s_new, u_new, tau_new
         opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
         opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
         opt.min_tau_seen = min(opt.min_tau_seen, float(np.min(tau_new)))
         opt.max_tau_seen = max(opt.max_tau_seen, float(np.max(tau_new)))
-    return [update[0] for update in updates]
 
 
 def _check_rows(opt: OptimizerState, n: int) -> None:
@@ -197,7 +197,7 @@ def _step(opt: OptimizerState, params, towers, idx, h_rows, cfg: RgclConfig):
     as (index into params, batch rows), that scores the batch as one block
     with the kernel _tables, then one update of the concatenated parameters
     of every encoder in params.  Returns the new parameters of each."""
-    grads = _encoder_pass(params, towers, h_rows, len(idx), lambda lo, hi, hs: _tables(opt, idx, hs, cfg))
+    grads = _encoder_pass(params, towers, h_rows, len(idx), lambda lo, hi, hs, ws: _tables(opt, idx, hs, ws, cfg))
     opt.initialized[idx] = True
     new_flat = _param_update(opt, np.concatenate([p.flatten() for p in params]), np.concatenate(grads), cfg)
     opt.t += 1

@@ -31,6 +31,7 @@ from .loss import (
     dual_loss_anchor,
     kl_uniform,
     primal_rgcl_value,
+    require_same_length,
 )
 from .numerics import softmax_shifted
 
@@ -305,6 +306,7 @@ def full_batch_reference(params: EncoderParams, views: ViewPairs, taus, cfg: Rgc
     Reference implementation for verifying the production path and the
     stochastic estimators.  Returns (value, grad_w_flat, grad_tau).
     """
+    require_same_length(views=views.views_a, taus=taus)
     taus = np.asarray(taus, dtype=np.float64)
     ea, eb = encode(params, views.views_a), encode(params, views.views_b)
     ya, yb = ea.embeddings, eb.embeddings
@@ -331,6 +333,7 @@ def full_batch_reference_bimodal(
 
     Returns (value, grad_w_img, grad_w_txt, grad_tau_v, grad_tau_t).
     """
+    require_same_length(images=images, texts=texts, taus_v=taus_v, taus_t=taus_t)
     n = images.shape[0]
     taus_v = np.asarray(taus_v, dtype=np.float64)
     taus_t = np.asarray(taus_t, dtype=np.float64)

@@ -16,7 +16,9 @@ from rgcl.loss import (
     bimodal_value_and_grads,
     _anchor_h_rows,
     _bimodal_h_rows,
+    _TAU0_MIN,
     _contrast,
+    _encoder_pass,
     _softmax_rows,
     dual_loss_anchor,
     g_value,
@@ -278,6 +280,44 @@ class TestRowKernelProperties:
         assert np.all(np.diff(eph) <= 1e-12)
         assert np.all(eph >= h.mean() - 1e-12) and np.all(eph <= h.max() + 1e-12)
 
+    @given(st.integers(1, 8), st.integers(0, 2**16))
+    @settings(deadline=None, max_examples=60)
+    def test_tau0_limit(self, m, seed):
+        # tau log sum_j exp(h_j / tau) = E_p[h] + tau H(p) lies in [max h, max h
+        # + tau log m], so E_p[h] and tau log g lie within tau log m below max h
+        # and reach it as tau -> tau0 -> 0; the rows run tau down to the
+        # smallest tau0 RgclConfig admits
+        stream = RandomStream(seed, ("tau0-limit",))
+        h = np.clip(stream.split("h").normal(m), -HARDNESS_BOUND, HARDNESS_BOUND)
+        taus = np.geomspace(1.0, _TAU0_MIN, 12)
+        g, _, _, eph, _ = _softmax_rows(np.tile(h, (12, 1)), taus, 0.0, 1)
+        gap = taus * math.log(m) + 1e-12
+        assert np.all(eph <= h.max() + 1e-12) and np.all(eph >= h.max() - gap)
+        tau_log_g = taus * np.log(g)
+        assert np.all(tau_log_g <= h.max() + 1e-12) and np.all(tau_log_g >= h.max() - gap)
+
+    @given(st.integers(2, 8), st.integers(1, 4), st.sampled_from([0.0, 0.25]), st.integers(0, 2**16))
+    @settings(deadline=None, max_examples=30)
+    def test_one_block_of_every_anchor_equals_oracle(self, n, d, log_epsilon, seed):
+        # a unimodal step's batch of B = n anchors with s = g: the row kernel
+        # on one block of every anchor gives the loop oracle's value and
+        # gradients
+        params, views, taus, cfg = small_unimodal(seed, n=n, d=d)
+        cfg = RgclConfig(rho=cfg.rho, tau0=cfg.tau0, tau_init=cfg.tau_init, log_epsilon=log_epsilon)
+        rows = []
+
+        def kernel(lo, hi, hs, ws):
+            rows.append(_softmax_rows(hs[0], taus, log_epsilon, n, out=ws[0])[:4])
+
+        [grad_w] = _encoder_pass([params], [(0, views.views_a), (0, views.views_b)], _anchor_h_rows, n, kernel)
+        [(g, _, ratio, eph)] = rows
+        value = float(np.mean(taus * np.log(g) + (taus - cfg.tau0) * cfg.rho))
+        grad_tau = (-ratio * eph / taus + np.log(g) + cfg.rho) / n
+        ref_value, ref_grad_w, ref_grad_tau = full_batch_reference(params, views, taus, cfg)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-14)
+        np.testing.assert_allclose(grad_w, ref_grad_w, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(grad_tau, ref_grad_tau, rtol=1e-10, atol=1e-13)
+
 
 def small_unimodal(seed, n=4, d=3, hidden=5, embed=3):
     stream = RandomStream(seed, ("inst",))
@@ -438,9 +478,10 @@ class TestContrastBlocks:
             embedding gradients of its softmax weights."""
             seen = []
 
-            def kernel(lo, hi, hs):
+            def kernel(lo, hi, hs, ws):
                 seen.append((lo, hi, [h.copy() for h in hs]))
-                return [_softmax_rows(h, tau[lo:hi], 0.0, n)[-1] for h, tau in zip(hs, taus)]
+                for h, w, tau in zip(hs, ws, taus):
+                    _softmax_rows(h, tau[lo:hi], 0.0, n, out=w)
 
             return seen, _contrast(towers, h_rows, rows, kernel)
 
@@ -475,6 +516,43 @@ class TestEvaluationMemory:
             finally:
                 tracemalloc.stop()
             assert peak < n * n * 8
+
+    @pytest.mark.parametrize("evaluate, instance, limit_mb", [
+        (unimodal_value_and_grads, small_unimodal, 3.9),
+        (bimodal_value_and_grads, small_bimodal, 4.0),
+    ], ids=["unimodal", "bimodal"])
+    def test_peak_at_n2000(self, evaluate, instance, limit_mb):
+        # one n = 2000 evaluation runs its 125 blocks in one reused
+        # workspace and traces 3.17 MB (unimodal) and 3.46 MB (bimodal);
+        # arrays allocated afresh for every block trace about 4.6 and 4.2 MB
+        args = instance(17, n=2000, d=16, hidden=3, embed=16)
+        tracemalloc.start()
+        try:
+            evaluate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 2**20
+
+
+class TestLengthMismatch:
+    """Every exact evaluation and both oracle references reject per-sample
+    inputs of different lengths and name the counts."""
+
+    @pytest.mark.parametrize("evaluate", [objective_unimodal, unimodal_value_and_grads, full_batch_reference])
+    def test_unimodal_extra_temperature(self, evaluate):
+        params, views, taus, cfg = small_unimodal(22, n=5)
+        with pytest.raises(ValueError, match="^views, taus must all have the same length, not 5, 6$"):
+            evaluate(params, views, np.append(taus, 0.5), cfg)
+
+    @pytest.mark.parametrize("evaluate", [objective_bimodal, bimodal_value_and_grads, full_batch_reference_bimodal])
+    @pytest.mark.parametrize("short, counts", [(3, "5, 4, 5, 5"), (5, "5, 5, 5, 4")], ids=["texts", "taus_t"])
+    def test_bimodal_short_input(self, evaluate, short, counts):
+        # 5 images with 4 texts, or 5 pairs with 4 text temperatures
+        args = list(small_bimodal(23, n=5))
+        args[short] = args[short][:4]
+        with pytest.raises(ValueError, match="^images, texts, taus_v, taus_t must all have the same length, not %s$" % counts):
+            evaluate(*args)
 
 
 class TestNonFinite:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,19 @@ class TestRandomStream:
             -0.34122217882673894, -0.9996372011916617, -1.4704222998182679]
         assert s.uniform(2).tolist() == [0.41248182325444405, 0.33126025851423013]
         assert RandomStream(0).choice_without_replacement(10, 4).tolist() == [1, 8, 9, 3]
+
+    @pytest.mark.parametrize("seed, path", [(0, ()), (7, ("x",)), (-3, ("train", "12", "aug-a")), (2**62, ("indices",))])
+    def test_generator_equals_philox_from_key(self, seed, path):
+        # the stream's generator has the state and the draws of
+        # Philox(key=k), k the little-endian head of the path's sha256
+        material = ("%d/" % seed + "/".join(path)).encode()
+        want = np.random.Generator(np.random.Philox(key=int.from_bytes(hashlib.sha256(material).digest()[:16], "little")))
+        got = RandomStream(seed, path)._gen
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        np.testing.assert_array_equal(got.standard_normal(5), want.standard_normal(5))
+        np.testing.assert_array_equal(got.choice(50, size=7, replace=False), want.choice(50, size=7, replace=False))
+        np.testing.assert_array_equal(got.random(3), want.random(3))
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
 
     def test_draw_gaussian(self):
         # standard-normal draws of the requested shape; each draw advances

@@ -79,7 +79,8 @@ def side_step(opt, hmat, cfg, eta_tau=0.0):
     """_tables on every anchor of opt with the hardness rows hmat (n, n-1)
     of its one side, at the step size eta_tau; hmat itself is left
     untouched."""
-    return _tables(opt, np.arange(opt.n), [np.array(hmat, dtype=np.float64)], replace(cfg, eta_tau=eta_tau))
+    h = np.array(hmat, dtype=np.float64)
+    _tables(opt, np.arange(opt.n), [h], [np.empty_like(h)], replace(cfg, eta_tau=eta_tau))
 
 
 class TestUpdateS:
@@ -137,7 +138,8 @@ class TestGradTauEstimator:
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
         ya, yb = encode(params, views.views_a).embeddings, encode(params, views.views_b).embeddings
         opt = side_state(6, cfg)
-        _tables(opt, np.arange(6), [_h_rows(ya, [ya, yb], 0, 6)[0]], replace(cfg, eta_tau=0.0))
+        h = _h_rows(ya, [ya, yb], 0, 6)[0]
+        _tables(opt, np.arange(6), [h], [np.empty_like(h)], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
     def test_scale_linearity(self):
