@@ -672,7 +672,7 @@ def _vcheck_unbiasedness(seed):
     views = ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
     ya = encode(params, views.views_a).embeddings
     yb = encode(params, views.views_b).embeddings
-    hmat = loss._h_rows(ya, [ya, yb], 0, n)[0]
+    hmat = loss._h_rows(ya, [ya, yb], 0, n, {})[0]
     tau = 0.5
     anchor = 0
     g_full = loss.g_value(hmat[anchor], tau)

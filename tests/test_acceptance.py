@@ -168,7 +168,7 @@ def test_criterion_06_estimator_unbiasedness():
     views = ViewPairs(stream.split("a").normal(n, d), stream.split("b").normal(n, d))
     ya = encode(params, views.views_a).embeddings
     yb = encode(params, views.views_b).embeddings
-    hmat = _h_rows(ya, [ya, yb], 0, n)[0]
+    hmat = _h_rows(ya, [ya, yb], 0, n, {})[0]
     tau = 0.5
     draws = 10000
     for anchor in range(10):

@@ -120,11 +120,11 @@ def test_strided_offdiag_matches_boolean_mask(n):
     for lo in range(n):
         for hi in range(lo + 1, n + 1):
             rows = np.empty((hi - lo, 2 * (n - 1)))
-            _offdiag_rows([a[lo:hi], b[lo:hi]], lo, rows)
+            _offdiag_rows([a[lo:hi], b[lo:hi]], lo, rows, np.empty((hi - lo, n - 1)))
             np.testing.assert_array_equal(rows, want[lo:hi])
 
             back = [np.zeros((hi - lo, n)), np.zeros((hi - lo, n))]
-            _offdiag_rows(back, lo, rows, scatter=True)
+            _offdiag_rows(back, lo, rows, np.empty((hi - lo, n - 1)), scatter=True)
             for got, src in zip(back, (a, b)):
                 expect = np.zeros((n, n))
                 expect[off] = src[off]

@@ -429,7 +429,7 @@ class TestBimodal:
 
         x = encode(p_img, images).embeddings
         t = encode(p_txt, texts).embeddings
-        hx, ht = _h_rows(x, [t], 0, n)[0], _h_rows(t, [x], 0, n)[0]
+        hx, ht = _h_rows(x, [t], 0, n, {})[0], _h_rows(t, [x], 0, n, {})[0]
         want = sum(
             cfg.tau0 * math.log(g_value(hx[i], cfg.tau0))
             + cfg.tau0 * math.log(g_value(ht[i], cfg.tau0))

@@ -138,7 +138,7 @@ class TestGradTauEstimator:
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
         ya, yb = encode(params, views.views_a).embeddings, encode(params, views.views_b).embeddings
         opt = side_state(6, cfg)
-        h = _h_rows(ya, [ya, yb], 0, 6)[0]
+        h = _h_rows(ya, [ya, yb], 0, 6, {})[0]
         _tables(opt, np.arange(6), [h], [np.empty_like(h)], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
@@ -166,7 +166,7 @@ class TestHardnessRows:
         vb = np.vstack([row_b, row_b, other + 0.1])
         ya = encode(params, va).embeddings
         yb = encode(params, vb).embeddings
-        hmat = _h_rows(ya, [ya, yb], 0, 3)[0]
+        hmat = _h_rows(ya, [ya, yb], 0, 3, {})[0]
         np.testing.assert_allclose(np.sort(hmat[0]), np.sort(hmat[1]), atol=1e-14)
 
 
