@@ -599,28 +599,27 @@ def _vcheck_finite_diff(seed):
 
 
 def _vcheck_degeneration(seed):
-    """The step's parameter direction, from the step's block pass over the
-    whole set with every s exact, must be the exact gradient.  (A real step
-    would draw augmentation noise and so change the fixed views.)"""
-    params, views, taus, cfg0 = _small_instance(seed, n=6, d=4)
+    """The step's kernel, optimizer._tables, scoring the whole set of fixed
+    views as one block with beta0 = beta1 = 1 and tau_grad_scale = 1, must
+    give the exact parameter gradient and take the exact projected
+    temperature step.  (A real step would draw augmentation noise and so
+    change the fixed views.)"""
+    params, views, _, cfg0 = _small_instance(seed, n=6, d=4)
     cfg = RgclConfig(rho=cfg0.rho, tau0=cfg0.tau0, tau_init=0.6, beta0=1.0, beta1=1.0,
                      eta_w=0.05, eta_tau=0.05, tau_grad_scale=1.0)
-    n = views.n
-    tau = np.full(n, cfg.tau_init)
+    n, idx = views.n, np.arange(views.n)
+    opt = optimizer.init_optimizer_state(n, params.n_params, cfg, seed)
     p = params.copy()
     worst = 0.0
     for _ in range(5):
+        tau = opt.tau[0].copy()
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
-
-        def kernel(lo, hi, hs, ws):
-            s = np.array([loss.g_value(h, t, cfg.log_epsilon) for h, t in zip(hs[0], tau)])
-            loss._softmax_rows(hs[0], tau, cfg.log_epsilon, n, lambda g: s, out=ws[0])
-
-        [gw] = loss._encoder_pass([p], [(0, views.views_a), (0, views.views_b)], loss._anchor_h_rows, n, kernel)
-        rel = float(np.linalg.norm(gw - ref_gw) / max(np.linalg.norm(ref_gw), 1e-12))
-        worst = max(worst, rel)
+        [gw] = loss._encoder_pass([p], [views.views], loss._anchor_h_rows, n,
+                                  lambda lo, hi, hs, ws: optimizer._tables(opt, idx, hs, ws, cfg))
+        ref_step = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max) - tau
+        for got, want in ((gw, ref_gw), (opt.tau[0] - tau, ref_step)):
+            worst = max(worst, float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)))
         p = p.from_flat(p.flatten() - cfg.eta_w * gw)
-        tau = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max)
     return _check("estimator_degeneration", worst <= 1e-10, {"worst_rel_err": worst})
 
 
@@ -670,9 +669,9 @@ def _vcheck_unbiasedness(seed):
     n, d = 20, 5
     params = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
     views = ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
-    ya = encode(params, views.views_a).embeddings
-    yb = encode(params, views.views_b).embeddings
-    hmat = loss._h_rows(ya, [ya, yb], 0, n, {})[0]
+    y = encode(params, views.views).embeddings
+    ya, yb = y[0::2], y[1::2]
+    [(_, _, _, hmat)] = loss._anchor_h_rows([y], 0, n, {})
     tau = 0.5
     anchor = 0
     g_full = loss.g_value(hmat[anchor], tau)

@@ -14,15 +14,19 @@ This module also provides the exact full-batch objective and its gradients
 with respect to encoder parameters and temperatures, computed analytically
 through the hardness scores and the encoder backward pass.  One encoder
 pass, _encoder_pass, serves the exact evaluation, both stochastic steps and
-verify's degeneration check; its block pass _contrast gives per block of
-anchors the hardness rows of each direction of the loss, a caller's kernel
-that turns them into pair weights, and the embedding gradients.  Every
-block of a pass reuses one workspace of score blocks, hardness rows, pair
-weights and one (n, d) gradient buffer, allocated by the first block and
-sliced by a short last one.  The exact objective and evaluation use blocks
-of _EVAL_ROWS anchors, so memory is O(n * (_EVAL_ROWS + d)); the block size
-fixes the order of the negative-role gradient sums, and so the last bits of
-the parameter gradient.
+verify's degeneration check.  A unimodal pass encodes both views as one
+interleaved tower (see ViewPairs); a bimodal pass encodes an image and a
+text tower.  Its block pass _contrast gives per block of anchors the
+hardness rows of each direction of the loss, a caller's kernel that turns
+them into pair weights, and the embedding gradients: per direction one GEMM
+each for the scores, the anchor role and the negative role, with the
+off-diagonal entries gathered and scattered in place by strides.  Every
+block of a pass reuses one workspace of a score block, hardness rows, pair
+weights and one gradient buffer over the negative tower, allocated by the
+first block and sliced by a short last one.  The exact objective and
+evaluation use blocks of _EVAL_ROWS anchors, so memory is
+O(n * (_EVAL_ROWS + d)); the block size fixes the order of the negative-role
+gradient sums, and so the last bits of the parameter gradient.
 """
 
 from __future__ import annotations
@@ -135,22 +139,29 @@ class DistributionalWeights:
         self.p = p
 
 
-@dataclass
 class ViewPairs:
-    """Fixed augmented views of a dataset: row i of views_a is the anchor
-    view of sample i and row i of views_b is its positive view.  The
-    negative set of anchor i is both views of every other sample."""
+    """Fixed augmented views of a dataset, interleaved in one (2n, d_in)
+    array views: row 2i is the anchor view of sample i and row 2i+1 its
+    positive view, so one encoder pass embeds both.  views_a and views_b are
+    strided views of its even and odd rows.  The negative set of anchor i is
+    both views of every other sample."""
 
-    views_a: np.ndarray  # (n, d_in)
-    views_b: np.ndarray  # (n, d_in)
-
-    def __post_init__(self):
-        if self.views_a.shape != self.views_b.shape:
+    def __init__(self, views_a, views_b):
+        if np.shape(views_a) != np.shape(views_b):
             raise ValueError("view matrices must have identical shape")
+        self.views = np.stack([views_a, views_b], axis=1).reshape(-1, *np.shape(views_a)[1:])
+
+    @property
+    def views_a(self) -> np.ndarray:
+        return self.views[0::2]
+
+    @property
+    def views_b(self) -> np.ndarray:
+        return self.views[1::2]
 
     @property
     def n(self) -> int:
-        return self.views_a.shape[0]
+        return self.views.shape[0] // 2
 
 
 def hardness_scores(anchor, positive, negatives) -> np.ndarray:
@@ -231,69 +242,64 @@ def _rows(work, key, r: int, width: int) -> np.ndarray:
     return work[key][:r]
 
 
-def _offdiag_rows(mats, lo: int, rows: np.ndarray, scratch, scatter: bool = False) -> None:
-    """Gather the off-diagonal entries of each C-ordered (r, n) block in mats,
-    whose row k holds its diagonal entry in column lo + k, side by side into
-    rows (r, len(mats)*(n-1)), or scatter rows back into them.  A square
-    matrix is the block r = n, lo = 0.  Row-major, those entries are the head
-    of row 0, r-1 stretches of n entries between consecutive diagonal entries
-    (for a square matrix: a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]), and
-    the tail of row r-1.  One block is copied straight to or from rows, and
-    scratch is not used; with more, each passes through the head of scratch,
-    a contiguous array of at least r*(n-1) entries."""
-    r, n = mats[0].shape
-    staged = len(mats) > 1
-    tmp = scratch.reshape(-1)[: r * (n - 1)].reshape(r, n - 1) if staged else rows
-    buf, k, last = tmp.reshape(-1), lo + (r - 1) * n, lo + (r - 1) * (n + 1)
-    for j, a in enumerate(mats):
-        flat = a.reshape(-1)
-        block = rows[:, j * (n - 1) : (j + 1) * (n - 1)]
-        if scatter and staged:
-            np.copyto(tmp, block)
-        for part, tmp_part in (
-            (flat[:lo], buf[:lo]),
-            (flat[lo + 1 : last + 1].reshape(-1, n + 1)[:, :n], buf[lo:k].reshape(-1, n)),
-            (flat[last + 1 :], buf[k:]),
-        ):
-            if scatter:
-                part[...] = tmp_part
-            else:
-                tmp_part[...] = part
-        if staged and not scatter:
-            np.copyto(block, tmp)
+def _own_groups(block: np.ndarray, p: int, lo: int) -> np.ndarray:
+    """The (r, p) view of each row's own group in the C-ordered (r, p*n) score
+    or weight block of the anchors lo..lo+r-1: row k's group is its anchor's
+    columns p*(lo+k) .. p*(lo+k)+p-1, the last of them its positive."""
+    return block.reshape(-1, p)[lo :: block.shape[1] // p + 1]
 
 
-def _h_rows(y, negs, lo: int, hi: int, work):
-    """Hardness rows (hi-lo, len(negs)*(n-1)) of the anchors at rows lo..hi-1
-    of y, and their score blocks y[lo:hi] @ neg.T, one GEMM each, all in
-    buffers of the workspace dict work (see _rows).  Anchor i's negatives are
-    the rows j != i of each matrix in negs, side by side, and its positive is
-    row i of negs[-1]."""
-    r, n = hi - lo, y.shape[0]
-    blocks = [np.matmul(y[lo:hi], neg.T, out=_rows(work, ("scores", k), r, n)) for k, neg in enumerate(negs)]
-    h = _rows(work, "hardness", r, len(negs) * (n - 1))
-    # the pair weights are written only later (see _contrast)
-    _offdiag_rows(blocks, lo, h, _rows(work, "weights", *h.shape) if len(negs) > 1 else None)
-    h -= blocks[-1].diagonal(lo)[:, None]
-    return h, blocks
+def _offdiag_rows(block: np.ndarray, p: int, lo: int, rows: np.ndarray, scatter: bool = False) -> None:
+    """Gather the entries of a C-ordered (r, p*n) block outside each row's own
+    group (see _own_groups) into rows (r, p*(n-1)), in column order, or
+    scatter rows back into them.  Taken in groups of p entries, row-major,
+    those are the head of row 0, r-1 stretches of n groups between
+    consecutive own groups, and the tail of row r-1; for p = 1 and a square
+    matrix, a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]."""
+    r, n = block.shape[0], block.shape[1] // p
+    groups, out = block.reshape(-1, p), rows.reshape(-1, p)
+    k, last = lo + (r - 1) * n, lo + (r - 1) * (n + 1)
+    for part, out_part in (
+        (groups[:lo], out[:lo]),
+        (groups[lo + 1 : last + 1].reshape(-1, n + 1, p)[:, :n], out[lo:k].reshape(-1, n, p)),
+        (groups[last + 1 :], out[k:]),
+    ):
+        if scatter:
+            part[...] = out_part
+        else:
+            out_part[...] = part
+
+
+def _h_rows(y, neg, p: int, lo: int, hi: int, work, key):
+    """Hardness rows (hi-lo, len(neg)-p) of the anchors lo..hi-1, anchor i
+    being row p*i of y, into buffer `key` of the workspace dict work (see
+    _rows): anchor i's scores against neg, one GEMM into the workspace's
+    score block, outside its own group of rows p*i .. p*i+p-1 of neg (see
+    _own_groups), minus the score of its positive, the group's last row."""
+    block = np.matmul(y[p * lo : p * hi : p], neg.T, out=_rows(work, "scores", hi - lo, len(neg)))
+    h = _rows(work, key, hi - lo, len(neg) - p)
+    _offdiag_rows(block, p, lo, h)
+    h -= _own_groups(block, p, lo)[:, -1:]
+    return h
 
 
 def _anchor_h_rows(towers, lo: int, hi: int, work):
-    """The one direction of the unimodal loss over the anchors at rows lo..hi-1
-    of towers = [ya, yb], as (anchor tower, negative towers, hardness rows,
-    score blocks): anchor i is row i of ya, its positive row i of yb, its
-    negatives both views of every other sample.  work holds one workspace
-    dict per anchor tower."""
-    return [(0, (0, 1), *_h_rows(towers[0], towers, lo, hi, work[0]))]
+    """The one direction of the unimodal loss over the anchors lo..hi-1 of the
+    interleaved tower towers = [y] (see ViewPairs), as (anchor tower, negative
+    tower, group size, hardness rows): anchor i is row 2i of y, its positive
+    row 2i+1, its negatives both views of every other sample."""
+    [y] = towers
+    return [(0, 0, 2, _h_rows(y, y, 2, lo, hi, work, ("hardness", 0)))]
 
 
 def _bimodal_h_rows(towers, lo: int, hi: int, work):
-    """Both directions of the bimodal loss over the pairs at rows lo..hi-1 of
-    towers = [x, t], as in _anchor_h_rows: image anchor i over the texts other
-    than t_i, text anchor i over the images other than x_i.  Both come from
+    """Both directions of the bimodal loss over the pairs lo..hi-1 of towers =
+    [x, t], as in _anchor_h_rows: image anchor i over the texts, its positive
+    t_i, and text anchor i over the images, its positive x_i.  Both come from
     the same code path, so mirrored towers give bitwise-equal rows."""
     x, t = towers
-    return [(0, (1,), *_h_rows(x, [t], lo, hi, work[0])), (1, (0,), *_h_rows(t, [x], lo, hi, work[1]))]
+    return [(0, 1, 1, _h_rows(x, t, 1, lo, hi, work, ("hardness", 0))),
+            (1, 0, 1, _h_rows(t, x, 1, lo, hi, work, ("hardness", 1)))]
 
 
 def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
@@ -324,102 +330,70 @@ def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
     return g, d, ratio, eph, z
 
 
-def _add_embedding_grads(blocks, lo: int, y, negs, anchor_rows, other, role) -> None:
-    """Embedding gradients of sum_ij w_ij h_ij over the anchors at rows
-    lo..hi-1 of y, laid out as in _h_rows; blocks holds one (hi-lo, n) weight
-    block per matrix in negs, zero where j = i.  Writes the anchor role of
-    those rows, sum_k blocks[k] @ negs[k] - rs * negs[-1][lo:hi] with rs the
-    weights' row sums, into anchor_rows.  Per matrix in negs, builds its
-    negative role blocks[k].T @ y[lo:hi], the last plus the positive role
-    -rs * y[lo:hi] on rows lo..hi-1, in the (n, d) buffer role and adds it
-    into other[k]."""
-    hi = lo + blocks[0].shape[0]
-    rs = blocks[0].sum(axis=1)
-    np.matmul(blocks[0], negs[0], out=anchor_rows)
-    for w, neg in zip(blocks[1:], negs[1:]):
-        rs = rs + w.sum(axis=1)
-        anchor_rows += w @ neg
-    anchor_rows -= rs[:, None] * negs[-1][lo:hi]
-    for k, w in enumerate(blocks):
-        np.matmul(w.T, y[lo:hi], out=role)
-        if k == len(blocks) - 1:
-            role[lo:hi] += -rs[:, None] * y[lo:hi]
-        other[k] += role
-
-
 def _contrast(towers, h_rows, rows: int, kernel):
     """The block pass of every contrastive computation.  For each block of up
     to `rows` anchors, h_rows(towers, lo, hi, work) gives each direction of
-    the loss as (anchor tower, negative towers, hardness rows, score blocks),
+    the loss as (anchor tower, negative tower, group size, hardness rows),
     towers by index and laid out as in _h_rows; kernel(lo, hi, hs, ws) turns
-    the hardness rows hs into pair weights written into ws, which are
-    scattered into the score blocks.  Returns per tower the embedding
-    gradient of the weighted hardness sum.
+    the hardness rows hs into pair weights w written into ws.  Returns per
+    tower the embedding gradient of the weighted hardness sum.
 
-    Every block runs in one workspace, one dict per anchor tower plus an
-    (n, d) role buffer, which a short last block slices; it is dropped on
-    return, before the caller back-propagates.  The unimodal pass stages its
-    off-diagonal copies through rows that are free at that moment: the
-    gather in _h_rows through the weight rows, so the kernel must write every
-    entry of ws, and the scatter through the hardness rows, so hs hold
-    nothing once the kernel returns.  A separate staging buffer would add
-    0.24 MB traced and about 0.7 MB to the peak RSS of a default unimodal
-    training run."""
-    n = towers[0].shape[0]
-    # the anchor-role rows of each tower that anchors a direction, kept apart
-    # from every tower's summed negative and positive roles so mirrored
-    # bimodal towers see the same operations in the same order
-    anchor, other = {}, [np.zeros_like(y) for y in towers]
-    work, role = [{} for _ in towers], np.empty_like(towers[0])
+    Each direction scatters w into one weight block W over its negative
+    tower, zero in each anchor's own group but minus the row sum of w at its
+    positive, so that the anchor role W @ neg and the negative and positive
+    roles W.T @ anchors take one GEMM each.  Every block runs in one
+    workspace (see _rows) that serves every direction; the anchor roles of a
+    block are added after every direction's negative roles, so mirrored
+    bimodal towers see the same operations in the same order."""
+    n = sum(map(len, towers)) // 2  # every sample has two rows among the towers
+    dys, work = [np.zeros_like(y) for y in towers], {}
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         directions = h_rows(towers, lo, hi, work)
-        ws = [_rows(work[a], "weights", *h.shape) for a, _, h, _ in directions]
-        kernel(lo, hi, [d[2] for d in directions], ws)
-        for (a, negs, h, blocks), w in zip(directions, ws):
-            _offdiag_rows(blocks, lo, w, h, scatter=True)
-            for block in blocks:
-                block.reshape(-1)[lo :: n + 1] = 0.0
-            if a not in anchor:
-                anchor[a] = np.empty_like(towers[a])  # every block writes its rows
-            _add_embedding_grads(blocks, lo, towers[a], [towers[j] for j in negs], anchor[a][lo:hi],
-                                 [other[j] for j in negs], role)
-    for a, rows_a in anchor.items():
-        other[a] += rows_a
-    return other
+        ws = [_rows(work, ("weights", k), *h.shape) for k, (_, _, _, h) in enumerate(directions)]
+        kernel(lo, hi, [d[3] for d in directions], ws)
+        anchor_roles = []
+        for k, ((a, b, p, _), w) in enumerate(zip(directions, ws)):
+            neg = towers[b]
+            block = _rows(work, "scores", hi - lo, len(neg))
+            _offdiag_rows(block, p, lo, w, scatter=True)
+            own = _own_groups(block, p, lo)
+            own[...] = 0.0
+            own[:, -1] = -w.sum(axis=1)
+            dys[b] += np.matmul(block.T, towers[a][p * lo : p * hi : p], out=_rows(work, "role", *neg.shape))
+            anchor_roles.append((a, p, np.matmul(block, neg, out=_rows(work, ("anchor", k), hi - lo, neg.shape[1]))))
+        for a, p, role in anchor_roles:
+            dys[a][p * lo : p * hi : p] += role
+    return dys
 
 
-def _encoder_pass(params, towers, h_rows, rows: int, kernel):
-    """Encode each tower, given as (index into params, input rows), run
+def _encoder_pass(params, inputs, h_rows, rows: int, kernel):
+    """Encode each tower's input rows with its encoder in params, run
     _contrast over the embeddings with h_rows, rows and kernel, and
-    back-propagate each tower's embedding gradient.  Returns per encoder in
-    params its flat parameter gradient, summed over the towers it encodes."""
-    batches = [encode(params[e], inputs) for e, inputs in towers]
+    back-propagate each tower's embedding gradient.  Returns per encoder its
+    flat parameter gradient."""
+    batches = [encode(p, x) for p, x in zip(params, inputs)]
     dys = _contrast([b.embeddings for b in batches], h_rows, rows, kernel)
-    grads = [None] * len(params)
-    for (e, _), batch, dy in zip(towers, batches, dys):
-        grad = encode_backward(params[e], batch, dy).flatten()
-        grads[e] = grad if grads[e] is None else grads[e] + grad
-    return grads
+    return [encode_backward(p, batch, dy).flatten() for p, batch, dy in zip(params, batches, dys)]
 
 
-def _full_batch(params, towers, h_rows, taus, cfg: RgclConfig):
+def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
     """Exact objective terms and gradients of either modality, in blocks of
-    _EVAL_ROWS anchors; params, towers and h_rows are as in _encoder_pass,
+    _EVAL_ROWS anchors; params, inputs and h_rows are as in _encoder_pass,
     taus the temperatures of each direction of the loss.  Returns per
     direction the terms tau log g + (tau - tau0) rho and the temperature
     gradient, and per encoder its flat parameter gradient."""
-    n = len(towers[0][1])
+    taus = [np.asarray(t, dtype=np.float64) for t in taus]
+    n = len(taus[0])
     if n < 2:
         raise ValueError("need at least 2 samples")
-    taus = [np.asarray(t, dtype=np.float64) for t in taus]
     stats = [(np.empty(n), np.empty(n), np.empty(n)) for _ in taus]
 
     def kernel(lo, hi, hs, ws):
         for h, w, tau, (g, ratio, eph) in zip(hs, ws, taus, stats):
             g[lo:hi], _, ratio[lo:hi], eph[lo:hi], _ = _softmax_rows(h, tau[lo:hi], cfg.log_epsilon, n, out=w)
 
-    grads = _encoder_pass(params, towers, h_rows, _EVAL_ROWS, kernel)
+    grads = _encoder_pass(params, inputs, h_rows, _EVAL_ROWS, kernel)
     out = []
     for what, tau, (g, ratio, eph) in zip(_ANCHOR_NAMES[len(taus)], taus, stats):
         log_g = np.log(g)
@@ -433,12 +407,12 @@ def _objective(towers, h_rows, taus, cfg: RgclConfig) -> float:
     """Exact objective: the dual losses of every direction of the loss, per
     anchor in order, summed over the hardness rows of blocks of _EVAL_ROWS
     anchors and divided by n."""
-    n = towers[0].shape[0]
+    n = len(taus[0])
     if n < 2:
         raise ValueError("need at least 2 samples")
-    total, work = 0.0, [{} for _ in towers]
+    total, work = 0.0, {}
     for lo in range(0, n, _EVAL_ROWS):
-        hs = [d[2] for d in h_rows(towers, lo, min(lo + _EVAL_ROWS, n), work)]
+        hs = [d[3] for d in h_rows(towers, lo, min(lo + _EVAL_ROWS, n), work)]
         for k in range(len(hs[0])):
             for h, tau in zip(hs, taus):
                 total += dual_loss_anchor(h[k], tau[lo + k], cfg)
@@ -457,16 +431,14 @@ def require_same_length(**arrays) -> None:
 def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
     """Exact full-batch objective: mean over anchors of the dual loss."""
     require_same_length(views=views.views_a, taus=taus)
-    towers = [encode(params, views.views_a).embeddings, encode(params, views.views_b).embeddings]
-    return _objective(towers, _anchor_h_rows, [taus], cfg)
+    return _objective([encode(params, views.views).embeddings], _anchor_h_rows, [taus], cfg)
 
 
 def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
     """Objective value plus exact gradients w.r.t. the flattened encoder
     parameters and the temperature vector.  Vectorized over anchors."""
     require_same_length(views=views.views_a, taus=taus)
-    [(terms, grad_tau)], [grad_w] = _full_batch([params], [(0, views.views_a), (0, views.views_b)],
-                                                _anchor_h_rows, [taus], cfg)
+    [(terms, grad_tau)], [grad_w] = _full_batch([params], [views.views], _anchor_h_rows, [taus], cfg)
     return float(np.mean(terms)), grad_w, grad_tau
 
 
@@ -500,6 +472,6 @@ def bimodal_value_and_grads(
     """
     require_same_length(images=images, texts=texts, taus_v=taus_v, taus_t=taus_t)
     [(terms_v, grad_tau_v), (terms_t, grad_tau_t)], (gx, gt) = _full_batch(
-        [params_img, params_txt], [(0, images), (1, texts)], _bimodal_h_rows, [taus_v, taus_t], cfg
+        [params_img, params_txt], [images, texts], _bimodal_h_rows, [taus_v, taus_t], cfg
     )
     return float(np.mean(terms_v + terms_t)), gx, gt, grad_tau_v, grad_tau_t

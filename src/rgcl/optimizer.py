@@ -32,8 +32,8 @@ import numpy as np
 
 # encode and encode_backward are bound here too: bench/spans.py looks them up in this module
 from .encoder import EncoderParams, encode, encode_backward
-from .loss import _ANCHOR_NAMES, RgclConfig, _anchor_h_rows, _bimodal_h_rows, _encoder_pass, _require_finite_rows
-from .loss import _softmax_rows
+from .loss import _ANCHOR_NAMES, RgclConfig, ViewPairs, _anchor_h_rows, _bimodal_h_rows, _encoder_pass
+from .loss import _require_finite_rows, _softmax_rows
 from .numerics import RandomStream
 
 __all__ = [
@@ -192,12 +192,12 @@ def _check_rows(opt: OptimizerState, n: int) -> None:
         raise ValueError("the optimizer state holds %d anchors, the dataset %d rows" % (opt.n, n))
 
 
-def _step(opt: OptimizerState, params, towers, idx, h_rows, cfg: RgclConfig):
-    """The step of both modalities: one _encoder_pass over the towers, given
-    as (index into params, batch rows), that scores the batch as one block
-    with the kernel _tables, then one update of the concatenated parameters
-    of every encoder in params.  Returns the new parameters of each."""
-    grads = _encoder_pass(params, towers, h_rows, len(idx), lambda lo, hi, hs, ws: _tables(opt, idx, hs, ws, cfg))
+def _step(opt: OptimizerState, params, inputs, idx, h_rows, cfg: RgclConfig):
+    """The step of both modalities: one _encoder_pass over the towers' batch
+    rows inputs, one tower per encoder in params, that scores the batch as
+    one block with the kernel _tables, then one update of the concatenated
+    parameters of every encoder.  Returns the new parameters of each."""
+    grads = _encoder_pass(params, inputs, h_rows, len(idx), lambda lo, hi, hs, ws: _tables(opt, idx, hs, ws, cfg))
     opt.initialized[idx] = True
     new_flat = _param_update(opt, np.concatenate([p.flatten() for p in params]), np.concatenate(grads), cfg)
     opt.t += 1
@@ -225,8 +225,8 @@ def step_unimodal(
     _check_rows(opt, n)
     step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
     idx, noise_a, noise_b = sample_batch(step_stream, n, batch_size, inputs.shape[1])
-    towers = [(0, inputs[idx] + aug_strength * noise_a), (0, inputs[idx] + aug_strength * noise_b)]
-    [new_params] = _step(opt, [params], towers, idx, _anchor_h_rows, cfg)
+    views = ViewPairs(inputs[idx] + aug_strength * noise_a, inputs[idx] + aug_strength * noise_b)
+    [new_params] = _step(opt, [params], [views.views], idx, _anchor_h_rows, cfg)
     return new_params
 
 
@@ -261,7 +261,7 @@ def step_bimodal(
     _check_rows(opt, n)
     _check_rows(opt, texts.shape[0])
     idx = _batch_indices(RandomStream(opt.seed, ("train", str(opt.t))), n, batch_size)
-    return _step(opt, [params_img, params_txt], [(0, images[idx]), (1, texts[idx])], idx, _bimodal_h_rows, cfg)
+    return _step(opt, [params_img, params_txt], [images[idx], texts[idx]], idx, _bimodal_h_rows, cfg)
 
 
 # per-anchor tables, written side by side in this order

@@ -1,0 +1,134 @@
+"""A catalogue of mutants that the test suite must kill.
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries only
+
+Each entry is (name, file, old text, new text, test selection).  The script
+copies src/, tests/ and runs/ of this checkout to a temporary directory and
+checks that every selection passes there unmutated.  Then, for one entry at
+a time, it replaces the old text, which must occur exactly once in the file,
+with the new text, runs the selection with pytest -x, and puts the file
+back.  An entry is killed when the selection
+fails, survived when it passes, and stale when its old text is not found
+exactly once; any other pytest outcome (a collection or usage error) is
+reported as broken.  Exits 1 unless every entry is killed.
+
+pytest does not collect this file; it is not part of Tier-1.  A change that
+adds a check adds the mutant it catches, and a change that rewrites code
+updates the entries it touches.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "runs", "pyproject.toml")
+LOSS, OPTIMIZER, HARNESS, ORACLE = ("src/rgcl/%s.py" % m for m in ("loss", "optimizer", "harness", "oracle"))
+ACROSS_BLOCKS = "tests/test_bitwise_reference.py::test_evaluation_matches_oracle_across_blocks"
+
+MUTANTS = [
+    ("own group zeroed at offset 0 instead of lo", LOSS,
+     "            own[...] = 0.0\n",
+     "            _own_groups(block, p, 0)[...] = 0.0\n",
+     [ACROSS_BLOCKS]),
+    ("positive taken from the group's first row instead of its last", LOSS,
+     "    h -= _own_groups(block, p, lo)[:, -1:]\n",
+     "    h -= _own_groups(block, p, lo)[:, :1]\n",
+     [ACROSS_BLOCKS]),
+    ("anchor roles added before the negative roles", LOSS,
+     "            anchor_roles.append((a, p, np.matmul(",
+     "            dys[a][p * lo : p * hi : p] += ((np.matmul(",
+     ["tests/test_bitwise_reference.py::test_bimodal_evaluation_mirrored"]),
+    ("E_p[h] taken before normalising", LOSS,
+     "    np.divide(z, sez[:, None], out=z)\n    eph = np.multiply(z, h, out=h).sum(axis=1)\n",
+     "    eph = (z * h).sum(axis=1)\n    np.divide(z, sez[:, None], out=z)\n",
+     ["tests/test_loss.py::TestRowKernelProperties"]),
+    ("text direction's positive weight dropped", LOSS,
+     "            own[:, -1] = -w.sum(axis=1)\n",
+     "            own[:, -1] = -w.sum(axis=1) if a == 0 else 0.0\n",
+     [ACROSS_BLOCKS]),
+    ("_project_tau as the identity", OPTIMIZER,
+     "    return np.clip(tau, cfg.tau0, cfg.tau_max)\n",
+     "    return tau\n",
+     ["tests/test_optimizer.py::TestProjectTau"]),
+    ("side 0's s written inside _tables' first loop", OPTIMIZER,
+     "        updates.append((g, s_new, u_new, tau_new))\n",
+     "        opt.s[side][idx] = s_new\n        updates.append((g, s_new, u_new, tau_new))\n",
+     ["tests/test_optimizer.py::TestNonFinite"]),
+    ("rho scaled by 1.001 in _tables' temperature gradient", OPTIMIZER,
+     "np.log(s_new) + cfg.rho)",
+     "np.log(s_new) + cfg.rho * 1.001)",
+     ["tests/test_bitwise_reference.py::test_degeneration_check_matches_original"]),
+    ("kNN keeping the highest tied column", HARNESS,
+     "    keep[over] &= (np.cumsum(tied, axis=1) <= open_slots) | ~tied\n",
+     "    keep[over] &= (np.cumsum(tied[:, ::-1], axis=1)[:, ::-1] <= open_slots) | ~tied\n",
+     ["tests/test_harness.py::TestKnn::test_matches_loop_on_ties"]),
+    ("the oracle's negative role scaled by 0.999", ORACLE,
+     "                    d_neg[j] += wk * anchor[i]\n",
+     "                    d_neg[j] += 0.999 * wk * anchor[i]\n",
+     [ACROSS_BLOCKS]),
+]
+
+
+def copy_tree(dest):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name), ignore=ignore)
+        else:
+            shutil.copy2(src, os.path.join(dest, name))
+
+
+def run_selection(tree, selection):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True).returncode
+
+
+def run_mutant(tree, name, path, old, new, selection):
+    """killed, survived, stale or broken."""
+    target = os.path.join(tree, path)
+    with open(target) as fh:
+        original = fh.read()
+    if original.count(old) != 1:
+        return "stale"
+    with open(target, "w") as fh:
+        fh.write(original.replace(old, new))
+    try:
+        code = run_selection(tree, selection)
+    finally:
+        with open(target, "w") as fh:
+            fh.write(original)
+    return {0: "survived", 1: "killed"}.get(code, "broken (pytest exit %d)" % code)
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    if names and len(chosen) != len(set(names)):
+        known = {m[0] for m in MUTANTS}
+        sys.exit("unknown mutant: %s" % ", ".join(sorted(set(names) - known)))
+    bad = 0
+    with tempfile.TemporaryDirectory() as tree:
+        copy_tree(tree)
+        for selection in sorted({tuple(m[4]) for m in chosen}):
+            if run_selection(tree, selection) != 0:
+                print("fails unmutated: %s" % " ".join(selection))
+                bad += 1
+        if bad:
+            return 1
+        for name, path, old, new, selection in chosen:
+            start = time.monotonic()
+            outcome = run_mutant(tree, name, path, old, new, selection)
+            bad += outcome != "killed"
+            print("%-9s %5.1fs  %s" % (outcome.split()[0], time.monotonic() - start, name), flush=True)
+    print("%d of %d mutants killed" % (len(chosen) - bad, len(chosen)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -16,6 +16,7 @@ is missing from FILE, or is recorded in FILE but no longer computed.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -175,9 +176,34 @@ def cases():
             yield name, run, params
 
 
+def blas_core():
+    """The kernel set that an OpenBLAS built with DYNAMIC_ARCH picked when
+    numpy loaded it (OPENBLAS_CORETYPE overrides the pick), read through
+    ctypes from the mapped library; None where /proc/self/maps or the symbol
+    cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in os.path.basename(line.split()[-1])}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                get = getattr(lib, "%sopenblas_get_corename%s" % (prefix, suffix), None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_char_p
+                    return get().decode()
+    return None
+
+
 def environment():
-    """The host: Python, numpy, machine, BLAS and a hash of the CPU flags,
-    which select the BLAS kernels; None for what cannot be read."""
+    """The host: Python, numpy, machine, BLAS, the BLAS core and a hash of
+    the CPU flags, which select the BLAS kernels; None for what cannot be
+    read."""
     flags = ""
     if os.path.exists("/proc/cpuinfo"):
         with open("/proc/cpuinfo") as fh:  # "Features" on aarch64
@@ -189,7 +215,8 @@ def environment():
     except (TypeError, KeyError):  # numpy before 1.25 only prints its configuration
         blas = None
     return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine() or None,
-            "blas": blas, "cpu_flags_sha256": hashlib.sha256(flags.encode()).hexdigest()[:16] if flags else None}
+            "blas": blas, "blas_core": blas_core(),
+            "cpu_flags_sha256": hashlib.sha256(flags.encode()).hexdigest()[:16] if flags else None}
 
 
 def exact_here(env):

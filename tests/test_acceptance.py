@@ -20,7 +20,7 @@ from rgcl.encoder import encode, init_encoder_params
 from rgcl.loss import (
     RgclConfig,
     ViewPairs,
-    _h_rows,
+    _anchor_h_rows,
     dual_loss_anchor,
     g_value,
     objective_unimodal,
@@ -166,9 +166,7 @@ def test_criterion_06_estimator_unbiasedness():
     n, d, b = 20, 5, 8
     params = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
     views = ViewPairs(stream.split("a").normal(n, d), stream.split("b").normal(n, d))
-    ya = encode(params, views.views_a).embeddings
-    yb = encode(params, views.views_b).embeddings
-    hmat = _h_rows(ya, [ya, yb], 0, n, {})[0]
+    [(_, _, _, hmat)] = _anchor_h_rows([encode(params, views.views).embeddings], 0, n, {})
     tau = 0.5
     draws = 10000
     for anchor in range(10):

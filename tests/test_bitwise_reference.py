@@ -1,17 +1,23 @@
 """The package against reference_outputs.npz (see record_reference.py):
 exactly, where the environment is the recording's, else at 1e-10 relative,
 since BLAS may round differently; the evaluations also at 1e-10 relative of
-the seed code's outputs.  Also the evaluations against the loop oracle, and
-the strided off-diagonal gather against a boolean mask."""
+the seed code's outputs; and the comparison itself under a second BLAS
+kernel set.  Also the evaluations against the loop oracle, and the strided
+off-diagonal gather against a boolean mask."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import record_reference as rec
 
+import rgcl
 from rgcl import oracle
-from rgcl.loss import _offdiag_rows, bimodal_value_and_grads, unimodal_value_and_grads
+from rgcl.loss import _offdiag_rows, _own_groups, bimodal_value_and_grads, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import OptimizerState
 
@@ -24,11 +30,15 @@ def recorded():
 
 def pinned(recorded, name, *params):
     """The case's outputs, after checking them against the recording."""
-    exact, outputs = recorded
     got = rec.CASES[name][0](*params)
+    assert_recorded(recorded, name, params, got)
+    return got
+
+
+def assert_recorded(recorded, name, params, got):
+    exact, outputs = recorded
     for label, change, bound in rec.changes(name, params, got, outputs, exact):
         assert change <= bound, label
-    return got
 
 
 def test_relative_change_catches_non_finite():
@@ -68,9 +78,12 @@ def test_bimodal_evaluation(recorded, n, log_epsilon):
 
 @pytest.mark.parametrize(["n"], rec.CASES["test_bimodal_evaluation_mirrored"][1])
 def test_bimodal_evaluation_mirrored(recorded, n):
-    got = pinned(recorded, "test_bimodal_evaluation_mirrored", n)
+    # the symmetry before the pin, so that a break of it fails here on the
+    # recording host too
+    got = rec.bimodal_evaluation_mirrored(n)
     np.testing.assert_array_equal(got["grad_w_img"], got["grad_w_txt"])
     np.testing.assert_array_equal(got["grad_tau_img"], got["grad_tau_txt"])
+    assert_recorded(recorded, "test_bimodal_evaluation_mirrored", (n,), got)
 
 
 @pytest.mark.parametrize("log_epsilon", rec.EPSILONS)
@@ -112,31 +125,56 @@ def test_bimodal_steps(recorded, mirrored, log_epsilon):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_strided_offdiag_matches_boolean_mask(n):
-    # every (hi - lo, n) block of rows, whose diagonal starts at column lo
-    stream = RandomStream(n, ("offdiag",))
-    a, b = stream.normal(n, n), stream.normal(n, n)
-    off = ~np.eye(n, dtype=bool)
-    want = np.concatenate([a[off].reshape(n, n - 1), b[off].reshape(n, n - 1)], axis=1)
-    for lo in range(n):
-        for hi in range(lo + 1, n + 1):
-            rows = np.empty((hi - lo, 2 * (n - 1)))
-            _offdiag_rows([a[lo:hi], b[lo:hi]], lo, rows, np.empty((hi - lo, n - 1)))
-            np.testing.assert_array_equal(rows, want[lo:hi])
+    # every (hi - lo, p*n) block of rows, in groups of p = 1 (bimodal) and
+    # p = 2 (unimodal) columns, whose own groups start at group lo
+    for p in (1, 2):
+        a = RandomStream(n, ("offdiag", str(p))).normal(n, p * n)
+        off = ~np.kron(np.eye(n, dtype=bool), np.ones((1, p), dtype=bool))
+        want = a[off].reshape(n, p * (n - 1))
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                rows = np.empty((hi - lo, p * (n - 1)))
+                _offdiag_rows(a[lo:hi], p, lo, rows)
+                np.testing.assert_array_equal(rows, want[lo:hi])
 
-            back = [np.zeros((hi - lo, n)), np.zeros((hi - lo, n))]
-            _offdiag_rows(back, lo, rows, np.empty((hi - lo, n - 1)), scatter=True)
-            for got, src in zip(back, (a, b)):
-                expect = np.zeros((n, n))
-                expect[off] = src[off]
-                np.testing.assert_array_equal(got, expect[lo:hi])
+                back = np.zeros((hi - lo, p * n))
+                _offdiag_rows(back, p, lo, rows, scatter=True)
+                expect = np.where(off, a, 0.0)
+                np.testing.assert_array_equal(back, expect[lo:hi])
+                np.testing.assert_array_equal(_own_groups(a[lo:hi], p, lo),
+                                              a[~off].reshape(n, p)[lo:hi])
 
 
 @pytest.mark.parametrize(["seed"], rec.CASES["test_degeneration_check_matches_original"][1])
 def test_degeneration_check_matches_original(recorded, seed):
-    assert pinned(recorded, "test_degeneration_check_matches_original", seed)["passed"]
+    # the check's verdict before the pin, as in the mirrored test
+    got = rec.degeneration_check(seed)
+    assert got["passed"]
+    assert_recorded(recorded, "test_degeneration_check_matches_original", (seed,), got)
 
 
 @pytest.mark.parametrize(["seed"], rec.CASES["test_verify_report"][1])
 def test_verify_report(recorded, seed):
     # every check's detail, as the verify report prints it
     pinned(recorded, "test_verify_report", seed)
+
+
+def test_compare_passes_under_another_blas_core():
+    # the pins' 1e-10 branch, met for real: the same host with OpenBLAS
+    # forced onto another of its kernel sets, which rounds differently
+    try:
+        config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["openblas configuration"]
+    except (TypeError, KeyError):
+        config = ""
+    core = rec.blas_core()
+    if "DYNAMIC_ARCH" not in config or core is None or platform.machine() != "x86_64":
+        pytest.skip("needs an x86-64 OpenBLAS built with DYNAMIC_ARCH whose core name can be read")
+    other = "Sandybridge" if core == "Haswell" else "Haswell"
+    src = os.path.dirname(os.path.dirname(rgcl.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=other,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, rec.__file__, "--compare", rec.PATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    first = done.stdout.partition("\n")[0]
+    assert "'blas_core': '%s'" % other in first, first
+    assert done.returncode == 0, done.stdout + done.stderr

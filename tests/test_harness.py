@@ -478,9 +478,10 @@ class TestVerify:
         stream = RandomStream(seed, ("verify", "unbias"))
         n, d = 20, 5
         params = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
-        ya = encode(params, stream.split("va").normal(n, d)).embeddings
-        yb = encode(params, stream.split("vb").normal(n, d)).embeddings
-        g_full = loss.g_value(loss._h_rows(ya, [ya, yb], 0, n, {})[0][0], 0.5)
+        views = loss.ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
+        y = encode(params, views.views).embeddings
+        ya, yb = y[0::2], y[1::2]
+        g_full = loss.g_value(loss._anchor_h_rows([y], 0, n, {})[0][3][0], 0.5)
         bstream = stream.split("batches")
         all_negs = np.concatenate([ya[1:], yb[1:]])
         pos = float(ya[0] @ yb[0])

@@ -309,7 +309,7 @@ class TestRowKernelProperties:
         def kernel(lo, hi, hs, ws):
             rows.append(_softmax_rows(hs[0], taus, log_epsilon, n, out=ws[0])[:4])
 
-        [grad_w] = _encoder_pass([params], [(0, views.views_a), (0, views.views_b)], _anchor_h_rows, n, kernel)
+        [grad_w] = _encoder_pass([params], [views.views], _anchor_h_rows, n, kernel)
         [(g, _, ratio, eph)] = rows
         value = float(np.mean(taus * np.log(g) + (taus - cfg.tau0) * cfg.rho))
         grad_tau = (-ratio * eph / taus + np.log(g) + cfg.rho) / n
@@ -425,11 +425,10 @@ class TestBimodal:
         v = objective_bimodal(p_img, p_txt, images, texts, taus, taus, cfg)
         # recompute without the (tau - tau0) rho terms: they must be zero
         from rgcl.encoder import encode
-        from rgcl.loss import _h_rows
 
         x = encode(p_img, images).embeddings
         t = encode(p_txt, texts).embeddings
-        hx, ht = _h_rows(x, [t], 0, n, {})[0], _h_rows(t, [x], 0, n, {})[0]
+        hx, ht = (h for _, _, _, h in _bimodal_h_rows([x, t], 0, n, {}))
         want = sum(
             cfg.tau0 * math.log(g_value(hx[i], cfg.tau0))
             + cfg.tau0 * math.log(g_value(ht[i], cfg.tau0))
@@ -471,6 +470,8 @@ class TestContrastBlocks:
         stream = RandomStream(seed, ("blocks",))
         towers = [stream.split(name).normal(n, d) for name in ("a", "b")]
         towers = [y / np.linalg.norm(y, axis=1, keepdims=True) for y in towers]
+        if h_rows is _anchor_h_rows:
+            towers = [ViewPairs(*towers).views]  # one interleaved tower
         taus = [0.05 + stream.split(name).uniform(n) for name in ("ta", "tb")]
 
         def run(rows):
@@ -518,13 +519,14 @@ class TestEvaluationMemory:
             assert peak < n * n * 8
 
     @pytest.mark.parametrize("evaluate, instance, limit_mb", [
-        (unimodal_value_and_grads, small_unimodal, 3.9),
-        (bimodal_value_and_grads, small_bimodal, 4.0),
-    ], ids=["unimodal", "bimodal"])
+        (unimodal_value_and_grads, small_unimodal, 3.25),
+        (bimodal_value_and_grads, small_bimodal, 2.9),
+        (objective_unimodal, small_unimodal, 1.7),
+    ], ids=["unimodal", "bimodal", "objective_unimodal"])
     def test_peak_at_n2000(self, evaluate, instance, limit_mb):
-        # one n = 2000 evaluation runs its 125 blocks in one reused
-        # workspace and traces 3.17 MB (unimodal) and 3.46 MB (bimodal);
-        # arrays allocated afresh for every block trace about 4.6 and 4.2 MB
+        # one n = 2000 evaluation runs its 125 blocks in one workspace that
+        # serves every direction, and traces 3.17 MB (unimodal), 2.73 MB
+        # (bimodal) and 1.56 MB (the unimodal objective)
         args = instance(17, n=2000, d=16, hidden=3, embed=16)
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ import pytest
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
-from rgcl.loss import RgclConfig, ViewPairs, _h_rows, g_value, unimodal_value_and_grads
+from rgcl.loss import RgclConfig, ViewPairs, _anchor_h_rows, g_value, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     OptimizerState,
@@ -136,9 +136,8 @@ class TestGradTauEstimator:
         cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.45, beta1=1.0, tau_grad_scale=1.0)
         taus = np.full(6, 0.45)
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
-        ya, yb = encode(params, views.views_a).embeddings, encode(params, views.views_b).embeddings
         opt = side_state(6, cfg)
-        h = _h_rows(ya, [ya, yb], 0, 6, {})[0]
+        [(_, _, _, h)] = _anchor_h_rows([encode(params, views.views).embeddings], 0, 6, {})
         _tables(opt, np.arange(6), [h], [np.empty_like(h)], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
@@ -164,9 +163,7 @@ class TestHardnessRows:
         other = stream.split("o").normal(1, 3)
         va = np.vstack([row_a, row_a, other])
         vb = np.vstack([row_b, row_b, other + 0.1])
-        ya = encode(params, va).embeddings
-        yb = encode(params, vb).embeddings
-        hmat = _h_rows(ya, [ya, yb], 0, 3, {})[0]
+        [(_, _, _, hmat)] = _anchor_h_rows([encode(params, ViewPairs(va, vb).views).embeddings], 0, 3, {})
         np.testing.assert_allclose(np.sort(hmat[0]), np.sort(hmat[1]), atol=1e-14)
 
 
