@@ -614,8 +614,8 @@ def _vcheck_degeneration(seed):
     for _ in range(5):
         tau = opt.tau[0].copy()
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
-        [gw] = loss._encoder_pass([p], [views.views], loss._anchor_h_rows, n,
-                                  lambda lo, hi, hs, ws: optimizer._tables(opt, idx, hs, ws, cfg))
+        [gw] = loss._encoder_pass([p], [views.views], loss._anchor_h_rows, n, opt.tau[:, idx],
+                                  lambda lo, hi, stats: optimizer._tables(opt, idx, stats, cfg))
         ref_step = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max) - tau
         for got, want in ((gw, ref_gw), (opt.tau[0] - tau, ref_step)):
             worst = max(worst, float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)))
@@ -671,7 +671,7 @@ def _vcheck_unbiasedness(seed):
     views = ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
     y = encode(params, views.views).embeddings
     ya, yb = y[0::2], y[1::2]
-    [(_, _, _, hmat)] = loss._anchor_h_rows([y], 0, n, {})
+    [hmat] = loss._hardness_rows([y], loss._anchor_h_rows, 0, n, {})
     tau = 0.5
     anchor = 0
     g_full = loss.g_value(hmat[anchor], tau)

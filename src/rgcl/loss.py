@@ -11,22 +11,20 @@ full objective averages the per-anchor dual losses, each with its own
 learnable temperature.
 
 This module also provides the exact full-batch objective and its gradients
-with respect to encoder parameters and temperatures, computed analytically
-through the hardness scores and the encoder backward pass.  One encoder
-pass, _encoder_pass, serves the exact evaluation, both stochastic steps and
-verify's degeneration check.  A unimodal pass encodes both views as one
-interleaved tower (see ViewPairs); a bimodal pass encodes an image and a
-text tower.  Its block pass _contrast gives per block of anchors the
-hardness rows of each direction of the loss, a caller's kernel that turns
-them into pair weights, and the embedding gradients: per direction one GEMM
-each for the scores, the anchor role and the negative role, with the
-off-diagonal entries gathered and scattered in place by strides.  Every
-block of a pass reuses one workspace of a score block, hardness rows, pair
-weights and one gradient buffer over the negative tower, allocated by the
-first block and sliced by a short last one.  The exact objective and
-evaluation use blocks of _EVAL_ROWS anchors, so memory is
-O(n * (_EVAL_ROWS + d)); the block size fixes the order of the negative-role
-gradient sums, and so the last bits of the parameter gradient.
+with respect to encoder parameters and temperatures.  One encoder pass,
+_encoder_pass, serves the exact evaluation, both stochastic steps and
+verify's degeneration check; a unimodal pass encodes both views as one
+interleaved tower (see ViewPairs), a bimodal pass an image and a text
+tower.  Its block pass _contrast scores a block of anchors, each row
+divided by its temperature, against the negative tower with one GEMM; one
+exp, one row sum and one row dot give the softmax statistics, a caller's
+kernel turns them into one scale per row, and two GEMMs give the embedding
+gradients, every per-row factor riding on an r x d matrix.  The exact
+evaluations run blocks of _EVAL_ROWS anchors in one workspace, so memory
+is O(n * (_EVAL_ROWS + d)); the block size fixes the order of the
+negative-role gradient sums, and so the last bits of the parameter
+gradient.  The exact objective sums dual_loss_anchor over gathered hardness
+rows instead, a value apart from the gradients for finite differences.
 """
 
 from __future__ import annotations
@@ -213,8 +211,8 @@ def primal_rgcl_value(h, p, tau0: float) -> float:
     return float(pv @ v) - tau0 * kl_uniform(pv)
 
 
-# Anchors per block of the full-batch evaluation, whose score rows, pair
-# weights and gradient pieces then stay in cache.  The negative-role
+# Anchors per block of the full-batch evaluation, whose score and exponential
+# blocks and gradient pieces then stay in cache.  The negative-role
 # gradient sums run block by block, so the block size fixes their
 # summation order, and the parameter gradient depends on it in its last bits.
 _EVAL_ROWS = 16
@@ -244,158 +242,161 @@ def _rows(work, key, r: int, width: int) -> np.ndarray:
 
 def _own_groups(block: np.ndarray, p: int, lo: int) -> np.ndarray:
     """The (r, p) view of each row's own group in the C-ordered (r, p*n) score
-    or weight block of the anchors lo..lo+r-1: row k's group is its anchor's
-    columns p*(lo+k) .. p*(lo+k)+p-1, the last of them its positive."""
+    or exponential block of the anchors lo..lo+r-1: row k's group is its
+    anchor's columns p*(lo+k) .. p*(lo+k)+p-1, the last of them its positive."""
     return block.reshape(-1, p)[lo :: block.shape[1] // p + 1]
 
 
-def _offdiag_rows(block: np.ndarray, p: int, lo: int, rows: np.ndarray, scatter: bool = False) -> None:
+def _offdiag_rows(block: np.ndarray, p: int, lo: int, rows: np.ndarray) -> np.ndarray:
     """Gather the entries of a C-ordered (r, p*n) block outside each row's own
-    group (see _own_groups) into rows (r, p*(n-1)), in column order, or
-    scatter rows back into them.  Taken in groups of p entries, row-major,
-    those are the head of row 0, r-1 stretches of n groups between
-    consecutive own groups, and the tail of row r-1; for p = 1 and a square
-    matrix, a.reshape(-1)[1:].reshape(n-1, n+1)[:, :n]."""
+    group (see _own_groups) into rows (r, p*(n-1)), in column order, and
+    return rows: in groups of p entries, row-major, the head of row 0, r-1
+    stretches of n groups between own groups, and the tail of row r-1."""
     r, n = block.shape[0], block.shape[1] // p
     groups, out = block.reshape(-1, p), rows.reshape(-1, p)
     k, last = lo + (r - 1) * n, lo + (r - 1) * (n + 1)
-    for part, out_part in (
-        (groups[:lo], out[:lo]),
-        (groups[lo + 1 : last + 1].reshape(-1, n + 1, p)[:, :n], out[lo:k].reshape(-1, n, p)),
-        (groups[last + 1 :], out[k:]),
-    ):
-        if scatter:
-            part[...] = out_part
-        else:
-            out_part[...] = part
+    out[:lo] = groups[:lo]
+    out[lo:k].reshape(-1, n, p)[...] = groups[lo + 1 : last + 1].reshape(-1, n + 1, p)[:, :n]
+    out[k:] = groups[last + 1 :]
+    return rows
 
 
-def _h_rows(y, neg, p: int, lo: int, hi: int, work, key):
-    """Hardness rows (hi-lo, len(neg)-p) of the anchors lo..hi-1, anchor i
-    being row p*i of y, into buffer `key` of the workspace dict work (see
-    _rows): anchor i's scores against neg, one GEMM into the workspace's
-    score block, outside its own group of rows p*i .. p*i+p-1 of neg (see
-    _own_groups), minus the score of its positive, the group's last row."""
-    block = np.matmul(y[p * lo : p * hi : p], neg.T, out=_rows(work, "scores", hi - lo, len(neg)))
-    h = _rows(work, key, hi - lo, len(neg) - p)
-    _offdiag_rows(block, p, lo, h)
-    h -= _own_groups(block, p, lo)[:, -1:]
-    return h
+def _scores(y, neg, p: int, lo: int, hi: int, scale, work, key):
+    """The scores (hi-lo, len(neg)) of the anchors lo..hi-1, anchor i being
+    row p*i of y, each times its entry of scale unless scale is None, against
+    every row of neg: one GEMM into buffer `key` of work (see _rows)."""
+    anchors = y[p * lo : p * hi : p]
+    if scale is not None:
+        anchors = np.multiply(anchors, scale[:, None], out=_rows(work, "scaled", hi - lo, y.shape[1]))
+    return np.matmul(anchors, neg.T, out=_rows(work, key, hi - lo, len(neg)))
 
 
-def _anchor_h_rows(towers, lo: int, hi: int, work):
+def _anchor_h_rows(towers, lo: int, hi: int, work, scales=(None,)):
     """The one direction of the unimodal loss over the anchors lo..hi-1 of the
     interleaved tower towers = [y] (see ViewPairs), as (anchor tower, negative
-    tower, group size, hardness rows): anchor i is row 2i of y, its positive
-    row 2i+1, its negatives both views of every other sample."""
+    tower, group size, scores scaled by scales[0]): anchor i is row 2i of y,
+    its positive row 2i+1, its negatives both views of every other sample."""
     [y] = towers
-    return [(0, 0, 2, _h_rows(y, y, 2, lo, hi, work, ("hardness", 0)))]
+    return [(0, 0, 2, _scores(y, y, 2, lo, hi, scales[0], work, ("scores", 0)))]
 
 
-def _bimodal_h_rows(towers, lo: int, hi: int, work):
+def _bimodal_h_rows(towers, lo: int, hi: int, work, scales=(None, None)):
     """Both directions of the bimodal loss over the pairs lo..hi-1 of towers =
     [x, t], as in _anchor_h_rows: image anchor i over the texts, its positive
     t_i, and text anchor i over the images, its positive x_i.  Both come from
-    the same code path, so mirrored towers give bitwise-equal rows."""
+    the same code path, so mirrored towers give bitwise-equal blocks."""
     x, t = towers
-    return [(0, 1, 1, _h_rows(x, t, 1, lo, hi, work, ("hardness", 0))),
-            (1, 0, 1, _h_rows(t, x, 1, lo, hi, work, ("hardness", 1)))]
+    return [(0, 1, 1, _scores(x, t, 1, lo, hi, scales[0], work, ("scores", 0))),
+            (1, 0, 1, _scores(t, x, 1, lo, hi, scales[1], work, ("scores", 1)))]
 
 
-def _softmax_rows(h, taus, log_epsilon: float, count, denom=None, out=None):
-    """The row kernel of every full-batch evaluation and stochastic step.
+def _hardness_rows(towers, h_rows, lo: int, hi: int, work):
+    """Per direction of h_rows, the hardness rows (hi-lo, p*(n-1)) of the
+    anchors lo..hi-1: their unscaled scores outside their own group (see
+    _own_groups) minus their positive's, the group's last column."""
+    hs = []
+    for k, (_, _, p, block) in enumerate(h_rows(towers, lo, hi, work)):
+        h = _offdiag_rows(block, p, lo, _rows(work, ("hardness", k), hi - lo, block.shape[1] - p))
+        hs.append(np.subtract(h, _own_groups(block, p, lo)[:, -1:], out=h))
+    return hs
 
-    h (k, m) holds each anchor's hardness scores over its m negatives and is
-    overwritten.  With p the row softmax of h / tau and mean_exp the
-    max-shifted mean_j exp(h_ij / tau_i), returns (g, d, ratio, eph, w):
-    g = mean_exp + log_epsilon; d = denom(g), or g when denom is None (the
-    step passes its moving-average update of s); ratio = mean_exp / d;
-    eph = E_p[h]; and the pair weights w = p * ratio / count of the
-    parameter gradient, written into out when it is given.
-    """
-    m = h.shape[1]
-    z = np.divide(h, taus[:, None], out=out)
-    shift = z.max(axis=1, keepdims=True)
-    np.subtract(z, shift, out=z)
-    np.exp(z, out=z)
-    sez = z.sum(axis=1)
-    mean_exp = np.exp((shift[:, 0] + np.log(sez)) - math.log(m))
+
+def _exp_rows(z, p: int, lo: int, e):
+    """Write e = exp(z) of a scaled score block z (r, p*n), z_ij = s_ij /
+    tau_i, zeroed on each row's own group (see _own_groups), and return the
+    row kernel's input (S, log mean_exp, E_p[h] / tau): S sums e over the m
+    negatives, p = e / S, and mean_exp = S exp(-z_iq) / m, q the positive.
+    No max is subtracted: unit rows score in [-1, 1] and tau >= _TAU0_MIN,
+    so |z| <= log(DBL_MAX) / 2 and every e is a normal float."""
+    np.exp(z, out=e)
+    _own_groups(e, p, lo)[...] = 0.0
+    sums = e.sum(axis=1)
+    zq = _own_groups(z, p, lo)[:, -1]
+    return sums, np.log(sums) - math.log(e.shape[1] - p) - zq, np.vecdot(e, z) / sums - zq
+
+
+def _softmax_rows(stats, taus, log_epsilon: float, count, denom=None):
+    """The row kernel of every full-batch evaluation and stochastic step, on
+    _exp_rows' rows stats at the temperatures taus.  Returns (g, d, ratio,
+    eph, c): g = mean_exp + log_epsilon; d = denom(g), or g when denom is
+    None (the step passes its moving-average update of s); ratio =
+    mean_exp / d; eph = E_p[h]; and c = ratio / (S count), which turns e
+    into the pair weights p * ratio / count of the parameter gradient."""
+    sums, log_mean_exp, ehz = stats
+    mean_exp = np.exp(log_mean_exp)
     g = mean_exp + log_epsilon
     d = g if denom is None else denom(g)
     ratio = mean_exp / d
-    np.divide(z, sez[:, None], out=z)
-    eph = np.multiply(z, h, out=h).sum(axis=1)
-    np.multiply(z, ratio[:, None], out=z)
-    np.divide(z, count, out=z)
-    return g, d, ratio, eph, z
+    return g, d, ratio, taus * ehz, ratio / (sums * count)
 
 
-def _contrast(towers, h_rows, rows: int, kernel):
+def _contrast(towers, h_rows, rows: int, taus, kernel):
     """The block pass of every contrastive computation.  For each block of up
-    to `rows` anchors, h_rows(towers, lo, hi, work) gives each direction of
-    the loss as (anchor tower, negative tower, group size, hardness rows),
-    towers by index and laid out as in _h_rows; kernel(lo, hi, hs, ws) turns
-    the hardness rows hs into pair weights w written into ws.  Returns per
-    tower the embedding gradient of the weighted hardness sum.
-
-    Each direction scatters w into one weight block W over its negative
-    tower, zero in each anchor's own group but minus the row sum of w at its
-    positive, so that the anchor role W @ neg and the negative and positive
-    roles W.T @ anchors take one GEMM each.  Every block runs in one
-    workspace (see _rows) that serves every direction; the anchor roles of a
-    block are added after every direction's negative roles, so mirrored
-    bimodal towers see the same operations in the same order."""
+    to `rows` anchors, h_rows(towers, lo, hi, work, scales) gives each
+    direction of the loss as (anchor tower, negative tower, group size,
+    score block), towers by index and laid out as in _scores, each anchor's
+    scores divided by its temperature in taus[direction]; _exp_rows turns
+    each block into e and the kernel's input, and kernel(lo, hi, stats)
+    returns per direction one scale c per row.  Returns per tower the
+    embedding gradient of the hardness sum weighted by c * e.  With e set to
+    -S at each positive, the anchor role c * (e @ neg) and the negative and
+    positive roles e.T @ (c * anchors) take one GEMM each; the anchor roles
+    come after every direction's negative roles, so mirrored bimodal towers
+    see the same operations in the same order."""
     n = sum(map(len, towers)) // 2  # every sample has two rows among the towers
+    scales = [1.0 / np.asarray(t, dtype=np.float64) for t in taus]
     dys, work = [np.zeros_like(y) for y in towers], {}
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        directions = h_rows(towers, lo, hi, work)
-        ws = [_rows(work, ("weights", k), *h.shape) for k, (_, _, _, h) in enumerate(directions)]
-        kernel(lo, hi, [d[3] for d in directions], ws)
+        directions = h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales])
+        es = [_rows(work, ("exp", k), *z.shape) for k, (_, _, _, z) in enumerate(directions)]
+        stats = [_exp_rows(z, p, lo, e) for (_, _, p, z), e in zip(directions, es)]
         anchor_roles = []
-        for k, ((a, b, p, _), w) in enumerate(zip(directions, ws)):
-            neg = towers[b]
-            block = _rows(work, "scores", hi - lo, len(neg))
-            _offdiag_rows(block, p, lo, w, scatter=True)
-            own = _own_groups(block, p, lo)
-            own[...] = 0.0
-            own[:, -1] = -w.sum(axis=1)
-            dys[b] += np.matmul(block.T, towers[a][p * lo : p * hi : p], out=_rows(work, "role", *neg.shape))
-            anchor_roles.append((a, p, np.matmul(block, neg, out=_rows(work, ("anchor", k), hi - lo, neg.shape[1]))))
-        for a, p, role in anchor_roles:
-            dys[a][p * lo : p * hi : p] += role
+        for k, ((a, b, p, _), e, (sums, _, _), c) in enumerate(zip(directions, es, stats, kernel(lo, hi, stats))):
+            neg, c = towers[b], c[:, None]
+            _own_groups(e, p, lo)[:, -1] = -sums
+            anchors = np.multiply(towers[a][p * lo : p * hi : p], c, out=_rows(work, "scaled", hi - lo, neg.shape[1]))
+            dys[b] += np.matmul(e.T, anchors, out=_rows(work, "role", *neg.shape))
+            anchor_roles.append((a, p, c, np.matmul(e, neg, out=_rows(work, ("anchor", k), hi - lo, neg.shape[1]))))
+        for a, p, c, role in anchor_roles:
+            dys[a][p * lo : p * hi : p] += np.multiply(role, c, out=role)
     return dys
 
 
-def _encoder_pass(params, inputs, h_rows, rows: int, kernel):
+def _encoder_pass(params, inputs, h_rows, rows: int, taus, kernel):
     """Encode each tower's input rows with its encoder in params, run
-    _contrast over the embeddings with h_rows, rows and kernel, and
+    _contrast over the embeddings with h_rows, rows, taus and kernel, and
     back-propagate each tower's embedding gradient.  Returns per encoder its
     flat parameter gradient."""
     batches = [encode(p, x) for p, x in zip(params, inputs)]
-    dys = _contrast([b.embeddings for b in batches], h_rows, rows, kernel)
+    dys = _contrast([b.embeddings for b in batches], h_rows, rows, taus, kernel)
     return [encode_backward(p, batch, dy).flatten() for p, batch, dy in zip(params, batches, dys)]
 
 
 def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
     """Exact objective terms and gradients of either modality, in blocks of
     _EVAL_ROWS anchors; params, inputs and h_rows are as in _encoder_pass,
-    taus the temperatures of each direction of the loss.  Returns per
-    direction the terms tau log g + (tau - tau0) rho and the temperature
-    gradient, and per encoder its flat parameter gradient."""
+    taus the temperatures of each direction, none below _TAU0_MIN (see
+    _exp_rows).  Returns per direction the terms tau log g + (tau - tau0) rho
+    and the temperature gradient, and per encoder its parameter gradient."""
     taus = [np.asarray(t, dtype=np.float64) for t in taus]
     n = len(taus[0])
     if n < 2:
         raise ValueError("need at least 2 samples")
-    stats = [(np.empty(n), np.empty(n), np.empty(n)) for _ in taus]
+    for what, tau in zip(_ANCHOR_NAMES[len(taus)], taus):
+        if np.any(tau < _TAU0_MIN):
+            k = int(np.argmax(tau < _TAU0_MIN))
+            raise ValueError("%s %d has tau = %r, below C / log(DBL_MAX) = %.6g" % (what, k, float(tau[k]), _TAU0_MIN))
+    stats = [np.empty((5, n)) for _ in taus]  # (g, d, ratio, eph, c) of _softmax_rows
 
-    def kernel(lo, hi, hs, ws):
-        for h, w, tau, (g, ratio, eph) in zip(hs, ws, taus, stats):
-            g[lo:hi], _, ratio[lo:hi], eph[lo:hi], _ = _softmax_rows(h, tau[lo:hi], cfg.log_epsilon, n, out=w)
+    def kernel(lo, hi, rows):
+        for row, tau, table in zip(rows, taus, stats):
+            table[:, lo:hi] = _softmax_rows(row, tau[lo:hi], cfg.log_epsilon, n)
+        return [table[4, lo:hi] for table in stats]
 
-    grads = _encoder_pass(params, inputs, h_rows, _EVAL_ROWS, kernel)
+    grads = _encoder_pass(params, inputs, h_rows, _EVAL_ROWS, taus, kernel)
     out = []
-    for what, tau, (g, ratio, eph) in zip(_ANCHOR_NAMES[len(taus)], taus, stats):
+    for what, tau, (g, _, ratio, eph, _) in zip(_ANCHOR_NAMES[len(taus)], taus, stats):
         log_g = np.log(g)
         grad_tau = (-ratio * eph / tau + log_g + cfg.rho) / n
         _require_finite_rows(what, range(n), g=g, grad_tau=grad_tau)
@@ -412,7 +413,7 @@ def _objective(towers, h_rows, taus, cfg: RgclConfig) -> float:
         raise ValueError("need at least 2 samples")
     total, work = 0.0, {}
     for lo in range(0, n, _EVAL_ROWS):
-        hs = [d[3] for d in h_rows(towers, lo, min(lo + _EVAL_ROWS, n), work)]
+        hs = _hardness_rows(towers, h_rows, lo, min(lo + _EVAL_ROWS, n), work)
         for k in range(len(hs[0])):
             for h, tau in zip(hs, taus):
                 total += dual_loss_anchor(h[k], tau[lo + k], cfg)

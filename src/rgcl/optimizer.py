@@ -156,33 +156,31 @@ def _project_tau(tau: np.ndarray, cfg: RgclConfig) -> np.ndarray:
     return np.clip(tau, cfg.tau0, cfg.tau_max)
 
 
-def _tables(opt: OptimizerState, idx, hs, ws, cfg: RgclConfig) -> None:
-    """The step's kernel: the row kernel on each side's batch hardness rows
-    hs[side], then in-place updates of the batch anchors' s, u and projected
-    tau in every side's tables.  Writes each side's pair weights, computed
-    with the temperatures the batch was scored with and the fresh s, into
-    ws[side].  A non-finite g, s or new tau on any side raises ValueError
-    naming its side and dataset index before any table of any side is
-    written."""
+def _tables(opt: OptimizerState, idx, stats, cfg: RgclConfig):
+    """The step's kernel: the row kernel on each side's batch rows stats[side]
+    (see loss._exp_rows), in-place updates of the batch anchors' s, u and
+    projected tau, and each side's pair-weight scales at the fresh s.  A
+    non-finite g, s or new tau on any side raises ValueError naming its side
+    and dataset index before any table of any side is written."""
     init = opt.initialized[idx]
     updates = []
-    for side, (h, w) in enumerate(zip(hs, ws)):
+    for side, rows in enumerate(stats):
         taus, s_old = opt.tau[side][idx], opt.s[side][idx]
-        g, s_new, ratio, eph, _ = _softmax_rows(
-            h, taus, cfg.log_epsilon, len(idx),
-            lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g), out=w,
-        )
+        g, s_new, ratio, eph, c = _softmax_rows(
+            rows, taus, cfg.log_epsilon, len(idx),
+            lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g))
         grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / opt.n * cfg.resolved_tau_grad_scale(opt.n)
         u_new = (1.0 - cfg.beta1) * opt.u[side][idx] + cfg.beta1 * grad_tau
         tau_new = _project_tau(taus - cfg.eta_tau * u_new, cfg)
         _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)
-        updates.append((g, s_new, u_new, tau_new))
-    for side, (g, s_new, u_new, tau_new) in enumerate(updates):
+        updates.append((g, s_new, u_new, tau_new, c))
+    for side, (g, s_new, u_new, tau_new, _) in enumerate(updates):
         opt.s[side][idx], opt.u[side][idx], opt.tau[side][idx] = s_new, u_new, tau_new
         opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
         opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
         opt.min_tau_seen = min(opt.min_tau_seen, float(np.min(tau_new)))
         opt.max_tau_seen = max(opt.max_tau_seen, float(np.max(tau_new)))
+    return [c for *_, c in updates]
 
 
 def _check_rows(opt: OptimizerState, n: int) -> None:
@@ -195,9 +193,10 @@ def _check_rows(opt: OptimizerState, n: int) -> None:
 def _step(opt: OptimizerState, params, inputs, idx, h_rows, cfg: RgclConfig):
     """The step of both modalities: one _encoder_pass over the towers' batch
     rows inputs, one tower per encoder in params, that scores the batch as
-    one block with the kernel _tables, then one update of the concatenated
-    parameters of every encoder.  Returns the new parameters of each."""
-    grads = _encoder_pass(params, inputs, h_rows, len(idx), lambda lo, hi, hs, ws: _tables(opt, idx, hs, ws, cfg))
+    one block at its temperatures with the kernel _tables, then one update
+    of the concatenated parameters of every encoder; returns the new ones."""
+    grads = _encoder_pass(params, inputs, h_rows, len(idx), opt.tau[:, idx],
+                          lambda lo, hi, stats: _tables(opt, idx, stats, cfg))
     opt.initialized[idx] = True
     new_flat = _param_update(opt, np.concatenate([p.flatten() for p in params]), np.concatenate(grads), cfg)
     opt.t += 1

@@ -32,32 +32,44 @@ ACROSS_BLOCKS = "tests/test_bitwise_reference.py::test_evaluation_matches_oracle
 
 MUTANTS = [
     ("own group zeroed at offset 0 instead of lo", LOSS,
-     "            own[...] = 0.0\n",
-     "            _own_groups(block, p, 0)[...] = 0.0\n",
+     "    _own_groups(e, p, lo)[...] = 0.0\n",
+     "    _own_groups(e, p, 0)[...] = 0.0\n",
      [ACROSS_BLOCKS]),
     ("positive taken from the group's first row instead of its last", LOSS,
-     "    h -= _own_groups(block, p, lo)[:, -1:]\n",
-     "    h -= _own_groups(block, p, lo)[:, :1]\n",
+     "    zq = _own_groups(z, p, lo)[:, -1]\n",
+     "    zq = _own_groups(z, p, lo)[:, 0]\n",
      [ACROSS_BLOCKS]),
     ("anchor roles added before the negative roles", LOSS,
-     "            anchor_roles.append((a, p, np.matmul(",
-     "            dys[a][p * lo : p * hi : p] += ((np.matmul(",
+     "            anchor_roles.append((a, p, c, np.matmul(",
+     "            dys[a][p * lo : p * hi : p] += c * ((np.matmul(",
      ["tests/test_bitwise_reference.py::test_bimodal_evaluation_mirrored"]),
     ("E_p[h] taken before normalising", LOSS,
-     "    np.divide(z, sez[:, None], out=z)\n    eph = np.multiply(z, h, out=h).sum(axis=1)\n",
-     "    eph = (z * h).sum(axis=1)\n    np.divide(z, sez[:, None], out=z)\n",
+     "np.vecdot(e, z) / sums - zq",
+     "np.vecdot(e, z) - zq",
      ["tests/test_loss.py::TestRowKernelProperties"]),
     ("text direction's positive weight dropped", LOSS,
-     "            own[:, -1] = -w.sum(axis=1)\n",
-     "            own[:, -1] = -w.sum(axis=1) if a == 0 else 0.0\n",
+     "            _own_groups(e, p, lo)[:, -1] = -sums\n",
+     "            _own_groups(e, p, lo)[:, -1] = -sums if a == 0 else 0.0\n",
+     [ACROSS_BLOCKS]),
+    ("e at the positive set to +S instead of -S", LOSS,
+     "            _own_groups(e, p, lo)[:, -1] = -sums\n",
+     "            _own_groups(e, p, lo)[:, -1] = sums\n",
+     [ACROSS_BLOCKS]),
+    ("own group zeroed only after the row sum", LOSS,
+     "    _own_groups(e, p, lo)[...] = 0.0\n    sums = e.sum(axis=1)\n",
+     "    sums = e.sum(axis=1)\n    _own_groups(e, p, lo)[...] = 0.0\n",
+     [ACROSS_BLOCKS]),
+    ("row scale c applied to the anchor role only", LOSS,
+     "            anchors = np.multiply(towers[a][p * lo : p * hi : p], c, out=",
+     "            anchors = np.multiply(towers[a][p * lo : p * hi : p], 1.0, out=",
      [ACROSS_BLOCKS]),
     ("_project_tau as the identity", OPTIMIZER,
      "    return np.clip(tau, cfg.tau0, cfg.tau_max)\n",
      "    return tau\n",
      ["tests/test_optimizer.py::TestProjectTau"]),
     ("side 0's s written inside _tables' first loop", OPTIMIZER,
-     "        updates.append((g, s_new, u_new, tau_new))\n",
-     "        opt.s[side][idx] = s_new\n        updates.append((g, s_new, u_new, tau_new))\n",
+     "        updates.append((g, s_new, u_new, tau_new, c))\n",
+     "        opt.s[side][idx] = s_new\n        updates.append((g, s_new, u_new, tau_new, c))\n",
      ["tests/test_optimizer.py::TestNonFinite"]),
     ("rho scaled by 1.001 in _tables' temperature gradient", OPTIMIZER,
      "np.log(s_new) + cfg.rho)",

@@ -21,6 +21,7 @@ from rgcl.loss import (
     RgclConfig,
     ViewPairs,
     _anchor_h_rows,
+    _hardness_rows,
     dual_loss_anchor,
     g_value,
     objective_unimodal,
@@ -166,7 +167,7 @@ def test_criterion_06_estimator_unbiasedness():
     n, d, b = 20, 5, 8
     params = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
     views = ViewPairs(stream.split("a").normal(n, d), stream.split("b").normal(n, d))
-    [(_, _, _, hmat)] = _anchor_h_rows([encode(params, views.views).embeddings], 0, n, {})
+    [hmat] = _hardness_rows([encode(params, views.views).embeddings], _anchor_h_rows, 0, n, {})
     tau = 0.5
     draws = 10000
     for anchor in range(10):

@@ -481,7 +481,7 @@ class TestVerify:
         views = loss.ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
         y = encode(params, views.views).embeddings
         ya, yb = y[0::2], y[1::2]
-        g_full = loss.g_value(loss._anchor_h_rows([y], 0, n, {})[0][3][0], 0.5)
+        g_full = loss.g_value(loss._hardness_rows([y], loss._anchor_h_rows, 0, n, {})[0][0], 0.5)
         bstream = stream.split("batches")
         all_negs = np.concatenate([ya[1:], yb[1:]])
         pos = float(ya[0] @ yb[0])

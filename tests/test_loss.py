@@ -19,6 +19,8 @@ from rgcl.loss import (
     _TAU0_MIN,
     _contrast,
     _encoder_pass,
+    _exp_rows,
+    _hardness_rows,
     _softmax_rows,
     dual_loss_anchor,
     g_value,
@@ -237,20 +239,37 @@ class TestExactGradTau:
             assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) <= 1e-6
 
 
+def exp_rows(s, taus, sq=0.0):
+    """_exp_rows on the scores s (k, m) of each row's m negatives and sq of
+    its positive, at the temperatures taus, each row scored as a one-row
+    block whose own group is its first column, the positive.  Returns the
+    row kernel's input and e over the negatives, (k, m)."""
+    s = np.asarray(s, dtype=np.float64)
+    stats, es = [], []
+    for row, tau, q in zip(s, taus, np.broadcast_to(sq, len(s))):
+        e = np.empty((1, len(row) + 1))
+        stats.append(_exp_rows(np.concatenate([[q], row])[None] / tau, 1, 0, e))
+        es.append(e[0, 1:])
+    return [np.concatenate(column) for column in zip(*stats)], np.array(es)
+
+
 class TestPairWeights:
-    """The pair weights w = p * (mean_exp / d) / count of the row kernel."""
+    """The pair weights w = c * e = p * (mean_exp / d) / count of the row kernel."""
 
     def test_sum_with_exact_g(self):
         # d = g (no denominator given, log_epsilon 0): each row sums to 1/count
         h = np.clip(RandomStream(3).normal(5, 6), -2, 2)
         taus = np.linspace(0.2, 1.5, 5)
-        g, d, _, _, w = _softmax_rows(h.copy(), taus, 0.0, 7)
+        stats, e = exp_rows(h, taus)
+        g, d, _, _, c = _softmax_rows(stats, taus, 0.0, 7)
         np.testing.assert_array_equal(g, d)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0 / 7, atol=1e-12)
+        np.testing.assert_allclose((c[:, None] * e).sum(axis=1), 1.0 / 7, atol=1e-12)
         np.testing.assert_allclose(g, [g_value(row, t) for row, t in zip(h, taus)], rtol=1e-12)
 
     def test_uniform_hardness_equal_weights(self):
-        w = _softmax_rows(np.full((2, 3), 0.3), np.array([0.5, 0.9]), 0.0, 4, lambda g: np.ones(2))[-1]
+        taus = np.array([0.5, 0.9])
+        stats, e = exp_rows(np.full((2, 3), 0.3), taus, -0.2)
+        w = _softmax_rows(stats, taus, 0.0, 4, lambda g: np.ones(2))[-1][:, None] * e
         assert np.all(w == w[:, :1])
 
 
@@ -258,14 +277,25 @@ class TestRowKernelProperties:
     @given(st.integers(1, 4), st.integers(1, 8), st.sampled_from([0.0, 0.25]), st.integers(0, 2**16))
     @settings(deadline=None, max_examples=60)
     def test_shift_invariance(self, k, m, log_epsilon, seed):
-        # adding c_i to row i leaves p unchanged and shifts E_p[h] by c_i;
-        # with log_epsilon = 0 it scales g_i by exp(c_i / tau_i)
+        # adding c_i to every score of row i, its positive's too, leaves h and
+        # so the kernel's outputs unchanged; adding it to the negatives' scores
+        # alone adds it to h, which leaves p unchanged, shifts E_p[h] by c_i
+        # and, with log_epsilon = 0, scales g_i by exp(c_i / tau_i)
         stream = RandomStream(seed, ("shift",))
-        h = np.clip(stream.split("h").normal(k, m), -2.0, 2.0)
+        s, sq = stream.split("s").uniform(k, m) * 2.0 - 1.0, stream.split("q").uniform(k) * 2.0 - 1.0
         taus, c = 0.05 + 5.0 * stream.split("tau").uniform(k), stream.split("c").uniform(k) * 2.0 - 1.0
-        g, _, ratio, eph, w = _softmax_rows(h.copy(), taus, log_epsilon, 3)
-        g_c, _, ratio_c, eph_c, w_c = _softmax_rows(h + c[:, None], taus, log_epsilon, 3)
-        np.testing.assert_allclose(w_c / ratio_c[:, None], w / ratio[:, None], rtol=1e-12)
+        stats, e = exp_rows(s, taus, sq)
+        g, _, ratio, eph, w = _softmax_rows(stats, taus, log_epsilon, 3)
+        w = w[:, None] * e
+        stats_all, e_all = exp_rows(s + c[:, None], taus, sq + c)
+        g_all, _, ratio_all, eph_all, w_all = _softmax_rows(stats_all, taus, log_epsilon, 3)
+        np.testing.assert_allclose(g_all, g, rtol=1e-12)
+        np.testing.assert_allclose(ratio_all, ratio, rtol=1e-12)
+        np.testing.assert_allclose(eph_all, eph, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_all[:, None] * e_all, w, rtol=1e-12)
+        stats_c, e_c = exp_rows(s + c[:, None], taus, sq)
+        g_c, _, ratio_c, eph_c, w_c = _softmax_rows(stats_c, taus, log_epsilon, 3)
+        np.testing.assert_allclose(w_c[:, None] * e_c / ratio_c[:, None], w / ratio[:, None], rtol=1e-12)
         np.testing.assert_allclose(eph_c, eph + c, rtol=0, atol=1e-12)
         if log_epsilon == 0.0:
             np.testing.assert_allclose(g_c, g * np.exp(c / taus), rtol=1e-12)
@@ -275,8 +305,10 @@ class TestRowKernelProperties:
     def test_expected_hardness_falls_with_tau(self, m, seed):
         # dE_p[h]/dtau = -Var_p(h) / tau^2, from max h as tau -> 0 to mean h
         stream = RandomStream(seed, ("tau-order",))
-        h = np.clip(stream.split("h").normal(m), -2.0, 2.0)
-        eph = _softmax_rows(np.tile(h, (12, 1)), np.sort(0.05 + 5.0 * stream.split("tau").uniform(12)), 0.0, 1)[3]
+        s, sq = stream.split("s").uniform(m) * 2.0 - 1.0, float(stream.split("q").uniform()) * 2.0 - 1.0
+        taus = np.sort(0.05 + 5.0 * stream.split("tau").uniform(12))
+        eph = _softmax_rows(exp_rows(np.tile(s, (12, 1)), taus, sq)[0], taus, 0.0, 1)[3]
+        h = s - sq
         assert np.all(np.diff(eph) <= 1e-12)
         assert np.all(eph >= h.mean() - 1e-12) and np.all(eph <= h.max() + 1e-12)
 
@@ -286,15 +318,21 @@ class TestRowKernelProperties:
         # tau log sum_j exp(h_j / tau) = E_p[h] + tau H(p) lies in [max h, max h
         # + tau log m], so E_p[h] and tau log g lie within tau log m below max h
         # and reach it as tau -> tau0 -> 0; the rows run tau down to the
-        # smallest tau0 RgclConfig admits
+        # smallest tau0 RgclConfig admits, where scores of +-1, the extremes of
+        # unit rows, put exp(z) near exp(+-log(DBL_MAX) / 2) and g near
+        # DBL_MAX or 1 / DBL_MAX
         stream = RandomStream(seed, ("tau0-limit",))
-        h = np.clip(stream.split("h").normal(m), -HARDNESS_BOUND, HARDNESS_BOUND)
         taus = np.geomspace(1.0, _TAU0_MIN, 12)
-        g, _, _, eph, _ = _softmax_rows(np.tile(h, (12, 1)), taus, 0.0, 1)
-        gap = taus * math.log(m) + 1e-12
-        assert np.all(eph <= h.max() + 1e-12) and np.all(eph >= h.max() - gap)
-        tau_log_g = taus * np.log(g)
-        assert np.all(tau_log_g <= h.max() + 1e-12) and np.all(tau_log_g >= h.max() - gap)
+        signs = np.where(stream.split("sign").uniform(m) < 0.5, -1.0, 1.0)
+        rows = [(stream.split("s").uniform(m) * 2.0 - 1.0, float(stream.split("q").uniform()) * 2.0 - 1.0),
+                (np.ones(m), -1.0), (-np.ones(m), 1.0), (signs, -signs[0])]
+        for s, sq in rows:
+            g, _, _, eph, _ = _softmax_rows(exp_rows(np.tile(s, (12, 1)), taus, sq)[0], taus, 0.0, 1)
+            h = s - sq
+            gap = taus * math.log(m) + 1e-12
+            assert np.all(eph <= h.max() + 1e-12) and np.all(eph >= h.max() - gap)
+            tau_log_g = taus * np.log(g)
+            assert np.all(tau_log_g <= h.max() + 1e-12) and np.all(tau_log_g >= h.max() - gap)
 
     @given(st.integers(2, 8), st.integers(1, 4), st.sampled_from([0.0, 0.25]), st.integers(0, 2**16))
     @settings(deadline=None, max_examples=30)
@@ -306,11 +344,13 @@ class TestRowKernelProperties:
         cfg = RgclConfig(rho=cfg.rho, tau0=cfg.tau0, tau_init=cfg.tau_init, log_epsilon=log_epsilon)
         rows = []
 
-        def kernel(lo, hi, hs, ws):
-            rows.append(_softmax_rows(hs[0], taus, log_epsilon, n, out=ws[0])[:4])
+        def kernel(lo, hi, stats):
+            g, _, ratio, eph, c = _softmax_rows(stats[0], taus, log_epsilon, n)
+            rows.append((g, ratio, eph))
+            return [c]
 
-        [grad_w] = _encoder_pass([params], [views.views], _anchor_h_rows, n, kernel)
-        [(g, _, ratio, eph)] = rows
+        [grad_w] = _encoder_pass([params], [views.views], _anchor_h_rows, n, [taus], kernel)
+        [(g, ratio, eph)] = rows
         value = float(np.mean(taus * np.log(g) + (taus - cfg.tau0) * cfg.rho))
         grad_tau = (-ratio * eph / taus + np.log(g) + cfg.rho) / n
         ref_value, ref_grad_w, ref_grad_tau = full_batch_reference(params, views, taus, cfg)
@@ -428,7 +468,7 @@ class TestBimodal:
 
         x = encode(p_img, images).embeddings
         t = encode(p_txt, texts).embeddings
-        hx, ht = (h for _, _, _, h in _bimodal_h_rows([x, t], 0, n, {}))
+        hx, ht = _hardness_rows([x, t], _bimodal_h_rows, 0, n, {})
         want = sum(
             cfg.tau0 * math.log(g_value(hx[i], cfg.tau0))
             + cfg.tau0 * math.log(g_value(ht[i], cfg.tau0))
@@ -475,24 +515,26 @@ class TestContrastBlocks:
         taus = [0.05 + stream.split(name).uniform(n) for name in ("ta", "tb")]
 
         def run(rows):
-            """The blocks and hardness rows a recording kernel sees, and the
+            """The blocks and row statistics a recording kernel sees, and the
             embedding gradients of its softmax weights."""
             seen = []
 
-            def kernel(lo, hi, hs, ws):
-                seen.append((lo, hi, [h.copy() for h in hs]))
-                for h, w, tau in zip(hs, ws, taus):
-                    _softmax_rows(h, tau[lo:hi], 0.0, n, out=w)
+            def kernel(lo, hi, stats):
+                seen.append((lo, hi, [[np.copy(v) for v in row] for row in stats]))
+                return [_softmax_rows(row, tau[lo:hi], 0.0, n)[-1] for row, tau in zip(stats, taus)]
 
-            return seen, _contrast(towers, h_rows, rows, kernel)
+            return seen, _contrast(towers, h_rows, rows, taus, kernel)
 
         (whole,), want = run(n)
         blocked, got = run(rows)
         assert [(lo, hi) for lo, hi, _ in blocked] == [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-        for k, h in enumerate(whole[2]):
+        for k, row in enumerate(whole[2]):
             # a block's score GEMM may round an entry differently from the whole
-            # matrix's (BLAS picks its kernel by shape): a few ulps of |h| <= 2
-            np.testing.assert_allclose(np.concatenate([hs[k] for _, _, hs in blocked]), h, rtol=0, atol=4e-15)
+            # matrix's (BLAS picks its kernel by shape): a few ulps of |s| <= 1,
+            # over tau >= 0.05
+            for j, v in enumerate(row):
+                np.testing.assert_allclose(np.concatenate([stats[k][j] for _, _, stats in blocked]), v,
+                                           rtol=1e-13, atol=1e-12)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -525,7 +567,7 @@ class TestEvaluationMemory:
     ], ids=["unimodal", "bimodal", "objective_unimodal"])
     def test_peak_at_n2000(self, evaluate, instance, limit_mb):
         # one n = 2000 evaluation runs its 125 blocks in one workspace that
-        # serves every direction, and traces 3.17 MB (unimodal), 2.73 MB
+        # serves every direction, and traces 2.67 MB (unimodal), 2.52 MB
         # (bimodal) and 1.56 MB (the unimodal objective)
         args = instance(17, n=2000, d=16, hidden=3, embed=16)
         tracemalloc.start()
@@ -555,6 +597,26 @@ class TestLengthMismatch:
         args[short] = args[short][:4]
         with pytest.raises(ValueError, match="^images, texts, taus_v, taus_t must all have the same length, not %s$" % counts):
             evaluate(*args)
+
+
+class TestTemperatureBound:
+    """The exact evaluations refuse a temperature below _TAU0_MIN, where
+    exp(s / tau) of a unit-row score s may leave the float64 range."""
+
+    def test_unimodal_names_the_anchor(self):
+        params, views, taus, cfg = small_unimodal(24, n=5)
+        taus[2] = np.nextafter(_TAU0_MIN, 0.0)
+        with pytest.raises(ValueError, match=r"^anchor 2 has tau = 0\.0028177.*, below C / log\(DBL_MAX\) = 0\.00281776$"):
+            unimodal_value_and_grads(params, views, taus, cfg)
+        taus[2] = _TAU0_MIN
+        value, grad_w, grad_tau = unimodal_value_and_grads(params, views, taus, cfg)
+        assert np.isfinite(value) and np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_tau))
+
+    def test_bimodal_names_the_side_and_anchor(self):
+        p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(25, n=4)
+        taus_t[[1, 3]] = -0.5
+        with pytest.raises(ValueError, match=r"^text anchor 1 has tau = -0\.5, below C / log\(DBL_MAX\)"):
+            bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
 
 
 class TestNonFinite:

@@ -8,7 +8,7 @@ import pytest
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
-from rgcl.loss import RgclConfig, ViewPairs, _anchor_h_rows, g_value, unimodal_value_and_grads
+from rgcl.loss import RgclConfig, ViewPairs, _anchor_h_rows, _hardness_rows, g_value, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     OptimizerState,
@@ -22,6 +22,7 @@ from rgcl.optimizer import (
     step_unimodal,
 )
 from rgcl.oracle import full_batch_reference, full_batch_reference_bimodal
+from test_loss import exp_rows
 
 
 def assert_states_equal(got, want):
@@ -77,10 +78,9 @@ def side_state(n, cfg, s=None, initialized=False):
 
 def side_step(opt, hmat, cfg, eta_tau=0.0):
     """_tables on every anchor of opt with the hardness rows hmat (n, n-1)
-    of its one side, at the step size eta_tau; hmat itself is left
-    untouched."""
-    h = np.array(hmat, dtype=np.float64)
-    _tables(opt, np.arange(opt.n), [h], [np.empty_like(h)], replace(cfg, eta_tau=eta_tau))
+    of its one side (scored against a positive at 0), at the step size
+    eta_tau."""
+    _tables(opt, np.arange(opt.n), [exp_rows(hmat, opt.tau[0])[0]], replace(cfg, eta_tau=eta_tau))
 
 
 class TestUpdateS:
@@ -137,8 +137,8 @@ class TestGradTauEstimator:
         taus = np.full(6, 0.45)
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
         opt = side_state(6, cfg)
-        [(_, _, _, h)] = _anchor_h_rows([encode(params, views.views).embeddings], 0, 6, {})
-        _tables(opt, np.arange(6), [h], [np.empty_like(h)], replace(cfg, eta_tau=0.0))
+        [h] = _hardness_rows([encode(params, views.views).embeddings], _anchor_h_rows, 0, 6, {})
+        _tables(opt, np.arange(6), [exp_rows(h, taus)[0]], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
     def test_scale_linearity(self):
@@ -163,7 +163,7 @@ class TestHardnessRows:
         other = stream.split("o").normal(1, 3)
         va = np.vstack([row_a, row_a, other])
         vb = np.vstack([row_b, row_b, other + 0.1])
-        [(_, _, _, hmat)] = _anchor_h_rows([encode(params, ViewPairs(va, vb).views).embeddings], 0, 3, {})
+        [hmat] = _hardness_rows([encode(params, ViewPairs(va, vb).views).embeddings], _anchor_h_rows, 0, 3, {})
         np.testing.assert_allclose(np.sort(hmat[0]), np.sort(hmat[1]), atol=1e-14)
 
 
