@@ -671,14 +671,13 @@ def _vcheck_unbiasedness(seed):
     views = ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
     y = encode(params, views.views).embeddings
     ya, yb = y[0::2], y[1::2]
-    [hmat] = loss._hardness_rows([y], loss._anchor_h_rows, 0, n, {})
     tau = 0.5
     anchor = 0
-    g_full = loss.g_value(hmat[anchor], tau)
     bstream = stream.split("batches")
     all_negs = np.concatenate([np.delete(ya, anchor, 0), np.delete(yb, anchor, 0)])
     pos = float(ya[anchor] @ yb[anchor])
     scores = all_negs @ ya[anchor]
+    g_full = loss.g_value(scores - pos, tau)
     # 2000 batches of 8 negatives, drawn one by one; each batch's g is the
     # mean of exp(h / tau) over its row of picks
     picks = np.empty((2000, 8), dtype=np.intp)

@@ -23,8 +23,11 @@ gradients, every per-row factor riding on an r x d matrix.  The exact
 evaluations run blocks of _EVAL_ROWS anchors in one workspace, so memory
 is O(n * (_EVAL_ROWS + d)); the block size fixes the order of the
 negative-role gradient sums, and so the last bits of the parameter
-gradient.  The exact objective sums dual_loss_anchor over gathered hardness
-rows instead, a value apart from the gradients for finite differences.
+gradient.  One row kernel, _softmax_rows, turns a block's softmax
+statistics into the dual terms, their temperature derivatives and the pair
+weights for every exact value and every step; the exact objective runs the
+same score blocks and sums the kernel's dual terms, with no gradient GEMM,
+a value apart from the gradients for finite differences.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class DistributionalWeights:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64)
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
+        if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-10):  # NaN fails both comparisons
             raise ValueError("weights must lie on the simplex")
         self.p = p
 
@@ -247,20 +250,6 @@ def _own_groups(block: np.ndarray, p: int, lo: int) -> np.ndarray:
     return block.reshape(-1, p)[lo :: block.shape[1] // p + 1]
 
 
-def _offdiag_rows(block: np.ndarray, p: int, lo: int, rows: np.ndarray) -> np.ndarray:
-    """Gather the entries of a C-ordered (r, p*n) block outside each row's own
-    group (see _own_groups) into rows (r, p*(n-1)), in column order, and
-    return rows: in groups of p entries, row-major, the head of row 0, r-1
-    stretches of n groups between own groups, and the tail of row r-1."""
-    r, n = block.shape[0], block.shape[1] // p
-    groups, out = block.reshape(-1, p), rows.reshape(-1, p)
-    k, last = lo + (r - 1) * n, lo + (r - 1) * (n + 1)
-    out[:lo] = groups[:lo]
-    out[lo:k].reshape(-1, n, p)[...] = groups[lo + 1 : last + 1].reshape(-1, n + 1, p)[:, :n]
-    out[k:] = groups[last + 1 :]
-    return rows
-
-
 def _scores(y, neg, p: int, lo: int, hi: int, scale, work, key):
     """The scores (hi-lo, len(neg)) of the anchors lo..hi-1, anchor i being
     row p*i of y, each times its entry of scale unless scale is None, against
@@ -290,17 +279,6 @@ def _bimodal_h_rows(towers, lo: int, hi: int, work, scales=(None, None)):
             (1, 0, 1, _scores(t, x, 1, lo, hi, scales[1], work, ("scores", 1)))]
 
 
-def _hardness_rows(towers, h_rows, lo: int, hi: int, work):
-    """Per direction of h_rows, the hardness rows (hi-lo, p*(n-1)) of the
-    anchors lo..hi-1: their unscaled scores outside their own group (see
-    _own_groups) minus their positive's, the group's last column."""
-    hs = []
-    for k, (_, _, p, block) in enumerate(h_rows(towers, lo, hi, work)):
-        h = _offdiag_rows(block, p, lo, _rows(work, ("hardness", k), hi - lo, block.shape[1] - p))
-        hs.append(np.subtract(h, _own_groups(block, p, lo)[:, -1:], out=h))
-    return hs
-
-
 def _exp_rows(z, p: int, lo: int, e):
     """Write e = exp(z) of a scaled score block z (r, p*n), z_ij = s_ij /
     tau_i, zeroed on each row's own group (see _own_groups), and return the
@@ -315,19 +293,20 @@ def _exp_rows(z, p: int, lo: int, e):
     return sums, np.log(sums) - math.log(e.shape[1] - p) - zq, np.vecdot(e, z) / sums - zq
 
 
-def _softmax_rows(stats, taus, log_epsilon: float, count, denom=None):
-    """The row kernel of every full-batch evaluation and stochastic step, on
-    _exp_rows' rows stats at the temperatures taus.  Returns (g, d, ratio,
-    eph, c): g = mean_exp + log_epsilon; d = denom(g), or g when denom is
-    None (the step passes its moving-average update of s); ratio =
-    mean_exp / d; eph = E_p[h]; and c = ratio / (S count), which turns e
-    into the pair weights p * ratio / count of the parameter gradient."""
+def _softmax_rows(stats, taus, cfg: RgclConfig, count, denom=None):
+    """The row kernel of every exact value and stochastic step, on _exp_rows'
+    rows stats at the temperatures taus.  Returns (g, d, terms, dtau, c): g =
+    mean_exp + log_epsilon; d = denom(g), or g when denom is None (the step
+    passes its moving-average update of s); the dual terms tau log d + (tau -
+    tau0) rho; their temperature derivatives dtau = log d + rho - ratio
+    E_p[h] / tau, with ratio = mean_exp / d; and c = ratio / (S count), which
+    turns e into the pair weights p * ratio / count of the parameter gradient."""
     sums, log_mean_exp, ehz = stats
     mean_exp = np.exp(log_mean_exp)
-    g = mean_exp + log_epsilon
+    g = mean_exp + cfg.log_epsilon
     d = g if denom is None else denom(g)
-    ratio = mean_exp / d
-    return g, d, ratio, taus * ehz, ratio / (sums * count)
+    ratio, log_d = mean_exp / d, np.log(d)
+    return g, d, taus * log_d + (taus - cfg.tau0) * cfg.rho, log_d + cfg.rho - ratio * ehz, ratio / (sums * count)
 
 
 def _contrast(towers, h_rows, rows: int, taus, kernel):
@@ -373,51 +352,57 @@ def _encoder_pass(params, inputs, h_rows, rows: int, taus, kernel):
     return [encode_backward(p, batch, dy).flatten() for p, batch, dy in zip(params, batches, dys)]
 
 
-def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
-    """Exact objective terms and gradients of either modality, in blocks of
-    _EVAL_ROWS anchors; params, inputs and h_rows are as in _encoder_pass,
-    taus the temperatures of each direction, none below _TAU0_MIN (see
-    _exp_rows).  Returns per direction the terms tau log g + (tau - tau0) rho
-    and the temperature gradient, and per encoder its parameter gradient."""
+def _checked_taus(taus):
+    """taus, the temperatures of each direction, as float64 arrays, after
+    refusing fewer than 2 anchors or a temperature below _TAU0_MIN (see
+    _exp_rows) with ValueError naming its side and anchor."""
     taus = [np.asarray(t, dtype=np.float64) for t in taus]
-    n = len(taus[0])
-    if n < 2:
+    if len(taus[0]) < 2:
         raise ValueError("need at least 2 samples")
     for what, tau in zip(_ANCHOR_NAMES[len(taus)], taus):
         if np.any(tau < _TAU0_MIN):
             k = int(np.argmax(tau < _TAU0_MIN))
             raise ValueError("%s %d has tau = %r, below C / log(DBL_MAX) = %.6g" % (what, k, float(tau[k]), _TAU0_MIN))
-    stats = [np.empty((5, n)) for _ in taus]  # (g, d, ratio, eph, c) of _softmax_rows
+    return taus
+
+
+def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
+    """Exact objective terms and gradients of either modality, in blocks of
+    _EVAL_ROWS anchors; params, inputs and h_rows are as in _encoder_pass,
+    taus the temperatures of each direction (see _checked_taus).  Returns per
+    direction the terms tau log g + (tau - tau0) rho and the temperature
+    gradient, and per encoder its parameter gradient."""
+    taus = _checked_taus(taus)
+    n = len(taus[0])
+    stats = [np.empty((5, n)) for _ in taus]  # (g, d, terms, dtau, c) of _softmax_rows
 
     def kernel(lo, hi, rows):
         for row, tau, table in zip(rows, taus, stats):
-            table[:, lo:hi] = _softmax_rows(row, tau[lo:hi], cfg.log_epsilon, n)
+            table[:, lo:hi] = _softmax_rows(row, tau[lo:hi], cfg, n)
         return [table[4, lo:hi] for table in stats]
 
     grads = _encoder_pass(params, inputs, h_rows, _EVAL_ROWS, taus, kernel)
-    out = []
-    for what, tau, (g, _, ratio, eph, _) in zip(_ANCHOR_NAMES[len(taus)], taus, stats):
-        log_g = np.log(g)
-        grad_tau = (-ratio * eph / tau + log_g + cfg.rho) / n
-        _require_finite_rows(what, range(n), g=g, grad_tau=grad_tau)
-        out.append((tau * log_g + (tau - cfg.tau0) * cfg.rho, grad_tau))
-    return out, grads
+    for what, (g, _, _, dtau, _) in zip(_ANCHOR_NAMES[len(taus)], stats):
+        _require_finite_rows(what, range(n), g=g, grad_tau=dtau / n)
+    return [(terms, dtau / n) for _, _, terms, dtau, _ in stats], grads
 
 
 def _objective(towers, h_rows, taus, cfg: RgclConfig) -> float:
-    """Exact objective: the dual losses of every direction of the loss, per
-    anchor in order, summed over the hardness rows of blocks of _EVAL_ROWS
-    anchors and divided by n."""
+    """Exact objective: the mean over anchors of the row kernel's dual terms,
+    summed over the directions of the loss, on the score blocks that h_rows
+    gives for blocks of _EVAL_ROWS anchors at their temperatures (see
+    _checked_taus); one exp buffer serves every direction, and no gradient
+    GEMM runs."""
+    taus = _checked_taus(taus)
     n = len(taus[0])
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    total, work = 0.0, {}
+    scales = [1.0 / tau for tau in taus]
+    terms, work = np.zeros(n), {}
     for lo in range(0, n, _EVAL_ROWS):
-        hs = _hardness_rows(towers, h_rows, lo, min(lo + _EVAL_ROWS, n), work)
-        for k in range(len(hs[0])):
-            for h, tau in zip(hs, taus):
-                total += dual_loss_anchor(h[k], tau[lo + k], cfg)
-    return total / n
+        hi = min(lo + _EVAL_ROWS, n)
+        for (_, _, p, z), tau in zip(h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales]), taus):
+            stats = _exp_rows(z, p, lo, _rows(work, "exp", *z.shape))
+            terms[lo:hi] += _softmax_rows(stats, tau[lo:hi], cfg, n)[2]
+    return float(np.mean(terms))
 
 
 def require_same_length(**arrays) -> None:

@@ -166,10 +166,9 @@ def _tables(opt: OptimizerState, idx, stats, cfg: RgclConfig):
     updates = []
     for side, rows in enumerate(stats):
         taus, s_old = opt.tau[side][idx], opt.s[side][idx]
-        g, s_new, ratio, eph, c = _softmax_rows(
-            rows, taus, cfg.log_epsilon, len(idx),
-            lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g))
-        grad_tau = (-ratio * eph / taus + np.log(s_new) + cfg.rho) / opt.n * cfg.resolved_tau_grad_scale(opt.n)
+        g, s_new, _, dtau, c = _softmax_rows(
+            rows, taus, cfg, len(idx), lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g))
+        grad_tau = dtau / opt.n * cfg.resolved_tau_grad_scale(opt.n)
         u_new = (1.0 - cfg.beta1) * opt.u[side][idx] + cfg.beta1 * grad_tau
         tau_new = _project_tau(taus - cfg.eta_tau * u_new, cfg)
         _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)

@@ -71,10 +71,18 @@ MUTANTS = [
      "        updates.append((g, s_new, u_new, tau_new, c))\n",
      "        opt.s[side][idx] = s_new\n        updates.append((g, s_new, u_new, tau_new, c))\n",
      ["tests/test_optimizer.py::TestNonFinite"]),
-    ("rho scaled by 1.001 in _tables' temperature gradient", OPTIMIZER,
-     "np.log(s_new) + cfg.rho)",
-     "np.log(s_new) + cfg.rho * 1.001)",
+    ("rho scaled by 1.001 in the row kernel's temperature derivative", LOSS,
+     "log_d + cfg.rho - ratio * ehz",
+     "log_d + cfg.rho * 1.001 - ratio * ehz",
      ["tests/test_bitwise_reference.py::test_degeneration_check_matches_original"]),
+    ("objective sums the image direction only", LOSS,
+     "        for (_, _, p, z), tau in zip(h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales]), taus):\n",
+     "        for (_, _, p, z), tau in zip(h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales])[:1], taus):\n",
+     ["tests/test_loss.py::TestBimodal::test_penalty_vanishes_at_tau0"]),
+    ("log m counts the own group", LOSS,
+     "math.log(e.shape[1] - p)",
+     "math.log(e.shape[1])",
+     [ACROSS_BLOCKS]),
     ("kNN keeping the highest tied column", HARNESS,
      "    keep[over] &= (np.cumsum(tied, axis=1) <= open_slots) | ~tied\n",
      "    keep[over] &= (np.cumsum(tied[:, ::-1], axis=1)[:, ::-1] <= open_slots) | ~tied\n",

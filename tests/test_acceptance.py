@@ -20,8 +20,6 @@ from rgcl.encoder import encode, init_encoder_params
 from rgcl.loss import (
     RgclConfig,
     ViewPairs,
-    _anchor_h_rows,
-    _hardness_rows,
     dual_loss_anchor,
     g_value,
     objective_unimodal,
@@ -35,6 +33,7 @@ from rgcl.oracle import (
     solve_dual_tau,
     solve_primal,
 )
+from test_loss import hardness_rows
 
 
 def passed(line):
@@ -167,7 +166,8 @@ def test_criterion_06_estimator_unbiasedness():
     n, d, b = 20, 5, 8
     params = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
     views = ViewPairs(stream.split("a").normal(n, d), stream.split("b").normal(n, d))
-    [hmat] = _hardness_rows([encode(params, views.views).embeddings], _anchor_h_rows, 0, n, {})
+    y = encode(params, views.views).embeddings
+    hmat = hardness_rows(y[0::2], y[1::2], y[0::2], y[1::2])
     tau = 0.5
     draws = 10000
     for anchor in range(10):

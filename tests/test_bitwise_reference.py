@@ -3,7 +3,7 @@ exactly, where the environment is the recording's, else at 1e-10 relative,
 since BLAS may round differently; the evaluations also at 1e-10 relative of
 the seed code's outputs; and the comparison itself under a second BLAS
 kernel set.  Also the evaluations against the loop oracle, and the strided
-off-diagonal gather against a boolean mask."""
+own-group view against a boolean mask."""
 
 import json
 import os
@@ -17,7 +17,7 @@ import record_reference as rec
 
 import rgcl
 from rgcl import oracle
-from rgcl.loss import _offdiag_rows, _own_groups, bimodal_value_and_grads, unimodal_value_and_grads
+from rgcl.loss import _own_groups, bimodal_value_and_grads, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import OptimizerState
 
@@ -126,18 +126,15 @@ def test_bimodal_steps(recorded, mirrored, log_epsilon):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_strided_offdiag_matches_boolean_mask(n):
     # every (hi - lo, p*n) block of rows, in groups of p = 1 (bimodal) and
-    # p = 2 (unimodal) columns, whose own groups start at group lo
+    # p = 2 (unimodal) columns, whose own groups start at group lo: the
+    # strided view picks exactly the entries a boolean mask of each row's
+    # own group does
     for p in (1, 2):
         a = RandomStream(n, ("offdiag", str(p))).normal(n, p * n)
-        off = ~np.kron(np.eye(n, dtype=bool), np.ones((1, p), dtype=bool))
-        want = a[off].reshape(n, p * (n - 1))
+        own = np.kron(np.eye(n, dtype=bool), np.ones((1, p), dtype=bool))
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
-                rows = np.empty((hi - lo, p * (n - 1)))
-                _offdiag_rows(a[lo:hi], p, lo, rows)
-                np.testing.assert_array_equal(rows, want[lo:hi])
-                np.testing.assert_array_equal(_own_groups(a[lo:hi], p, lo),
-                                              a[~off].reshape(n, p)[lo:hi])
+                np.testing.assert_array_equal(_own_groups(a[lo:hi], p, lo), a[own].reshape(n, p)[lo:hi])
 
 
 @pytest.mark.parametrize(["seed"], rec.CASES["test_degeneration_check_matches_original"][1])

@@ -20,6 +20,7 @@ from rgcl.harness import (
     run_verify,
 )
 from rgcl.numerics import RandomStream
+from test_loss import hardness_rows
 
 
 def small_cfg(tmp_path, name="run", **kw):
@@ -481,7 +482,7 @@ class TestVerify:
         views = loss.ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
         y = encode(params, views.views).embeddings
         ya, yb = y[0::2], y[1::2]
-        g_full = loss.g_value(loss._hardness_rows([y], loss._anchor_h_rows, 0, n, {})[0][0], 0.5)
+        g_full = loss.g_value(hardness_rows(ya, yb, ya, yb)[0], 0.5)
         bstream = stream.split("batches")
         all_negs = np.concatenate([ya[1:], yb[1:]])
         pos = float(ya[0] @ yb[0])

@@ -20,7 +20,6 @@ from rgcl.loss import (
     _contrast,
     _encoder_pass,
     _exp_rows,
-    _hardness_rows,
     _softmax_rows,
     dual_loss_anchor,
     g_value,
@@ -211,6 +210,15 @@ class TestPrimalValue:
     def test_simplex_validated(self):
         with pytest.raises(ValueError):
             DistributionalWeights(np.array([0.7, 0.7]))
+        # NaN and infinities are off the simplex; a NaN fails every comparison,
+        # so it must not slip past the bounds
+        for weights in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="simplex"):
+                DistributionalWeights(np.array(weights))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for h, tau in (([0.4, -0.2, 1.0], 0.0), ([0.1, np.nan], 0.5)):
+                with pytest.raises(ValueError, match="simplex"):
+                    p_star(h, tau)
 
 
 class TestExactGradTau:
@@ -253,6 +261,13 @@ def exp_rows(s, taus, sq=0.0):
     return [np.concatenate(column) for column in zip(*stats)], np.array(es)
 
 
+def hardness_rows(anchors, positives, *negatives):
+    """Row i: hardness_scores of anchor i, with positive i, against every
+    row but row i of each tower of negatives in turn."""
+    return np.array([hardness_scores(a, q, np.concatenate([np.delete(t, i, 0) for t in negatives]))
+                     for i, (a, q) in enumerate(zip(anchors, positives))])
+
+
 class TestPairWeights:
     """The pair weights w = c * e = p * (mean_exp / d) / count of the row kernel."""
 
@@ -261,7 +276,7 @@ class TestPairWeights:
         h = np.clip(RandomStream(3).normal(5, 6), -2, 2)
         taus = np.linspace(0.2, 1.5, 5)
         stats, e = exp_rows(h, taus)
-        g, d, _, _, c = _softmax_rows(stats, taus, 0.0, 7)
+        g, d, _, _, c = _softmax_rows(stats, taus, RgclConfig(), 7)
         np.testing.assert_array_equal(g, d)
         np.testing.assert_allclose((c[:, None] * e).sum(axis=1), 1.0 / 7, atol=1e-12)
         np.testing.assert_allclose(g, [g_value(row, t) for row, t in zip(h, taus)], rtol=1e-12)
@@ -269,7 +284,7 @@ class TestPairWeights:
     def test_uniform_hardness_equal_weights(self):
         taus = np.array([0.5, 0.9])
         stats, e = exp_rows(np.full((2, 3), 0.3), taus, -0.2)
-        w = _softmax_rows(stats, taus, 0.0, 4, lambda g: np.ones(2))[-1][:, None] * e
+        w = _softmax_rows(stats, taus, RgclConfig(), 4, lambda g: np.ones(2))[-1][:, None] * e
         assert np.all(w == w[:, :1])
 
 
@@ -284,19 +299,23 @@ class TestRowKernelProperties:
         stream = RandomStream(seed, ("shift",))
         s, sq = stream.split("s").uniform(k, m) * 2.0 - 1.0, stream.split("q").uniform(k) * 2.0 - 1.0
         taus, c = 0.05 + 5.0 * stream.split("tau").uniform(k), stream.split("c").uniform(k) * 2.0 - 1.0
+        cfg = RgclConfig(log_epsilon=log_epsilon)
         stats, e = exp_rows(s, taus, sq)
-        g, _, ratio, eph, w = _softmax_rows(stats, taus, log_epsilon, 3)
+        g, _, terms, dtau, w = _softmax_rows(stats, taus, cfg, 3)
         w = w[:, None] * e
         stats_all, e_all = exp_rows(s + c[:, None], taus, sq + c)
-        g_all, _, ratio_all, eph_all, w_all = _softmax_rows(stats_all, taus, log_epsilon, 3)
+        g_all, _, terms_all, dtau_all, w_all = _softmax_rows(stats_all, taus, cfg, 3)
         np.testing.assert_allclose(g_all, g, rtol=1e-12)
-        np.testing.assert_allclose(ratio_all, ratio, rtol=1e-12)
-        np.testing.assert_allclose(eph_all, eph, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(terms_all, terms, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dtau_all, dtau, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(taus * stats_all[2], taus * stats[2], rtol=0, atol=1e-12)
         np.testing.assert_allclose(w_all[:, None] * e_all, w, rtol=1e-12)
         stats_c, e_c = exp_rows(s + c[:, None], taus, sq)
-        g_c, _, ratio_c, eph_c, w_c = _softmax_rows(stats_c, taus, log_epsilon, 3)
-        np.testing.assert_allclose(w_c[:, None] * e_c / ratio_c[:, None], w / ratio[:, None], rtol=1e-12)
-        np.testing.assert_allclose(eph_c, eph + c, rtol=0, atol=1e-12)
+        g_c, _, _, _, w_c = _softmax_rows(stats_c, taus, cfg, 3)
+        w_c = w_c[:, None] * e_c
+        np.testing.assert_allclose(w_c / w_c.sum(axis=1, keepdims=True), w / w.sum(axis=1, keepdims=True),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(taus * stats_c[2], taus * stats[2] + c, rtol=0, atol=1e-12)
         if log_epsilon == 0.0:
             np.testing.assert_allclose(g_c, g * np.exp(c / taus), rtol=1e-12)
 
@@ -307,7 +326,7 @@ class TestRowKernelProperties:
         stream = RandomStream(seed, ("tau-order",))
         s, sq = stream.split("s").uniform(m) * 2.0 - 1.0, float(stream.split("q").uniform()) * 2.0 - 1.0
         taus = np.sort(0.05 + 5.0 * stream.split("tau").uniform(12))
-        eph = _softmax_rows(exp_rows(np.tile(s, (12, 1)), taus, sq)[0], taus, 0.0, 1)[3]
+        eph = taus * exp_rows(np.tile(s, (12, 1)), taus, sq)[0][2]
         h = s - sq
         assert np.all(np.diff(eph) <= 1e-12)
         assert np.all(eph >= h.mean() - 1e-12) and np.all(eph <= h.max() + 1e-12)
@@ -327,7 +346,9 @@ class TestRowKernelProperties:
         rows = [(stream.split("s").uniform(m) * 2.0 - 1.0, float(stream.split("q").uniform()) * 2.0 - 1.0),
                 (np.ones(m), -1.0), (-np.ones(m), 1.0), (signs, -signs[0])]
         for s, sq in rows:
-            g, _, _, eph, _ = _softmax_rows(exp_rows(np.tile(s, (12, 1)), taus, sq)[0], taus, 0.0, 1)
+            stats = exp_rows(np.tile(s, (12, 1)), taus, sq)[0]
+            g = _softmax_rows(stats, taus, RgclConfig(), 1)[0]
+            eph = taus * stats[2]
             h = s - sq
             gap = taus * math.log(m) + 1e-12
             assert np.all(eph <= h.max() + 1e-12) and np.all(eph >= h.max() - gap)
@@ -345,18 +366,16 @@ class TestRowKernelProperties:
         rows = []
 
         def kernel(lo, hi, stats):
-            g, _, ratio, eph, c = _softmax_rows(stats[0], taus, log_epsilon, n)
-            rows.append((g, ratio, eph))
+            _, _, terms, dtau, c = _softmax_rows(stats[0], taus, cfg, n)
+            rows.append((terms, dtau))
             return [c]
 
         [grad_w] = _encoder_pass([params], [views.views], _anchor_h_rows, n, [taus], kernel)
-        [(g, ratio, eph)] = rows
-        value = float(np.mean(taus * np.log(g) + (taus - cfg.tau0) * cfg.rho))
-        grad_tau = (-ratio * eph / taus + np.log(g) + cfg.rho) / n
+        [(terms, dtau)] = rows
         ref_value, ref_grad_w, ref_grad_tau = full_batch_reference(params, views, taus, cfg)
-        assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-14)
+        assert float(np.mean(terms)) == pytest.approx(ref_value, rel=1e-12, abs=1e-14)
         np.testing.assert_allclose(grad_w, ref_grad_w, rtol=1e-10, atol=1e-13)
-        np.testing.assert_allclose(grad_tau, ref_grad_tau, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(dtau / n, ref_grad_tau, rtol=1e-10, atol=1e-13)
 
 
 def small_unimodal(seed, n=4, d=3, hidden=5, embed=3):
@@ -468,7 +487,7 @@ class TestBimodal:
 
         x = encode(p_img, images).embeddings
         t = encode(p_txt, texts).embeddings
-        hx, ht = _hardness_rows([x, t], _bimodal_h_rows, 0, n, {})
+        hx, ht = hardness_rows(x, t, t), hardness_rows(t, x, x)
         want = sum(
             cfg.tau0 * math.log(g_value(hx[i], cfg.tau0))
             + cfg.tau0 * math.log(g_value(ht[i], cfg.tau0))
@@ -521,7 +540,7 @@ class TestContrastBlocks:
 
             def kernel(lo, hi, stats):
                 seen.append((lo, hi, [[np.copy(v) for v in row] for row in stats]))
-                return [_softmax_rows(row, tau[lo:hi], 0.0, n)[-1] for row, tau in zip(stats, taus)]
+                return [_softmax_rows(row, tau[lo:hi], RgclConfig(), n)[-1] for row, tau in zip(stats, taus)]
 
             return seen, _contrast(towers, h_rows, rows, taus, kernel)
 
@@ -564,11 +583,13 @@ class TestEvaluationMemory:
         (unimodal_value_and_grads, small_unimodal, 3.25),
         (bimodal_value_and_grads, small_bimodal, 2.9),
         (objective_unimodal, small_unimodal, 1.7),
-    ], ids=["unimodal", "bimodal", "objective_unimodal"])
+        (objective_bimodal, small_bimodal, 1.4),
+    ], ids=["unimodal", "bimodal", "objective_unimodal", "objective_bimodal"])
     def test_peak_at_n2000(self, evaluate, instance, limit_mb):
         # one n = 2000 evaluation runs its 125 blocks in one workspace that
         # serves every direction, and traces 2.67 MB (unimodal), 2.52 MB
-        # (bimodal) and 1.56 MB (the unimodal objective)
+        # (bimodal), 1.49 MB (the unimodal objective) and 1.26 MB (the
+        # bimodal objective, whose directions share one exp buffer)
         args = instance(17, n=2000, d=16, hidden=3, embed=16)
         tracemalloc.start()
         try:
@@ -600,23 +621,26 @@ class TestLengthMismatch:
 
 
 class TestTemperatureBound:
-    """The exact evaluations refuse a temperature below _TAU0_MIN, where
-    exp(s / tau) of a unit-row score s may leave the float64 range."""
+    """The exact evaluations and objectives refuse a temperature below
+    _TAU0_MIN, where exp(s / tau) of a unit-row score s may leave the float64
+    range."""
 
     def test_unimodal_names_the_anchor(self):
         params, views, taus, cfg = small_unimodal(24, n=5)
-        taus[2] = np.nextafter(_TAU0_MIN, 0.0)
-        with pytest.raises(ValueError, match=r"^anchor 2 has tau = 0\.0028177.*, below C / log\(DBL_MAX\) = 0\.00281776$"):
-            unimodal_value_and_grads(params, views, taus, cfg)
-        taus[2] = _TAU0_MIN
-        value, grad_w, grad_tau = unimodal_value_and_grads(params, views, taus, cfg)
-        assert np.isfinite(value) and np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_tau))
+        for evaluate in (unimodal_value_and_grads, objective_unimodal):
+            taus[2] = np.nextafter(_TAU0_MIN, 0.0)
+            with pytest.raises(ValueError, match=r"^anchor 2 has tau = 0\.0028177.*, below C / log\(DBL_MAX\) = 0\.00281776$"):
+                evaluate(params, views, taus, cfg)
+            taus[2] = _TAU0_MIN
+            out = evaluate(params, views, taus, cfg)
+            assert np.all(np.isfinite(np.hstack(out if isinstance(out, tuple) else [out])))
 
     def test_bimodal_names_the_side_and_anchor(self):
         p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(25, n=4)
         taus_t[[1, 3]] = -0.5
-        with pytest.raises(ValueError, match=r"^text anchor 1 has tau = -0\.5, below C / log\(DBL_MAX\)"):
-            bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
+        for evaluate in (bimodal_value_and_grads, objective_bimodal):
+            with pytest.raises(ValueError, match=r"^text anchor 1 has tau = -0\.5, below C / log\(DBL_MAX\)"):
+                evaluate(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
 
 
 class TestNonFinite:

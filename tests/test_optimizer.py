@@ -8,7 +8,7 @@ import pytest
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
-from rgcl.loss import RgclConfig, ViewPairs, _anchor_h_rows, _hardness_rows, g_value, unimodal_value_and_grads
+from rgcl.loss import RgclConfig, ViewPairs, g_value, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     OptimizerState,
@@ -22,7 +22,7 @@ from rgcl.optimizer import (
     step_unimodal,
 )
 from rgcl.oracle import full_batch_reference, full_batch_reference_bimodal
-from test_loss import exp_rows
+from test_loss import exp_rows, hardness_rows
 
 
 def assert_states_equal(got, want):
@@ -137,7 +137,8 @@ class TestGradTauEstimator:
         taus = np.full(6, 0.45)
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
         opt = side_state(6, cfg)
-        [h] = _hardness_rows([encode(params, views.views).embeddings], _anchor_h_rows, 0, 6, {})
+        y = encode(params, views.views).embeddings
+        h = hardness_rows(y[0::2], y[1::2], y[0::2], y[1::2])
         _tables(opt, np.arange(6), [exp_rows(h, taus)[0]], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
@@ -163,7 +164,8 @@ class TestHardnessRows:
         other = stream.split("o").normal(1, 3)
         va = np.vstack([row_a, row_a, other])
         vb = np.vstack([row_b, row_b, other + 0.1])
-        [hmat] = _hardness_rows([encode(params, ViewPairs(va, vb).views).embeddings], _anchor_h_rows, 0, 3, {})
+        y = encode(params, ViewPairs(va, vb).views).embeddings
+        hmat = hardness_rows(y[0::2], y[1::2], y[0::2], y[1::2])
         np.testing.assert_allclose(np.sort(hmat[0]), np.sort(hmat[1]), atol=1e-14)
 
 

@@ -371,7 +371,7 @@ class TestFullBatchReference:
 
 def test_independent_of_the_block_machinery():
     # the oracle judges the production path, so it must not run any of it
-    names = {"_contrast", "_softmax_rows", "_scores", "_exp_rows", "_hardness_rows", "_offdiag_rows",
+    names = {"_contrast", "_softmax_rows", "_scores", "_exp_rows", "_checked_taus", "_objective",
              "_encoder_pass", "_full_batch", "_tables", "_step"}
     machinery = [getattr(loss, name, None) or getattr(optimizer, name) for name in names]
     assert not names & vars(oracle).keys()
