@@ -505,70 +505,47 @@ def _random_instance(stream, m):
     return np.clip(stream.normal(m), -2.0, 2.0)
 
 
-def _vcheck_primal_feasibility(seed):
-    stream = RandomStream(seed, ("verify", "primal"))
-    worst = 0.0
-    for i in range(20):
-        m = 2 + int(stream.integers(0, 5))
-        h = _random_instance(stream.split("h%d" % i), m)
-        rho = 0.1 + 0.9 * float(stream.uniform())
-        sol = oracle.solve_primal(h, rho, 0.05)
-        kl = loss.kl_uniform(sol.p)
-        worst = max(worst, kl - rho, abs(sol.lam) * max(0.0, kl - rho))
-        if sol.lam > loss.HARDNESS_BOUND / rho:
-            return _check("primal_feasibility", False, {"lambda_over_bound": sol.lam})
-    return _check("primal_feasibility", worst <= 1e-8, {"worst_violation": worst})
-
-
-def _vcheck_primal_dual(seed):
+def _oracle_battery(seed):
+    """The random instances of the oracle checks, as (h, cfg): m = 2..6
+    negatives and rho in {0.1, 0.5, 1.0}, five of each pair."""
     stream = RandomStream(seed, ("verify", "dual"))
-    cfgs = {rho: RgclConfig(rho=rho, tau0=0.05, tau_init=0.05) for rho in (0.1, 0.5, 1.0)}
-    worst = 0.0
     for m in range(2, 7):
-        for rho, cfg in cfgs.items():
+        for rho in (0.1, 0.5, 1.0):
+            cfg = RgclConfig(rho=rho, tau0=0.05, tau_init=0.05)
             for i in range(5):
-                h = _random_instance(stream.split("h%d-%d-%s" % (m, i, rho)), m)
-                _, dual_value = oracle.solve_dual_tau(h, cfg)
-                sol = oracle.solve_primal(h, rho, cfg.tau0)
-                worst = max(worst, abs(dual_value - sol.value))
-    return _check("primal_dual_equivalence", worst <= 1e-6, {"worst_gap": worst})
+                yield _random_instance(stream.split("h%d-%d-%s" % (m, i, rho)), m), cfg
 
 
-def _vcheck_grid(seed):
-    stream = RandomStream(seed, ("verify", "grid"))
-    worst = 0.0
-    for i in range(10):
-        h = _random_instance(stream.split("h%d" % i), 2)
-        rho = 0.1 + 0.5 * float(stream.uniform())
-        _, gv = oracle.grid_search_simplex(h, rho, 0.05)
-        sol = oracle.solve_primal(h, rho, 0.05)
-        worst = max(worst, abs(gv - sol.value))
-    return _check("grid_cross_check", worst <= 1e-3, {"worst_gap": worst})
+def _vcheck_oracle_battery(seed):
+    """primal_feasibility, primal_dual_equivalence, grid_cross_check and
+    tau_upper_bound, read from one solve_primal and one solve_dual_tau of
+    each battery instance; the grid runs on the two-negative ones."""
+    violation, dual_gap, grid_gap, excess, over_bound = 0.0, 0.0, 0.0, -np.inf, None
+    for h, cfg in _oracle_battery(seed):
+        tau_star, dual_value = oracle.solve_dual_tau(h, cfg)
+        sol = oracle.solve_primal(h, cfg.rho, cfg.tau0)
+        kl = loss.kl_uniform(sol.p)
+        violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))
+        if over_bound is None and sol.lam > loss.HARDNESS_BOUND / cfg.rho:
+            over_bound = sol.lam
+        dual_gap = max(dual_gap, abs(dual_value - sol.value))
+        if len(h) == 2:
+            grid_gap = max(grid_gap, abs(oracle.grid_search_simplex(h, cfg.rho, cfg.tau0)[1] - sol.value))
+        excess = max(excess, tau_star - cfg.tau_max)
+    feasible = {"worst_violation": violation} if over_bound is None else {"lambda_over_bound": over_bound}
+    return [_check("primal_feasibility", over_bound is None and violation <= 1e-8, feasible),
+            _check("primal_dual_equivalence", dual_gap <= 1e-6, {"worst_gap": dual_gap}),
+            _check("grid_cross_check", grid_gap <= 1e-3, {"worst_gap": grid_gap}),
+            _check("tau_upper_bound", excess <= 1e-8, {"worst_excess": excess})]
 
 
-def _vcheck_weight_concentration():
-    sol = oracle.solve_primal(np.array([0.0, -1.0]), 0.2, 0.0)
-    p1 = float(sol.p[0])
-    return _check("weight_concentration_reference", abs(p1 - 0.80) <= 0.02, {"p1": p1})
-
-
-def _vcheck_hardness_monotone():
+def _vcheck_fixed_instance():
+    """weight_concentration_reference (at rho = 0.2) and
+    hardness_awareness_monotone, from the primal solutions of h = (0, -1)."""
     p1s = [float(oracle.solve_primal(np.array([0.0, -1.0]), r, 0.0).p[0]) for r in (0.05, 0.1, 0.2, 0.4)]
     ok = all(b >= a - 1e-12 for a, b in zip(p1s, p1s[1:]))
-    return _check("hardness_awareness_monotone", ok, {"p1_by_rho": p1s})
-
-
-def _vcheck_tau_bound(seed):
-    stream = RandomStream(seed, ("verify", "taubound"))
-    worst = -np.inf
-    for i in range(20):
-        m = 2 + int(stream.integers(0, 5))
-        h = _random_instance(stream.split("h%d" % i), m)
-        rho = 0.1 + 0.9 * float(stream.uniform())
-        cfg = RgclConfig(rho=rho, tau0=0.05, tau_init=0.05)
-        tau_star, _ = oracle.solve_dual_tau(h, cfg)
-        worst = max(worst, tau_star - cfg.tau_max)
-    return _check("tau_upper_bound", worst <= 1e-8, {"worst_excess": worst})
+    return [_check("weight_concentration_reference", abs(p1s[2] - 0.80) <= 0.02, {"p1": p1s[2]}),
+            _check("hardness_awareness_monotone", ok, {"p1_by_rho": p1s})]
 
 
 def _small_instance(seed, n=5, d=4):
@@ -698,18 +675,20 @@ def _vcheck_determinism(seed, a):
 
 def run_verify(cfg: ExperimentConfig) -> dict:
     """Run the named verification checks in order and write a JSON report;
-    the CLI exit code is 0 iff every check passed."""
+    the CLI exit code is 0 iff every check passed.  The four oracle checks
+    share one battery of 75 random instances, each solved once by each
+    solver, with the grid on its 15 two-negative ones."""
     os.makedirs(cfg.out, exist_ok=True)
     seed = cfg.seed
     # the g-floor check's run is also the determinism check's first run
     trained = _short_training(seed)
+    feasible, dual, grid, tau_bound = _vcheck_oracle_battery(seed)
     checks = [
-        _vcheck_primal_feasibility(seed),
-        _vcheck_primal_dual(seed),
-        _vcheck_grid(seed),
-        _vcheck_weight_concentration(),
-        _vcheck_hardness_monotone(),
-        _vcheck_tau_bound(seed),
+        feasible,
+        dual,
+        grid,
+        *_vcheck_fixed_instance(),
+        tau_bound,
         *_vcheck_finite_diff(seed),
         _vcheck_degeneration(seed),
         _vcheck_tau_containment(seed),

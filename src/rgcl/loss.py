@@ -354,15 +354,18 @@ def _encoder_pass(params, inputs, h_rows, rows: int, taus, kernel):
 
 def _checked_taus(taus):
     """taus, the temperatures of each direction, as float64 arrays, after
-    refusing fewer than 2 anchors or a temperature below _TAU0_MIN (see
-    _exp_rows) with ValueError naming its side and anchor."""
+    refusing fewer than 2 anchors or a temperature that is not finite or is
+    below _TAU0_MIN (see _exp_rows) with ValueError naming its side and
+    anchor."""
     taus = [np.asarray(t, dtype=np.float64) for t in taus]
     if len(taus[0]) < 2:
         raise ValueError("need at least 2 samples")
     for what, tau in zip(_ANCHOR_NAMES[len(taus)], taus):
-        if np.any(tau < _TAU0_MIN):
-            k = int(np.argmax(tau < _TAU0_MIN))
-            raise ValueError("%s %d has tau = %r, below C / log(DBL_MAX) = %.6g" % (what, k, float(tau[k]), _TAU0_MIN))
+        bad = ~np.isfinite(tau) | (tau < _TAU0_MIN)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            why = "below C / log(DBL_MAX) = %.6g" % _TAU0_MIN if tau[k] < _TAU0_MIN else "not finite"
+            raise ValueError("%s %d has tau = %r, %s" % (what, k, float(tau[k]), why))
     return taus
 
 

@@ -29,6 +29,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "runs", "pyproject.toml")
 LOSS, OPTIMIZER, HARNESS, ORACLE = ("src/rgcl/%s.py" % m for m in ("loss", "optimizer", "harness", "oracle"))
 ACROSS_BLOCKS = "tests/test_bitwise_reference.py::test_evaluation_matches_oracle_across_blocks"
+VERIFY_REPORT = "tests/test_bitwise_reference.py::test_verify_report"
 
 MUTANTS = [
     ("own group zeroed at offset 0 instead of lo", LOSS,
@@ -87,6 +88,18 @@ MUTANTS = [
      "    keep[over] &= (np.cumsum(tied, axis=1) <= open_slots) | ~tied\n",
      "    keep[over] &= (np.cumsum(tied[:, ::-1], axis=1)[:, ::-1] <= open_slots) | ~tied\n",
      ["tests/test_harness.py::TestKnn::test_matches_loop_on_ties"]),
+    ("tau* measured against tau0 instead of tau_max", HARNESS,
+     "excess = max(excess, tau_star - cfg.tau_max)",
+     "excess = max(excess, tau_star - cfg.tau0)",
+     [VERIFY_REPORT]),
+    ("grid compared with the dual value", HARNESS,
+     "oracle.grid_search_simplex(h, cfg.rho, cfg.tau0)[1] - sol.value)",
+     "oracle.grid_search_simplex(h, cfg.rho, cfg.tau0)[1] - dual_value)",
+     [VERIFY_REPORT]),
+    ("grid run on the three-negative instances", HARNESS,
+     "        if len(h) == 2:\n",
+     "        if len(h) == 3:\n",
+     [VERIFY_REPORT]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",
      "                    d_neg[j] += 0.999 * wk * anchor[i]\n",

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import json
 import os
 import tracemalloc
@@ -6,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rgcl import cli, harness, loss, optimizer
+from rgcl import cli, harness, loss, optimizer, oracle
 from rgcl.encoder import encode, init_encoder_params
 from rgcl.harness import (
     ExperimentConfig,
@@ -471,6 +473,30 @@ class TestVerify:
         report = run_verify(small_cfg(tmp_path, name="verify_layout"))
         assert [c["name"] for c in report["checks"]] == [c["name"] for c in committed["checks"]]
         assert report["n_checks"] == committed["n_checks"] == len(committed["checks"])
+
+    def test_each_oracle_instance_solved_once(self, tmp_path, monkeypatch):
+        # the oracle checks share one battery of 75 instances, each solved
+        # once per solver, with the grid on its 15 two-negative ones; the
+        # fixed instance adds four primal solves
+        calls = {}
+        for name in ("solve_primal", "solve_dual_tau", "grid_search_simplex"):
+            def counted(*args, _solve=getattr(oracle, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _solve(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        run_verify(small_cfg(tmp_path, name="verify_calls"))
+        assert calls == {"solve_primal": 79, "solve_dual_tau": 75, "grid_search_simplex": 15}
+
+    def test_feasibility_reports_the_first_lambda_over_bound(self, monkeypatch):
+        solve, count = oracle.solve_primal, itertools.count(1)
+
+        def over_bound_at_3_and_7(h, rho, tau0):
+            sol, k = solve(h, rho, tau0), next(count)
+            return dataclasses.replace(sol, lam=1e9 + k) if k in (3, 7) else sol
+
+        monkeypatch.setattr(oracle, "solve_primal", over_bound_at_3_and_7)
+        feasible = harness._vcheck_oracle_battery(0)[0]
+        assert feasible == {"name": "primal_feasibility", "passed": False, "detail": {"lambda_over_bound": 1e9 + 3}}
 
     @staticmethod
     def unbiasedness_loop(seed):

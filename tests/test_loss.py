@@ -642,16 +642,34 @@ class TestTemperatureBound:
             with pytest.raises(ValueError, match=r"^text anchor 1 has tau = -0\.5, below C / log\(DBL_MAX\)"):
                 evaluate(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_unimodal_refuses_non_finite(self, bad):
+        params, views, taus, cfg = small_unimodal(26, n=5)
+        taus[1] = bad
+        for evaluate in (unimodal_value_and_grads, objective_unimodal):
+            with pytest.raises(ValueError, match=r"^anchor 1 has tau = %s, not finite$" % bad):
+                evaluate(params, views, taus, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bimodal_refuses_non_finite(self, bad):
+        p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(27, n=4)
+        for side, what in ((0, "image"), (1, "text")):
+            taus = [taus_v.copy(), taus_t.copy()]
+            taus[side][2] = bad
+            for evaluate in (bimodal_value_and_grads, objective_bimodal):
+                with pytest.raises(ValueError, match=r"^%s anchor 2 has tau = %s, not finite$" % (what, bad)):
+                    evaluate(p_img, p_txt, images, texts, *taus, cfg)
+
 
 class TestNonFinite:
     def test_unimodal_names_the_anchor(self):
         params, views, taus, cfg = small_unimodal(19, n=5)
         taus[3] = np.nan
-        with pytest.raises(ValueError, match="^anchor 3 has a non-finite value: g = nan, grad_tau = nan$"):
+        with pytest.raises(ValueError, match="^anchor 3 has tau = nan, not finite$"):
             unimodal_value_and_grads(params, views, taus, cfg)
 
     def test_bimodal_names_the_side_and_anchor(self):
         p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(20, n=4)
         taus_t[2] = np.nan
-        with pytest.raises(ValueError, match="^text anchor 2 has a non-finite value"):
+        with pytest.raises(ValueError, match="^text anchor 2 has tau = nan, not finite$"):
             bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg)

@@ -3,7 +3,7 @@ import pytest
 
 from rgcl import loss, optimizer, oracle
 from rgcl.encoder import init_encoder_params
-from rgcl.harness import _random_instance
+from rgcl.harness import _oracle_battery
 from rgcl.loss import (
     HARDNESS_BOUND,
     RgclConfig,
@@ -160,13 +160,13 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_two_point_matches_loop_on_verify_instances(self, seed):
-        # the instances of rgcl verify's grid_cross_check
-        stream = RandomStream(seed, ("verify", "grid"))
-        for i in range(10):
-            h = _random_instance(stream.split("h%d" % i), 2)
-            rho = 0.1 + 0.5 * float(stream.uniform())
-            p, v = grid_search_simplex(h, rho, 0.05)
-            want_p, want_v = loop_grid_search(h, rho, 0.05)
+        # the instances of rgcl verify's grid_cross_check: the battery's
+        # two-negative ones
+        pairs = [(h, cfg) for h, cfg in _oracle_battery(seed) if len(h) == 2]
+        assert len(pairs) == 15
+        for h, cfg in pairs:
+            p, v = grid_search_simplex(h, cfg.rho, cfg.tau0)
+            want_p, want_v = loop_grid_search(h, cfg.rho, cfg.tau0)
             np.testing.assert_array_equal(p, want_p)
             assert v == want_v
 
