@@ -31,10 +31,6 @@ class SynthDataset:
     inputs: np.ndarray  # (n, d_in), un-normalized
     labels: np.ndarray  # (n,) cluster ids, 0 = head
     cluster_sizes: np.ndarray  # (k,)
-    seed: int
-    k: int
-    ratio: float
-    noise: float
 
     @property
     def n(self) -> int:
@@ -53,11 +49,6 @@ class BimodalSynthDataset:
     cluster_sizes: np.ndarray
     map_img: np.ndarray = field(repr=False)
     map_txt: np.ndarray = field(repr=False)
-    seed: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.image_views.shape[0]
 
 
 def longtail_sizes(k: int, n: int, ratio: float) -> np.ndarray:
@@ -111,10 +102,6 @@ def gen_longtail_clusters(
         inputs=np.concatenate(rows, axis=0),
         labels=np.concatenate(labels),
         cluster_sizes=sizes,
-        seed=seed,
-        k=k,
-        ratio=ratio,
-        noise=noise,
     )
 
 
@@ -158,19 +145,15 @@ def gen_bimodal_pairs(
         return raw / np.sqrt(d_latent)
 
     m_img = fixed_map(root.split("map-img"), d_img)
-    if mirrored:
-        if d_img != d_txt:
-            raise ValueError("mirrored pairs need d_img == d_txt")
-        m_txt = m_img.copy()
-    else:
-        m_txt = fixed_map(root.split("map-txt"), d_txt)
-
     img = latent.inputs @ m_img.T
     if noise > 0:
         img = img + noise * root.split("noise-img").normal(n, d_img)
     if mirrored:
-        txt = img.copy()
+        if d_img != d_txt:
+            raise ValueError("mirrored pairs need d_img == d_txt")
+        m_txt, txt = m_img.copy(), img.copy()
     else:
+        m_txt = fixed_map(root.split("map-txt"), d_txt)
         txt = latent.inputs @ m_txt.T
         if noise > 0:
             txt = txt + noise * root.split("noise-txt").normal(n, d_txt)
@@ -181,7 +164,6 @@ def gen_bimodal_pairs(
         cluster_sizes=latent.cluster_sizes,
         map_img=m_img,
         map_txt=m_txt,
-        seed=seed,
     )
 
 

@@ -40,9 +40,10 @@ __all__ = [
 
 
 @dataclass
-class ExperimentConfig:
-    """Flat experiment configuration.  Loaded from a single JSON object;
-    unknown keys are rejected so typos fail loudly."""
+class ExperimentConfig(RgclConfig):
+    """Flat experiment configuration: RgclConfig's loss fields, with the
+    long-tail run's rho, eta_w and eta_tau, plus the run settings.  Loaded
+    from a single JSON object; unknown keys are rejected so typos fail loudly."""
 
     mode: str = "isogclr"  # isogclr | sogclr-baseline | bimodal
     seed: int = 0
@@ -67,16 +68,10 @@ class ExperimentConfig:
     d_embed: int = 16
     activation: str = "tanh"
 
-    # optimizer / loss
+    # optimizer / loss: RgclConfig's fields, with the long-tail defaults here
     rho: float = 0.8
-    tau0: float = 0.05
-    tau_init: float = 0.7
-    beta0: float = 0.9
-    beta1: float = 0.9
     eta_w: float = 0.05
     eta_tau: float = 0.01
-    tau_grad_scale: float | None = None
-    log_epsilon: float = 0.0
     param_update: str = "momentum"  # momentum | adam
 
     # loop
@@ -96,11 +91,11 @@ class ExperimentConfig:
                 raise ValueError("%s must be of type %s, not %r" % (name, kind, value))
             if isinstance(value, np.generic):
                 setattr(self, name, value.item())  # so the report serialises it
-        loss.require_finite(self)
+        super().__post_init__()
         optimizer._checked_seed(self.seed)
         if self.mode not in ("isogclr", "sogclr-baseline", "bimodal"):
             raise ValueError("unknown mode %r" % self.mode)
-        if self.param_update not in ("momentum", "adam"):
+        if self.param_update not in optimizer._MODES:
             raise ValueError("unknown param_update %r" % self.param_update)
         if self.epochs < 0 or self.eval_every < 1:
             raise ValueError("epochs must be >= 0 and eval_every >= 1")
@@ -120,9 +115,9 @@ class ExperimentConfig:
             raise ValueError("knn_k %d exceeds the %d training points of the held-out split" % (self.knn_k, n_train))
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2, not %d" % self.batch_size)
-        self.rgcl_config()  # validate loss hyperparameters early
 
     def rgcl_config(self) -> RgclConfig:
+        """The loss fields alone, so a step's replace skips the run checks."""
         return RgclConfig(**{f.name: getattr(self, f.name) for f in fields(RgclConfig)})
 
 
@@ -332,7 +327,7 @@ def _grad_mapping_sq(params, eval_views, taus, rcfg: RgclConfig):
     value, grad_w, grad_tau = loss.unimodal_value_and_grads(params, eval_views, taus, rcfg)
     # parameters are unconstrained, so their mapping is the gradient itself
     eta_t = rcfg.eta_tau if rcfg.eta_tau > 0 else 1.0
-    tau_next = np.clip(taus - eta_t * grad_tau, rcfg.tau0, rcfg.tau_max)
+    tau_next = optimizer._project_tau(taus - eta_t * grad_tau, rcfg)
     gm = float(np.sum(grad_w * grad_w)) + float(np.sum(((taus - tau_next) / eta_t) ** 2))
     return value, gm
 
@@ -389,7 +384,7 @@ def _finish(cfg: ExperimentConfig, t_start: float, opt, data, params, knn_inputs
         cluster_sizes=data.cluster_sizes.tolist(),
         min_g_seen=None if math.isinf(opt.min_g_seen) else opt.min_g_seen,
         min_s_seen=None if math.isinf(opt.min_s_seen) else opt.min_s_seen,
-        g_floor=cfg.rgcl_config().g_floor,
+        g_floor=cfg.g_floor,
     )
     sizes = data.cluster_sizes.astype(float)
     for suffix, tau in zip(_SIDE_SUFFIXES[opt.sides - 1], opt.tau):

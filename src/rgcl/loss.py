@@ -252,15 +252,13 @@ def _own_groups(block: np.ndarray, p: int, lo: int) -> np.ndarray:
 
 def _scores(y, neg, p: int, lo: int, hi: int, scale, work, key):
     """The scores (hi-lo, len(neg)) of the anchors lo..hi-1, anchor i being
-    row p*i of y, each times its entry of scale unless scale is None, against
-    every row of neg: one GEMM into buffer `key` of work (see _rows)."""
-    anchors = y[p * lo : p * hi : p]
-    if scale is not None:
-        anchors = np.multiply(anchors, scale[:, None], out=_rows(work, "scaled", hi - lo, y.shape[1]))
+    row p*i of y, each times its entry of scale, against every row of neg:
+    one GEMM into buffer `key` of work (see _rows)."""
+    anchors = np.multiply(y[p * lo : p * hi : p], scale[:, None], out=_rows(work, "scaled", hi - lo, y.shape[1]))
     return np.matmul(anchors, neg.T, out=_rows(work, key, hi - lo, len(neg)))
 
 
-def _anchor_h_rows(towers, lo: int, hi: int, work, scales=(None,)):
+def _anchor_h_rows(towers, lo: int, hi: int, work, scales):
     """The one direction of the unimodal loss over the anchors lo..hi-1 of the
     interleaved tower towers = [y] (see ViewPairs), as (anchor tower, negative
     tower, group size, scores scaled by scales[0]): anchor i is row 2i of y,
@@ -269,7 +267,7 @@ def _anchor_h_rows(towers, lo: int, hi: int, work, scales=(None,)):
     return [(0, 0, 2, _scores(y, y, 2, lo, hi, scales[0], work, ("scores", 0)))]
 
 
-def _bimodal_h_rows(towers, lo: int, hi: int, work, scales=(None, None)):
+def _bimodal_h_rows(towers, lo: int, hi: int, work, scales):
     """Both directions of the bimodal loss over the pairs lo..hi-1 of towers =
     [x, t], as in _anchor_h_rows: image anchor i over the texts, its positive
     t_i, and text anchor i over the images, its positive x_i.  Both come from

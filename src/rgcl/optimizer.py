@@ -300,9 +300,9 @@ def save_optimizer_state(opt: OptimizerState, path: str) -> None:
 def load_optimizer_state(path: str) -> OptimizerState:
     """Read a checkpoint written by save_optimizer_state.  The header fixes
     the exact file size; any other size, an unknown magic or mode flag, a
-    negative step or size, a malformed flag, a NaN extremum or a non-finite
-    value in v, s, u, tau or the Adam second moment is rejected with
-    ValueError."""
+    negative step or size, a malformed flag, an Adam flag that disagrees
+    with the mode flag, a NaN extremum or a non-finite value in v, s, u, tau
+    or the Adam second moment is rejected with ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:8]
@@ -311,7 +311,9 @@ def load_optimizer_state(path: str) -> OptimizerState:
     sides = _MAGICS.index(magic) + 1
     mode_flag, seed, t, n, nv, has_adam = struct.unpack_from("<qqqqqq", data, 8)
     extrema = dict(zip(_EXTREMA, struct.unpack_from("<dddd", data, 56)))
-    if not (0 <= mode_flag < len(_MODES) and t >= 0 and n >= 0 and nv >= 0 and has_adam in (0, 1)):
+    # an adam state, and only an adam state, holds a second moment
+    if not (0 <= mode_flag < len(_MODES) and t >= 0 and n >= 0 and nv >= 0
+            and has_adam == (_MODES[mode_flag] == "adam")):
         raise ValueError("corrupt checkpoint header: mode %d, step %d, n %d, len(v) %d, adam flag %d"
                          % (mode_flag, t, n, nv, has_adam))
     size = _HEADER_BYTES + 8 * nv * (1 + has_adam) + 8 * n * len(_TABLES) * sides + n

@@ -61,7 +61,6 @@ class PrimalSolution:
     lam: float
     value: float
     constraint_active: bool
-    iterations: int
 
 
 def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
@@ -93,7 +92,7 @@ def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
 
     p0 = weights_at(0.0)
     if kl_uniform(p0) <= rho:
-        return PrimalSolution(p0, 0.0, primal_rgcl_value(hv, p0, tau0), False, 0)
+        return PrimalSolution(p0, 0.0, primal_rgcl_value(hv, p0, tau0), False)
 
     lo, hi = 0.0, HARDNESS_BOUND / rho + 1.0
     if kl_uniform(weights_at(hi)) > rho:
@@ -116,7 +115,7 @@ def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
         )
     lam = 0.5 * (lo + hi)
     p = weights_at(lam)
-    return PrimalSolution(p, lam, primal_rgcl_value(hv, p, tau0), True, it)
+    return PrimalSolution(p, lam, primal_rgcl_value(hv, p, tau0), True)
 
 
 # The vectorised KL and value of a grid point can differ from kl_uniform and

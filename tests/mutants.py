@@ -27,7 +27,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "runs", "pyproject.toml")
-LOSS, OPTIMIZER, HARNESS, ORACLE = ("src/rgcl/%s.py" % m for m in ("loss", "optimizer", "harness", "oracle"))
+LOSS, OPTIMIZER, HARNESS, ORACLE, ENCODER = (
+    "src/rgcl/%s.py" % m for m in ("loss", "optimizer", "harness", "oracle", "encoder"))
 ACROSS_BLOCKS = "tests/test_bitwise_reference.py::test_evaluation_matches_oracle_across_blocks"
 VERIFY_REPORT = "tests/test_bitwise_reference.py::test_verify_report"
 
@@ -100,6 +101,23 @@ MUTANTS = [
      "        if len(h) == 2:\n",
      "        if len(h) == 3:\n",
      [VERIFY_REPORT]),
+    ("complementary slackness dropped from primal_feasibility", HARNESS,
+     "violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))",
+     "violation = max(violation, kl - cfg.rho)",
+     ["tests/test_harness.py::TestVerify::test_feasibility_counts_complementary_slackness"]),
+    ("ExperimentConfig without RgclConfig's checks", HARNESS,
+     "        super().__post_init__()\n",
+     "",
+     ["tests/test_harness.py::TestConfig::test_invalid_values_rejected"]),
+    ("checkpoint Adam flag not compared with the mode flag", OPTIMIZER,
+     'and has_adam == (_MODES[mode_flag] == "adam")):',
+     "and has_adam in (0, 1)):",
+     ["tests/test_optimizer.py::TestCheckpoint::test_mode_and_adam_flags_must_agree"]),
+    ("encoder input rows not checked", ENCODER,
+     "    if not np.isfinite(x).all():\n",
+     "    if False:\n",
+     ["tests/test_encoder.py::TestForward::test_non_finite_row_rejected",
+      "tests/test_loss.py::TestNonFinite", "tests/test_optimizer.py::TestNonFinite::test_unimodal_step_input_row"]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",
      "                    d_neg[j] += 0.999 * wk * anchor[i]\n",

@@ -54,6 +54,15 @@ class TestForward:
         with pytest.raises(ValueError, match="degenerate"):
             encode(params, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, activation, bad):
+        # tanh would saturate an infinite row into a unit embedding
+        x = RandomStream(4).normal(6, 3)
+        x[4, 0] = x[2, 1] = bad
+        with pytest.raises(ValueError, match="^input row 2 of the encoder is not finite$"):
+            encode(random_params(5, activation=activation), x)
+
 
 class TestBackward:
     def test_zero_grad_in_zero_grad_out(self):

@@ -498,6 +498,26 @@ class TestVerify:
         feasible = harness._vcheck_oracle_battery(0)[0]
         assert feasible == {"name": "primal_feasibility", "passed": False, "detail": {"lambda_over_bound": 1e9 + 3}}
 
+    def test_feasibility_counts_complementary_slackness(self, monkeypatch):
+        # the first instance (m = 2, rho = 0.1) gets lam = 1.5, under C / rho
+        # for every battery rho, and a p whose KL is just above rho: the
+        # slackness term |lam| (kl - rho) then sets the worst violation
+        solve, count = oracle.solve_primal, itertools.count(1)
+        p = solve(np.array([0.0, -1.0]), 0.1 + 1e-6, 0.0).p
+        assert 0.1 < loss.kl_uniform(p) < 0.1 + 2e-6
+
+        def slack_at_1(h, rho, tau0):
+            sol = solve(h, rho, tau0)
+            if next(count) > 1:
+                return sol
+            assert (len(h), rho) == (2, 0.1)
+            return dataclasses.replace(sol, p=p, lam=1.5)
+
+        monkeypatch.setattr(oracle, "solve_primal", slack_at_1)
+        feasible = harness._vcheck_oracle_battery(0)[0]
+        assert feasible == {"name": "primal_feasibility", "passed": False,
+                            "detail": {"worst_violation": 1.5 * (loss.kl_uniform(p) - 0.1)}}
+
     @staticmethod
     def unbiasedness_loop(seed):
         """The estimator_unbiasedness detail with each batch drawn, scored

@@ -673,3 +673,18 @@ class TestNonFinite:
         taus_t[2] = np.nan
         with pytest.raises(ValueError, match="^text anchor 2 has tau = nan, not finite$"):
             bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unimodal_view_row_named(self, bad):
+        # the encoder sees the interleaved views: positive view 1 is row 3
+        params, views, taus, cfg = small_unimodal(19, n=5)
+        views.views_b[1, 2] = bad
+        with pytest.raises(ValueError, match="^input row 3 of the encoder is not finite$"):
+            unimodal_value_and_grads(params, views, taus, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bimodal_text_row_named(self, bad):
+        p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(20, n=4)
+        texts[2, 0] = bad
+        with pytest.raises(ValueError, match="^input row 2 of the encoder is not finite$"):
+            bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg)

@@ -11,6 +11,7 @@ from rgcl.encoder import encode, init_encoder_params
 from rgcl.loss import RgclConfig, ViewPairs, g_value, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
+    _MODES,
     OptimizerState,
     _tables,
     init_optimizer_state,
@@ -378,6 +379,17 @@ class TestNonFinite:
         for name in names:
             np.testing.assert_array_equal(getattr(opt, name), before[name])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unimodal_step_input_row(self, bad):
+        # a full batch takes every row in order, and its interleaved views put
+        # the anchor view of dataset row 5 at encoder row 10
+        data, cfg, params, opt = training_setup(10)
+        data.inputs[5, 1] = bad
+        before = copy.deepcopy(opt)
+        with pytest.raises(ValueError, match="^input row 10 of the encoder is not finite$"):
+            step_unimodal(opt, params, data.inputs, cfg, 24, 0.3)
+        assert_states_equal(opt, before)
+
 
 class TestStateSizeChecked:
     """A state must hold one anchor per dataset row: a larger one would
@@ -570,6 +582,19 @@ class TestCheckpoint:
         header[field] = value
         path.write_bytes(data[:8] + struct.pack("<qqqqqq", *header) + data[56:])
         with pytest.raises(ValueError, match="corrupt checkpoint header"):
+            load_optimizer_state(str(path))
+
+    @pytest.mark.parametrize("flag", [0, 1])
+    def test_mode_and_adam_flags_must_agree(self, tmp_path, flag):
+        # the adam state's mode flag flipped to momentum keeps a second moment
+        # it would carry and write out again; a momentum state's flipped to
+        # adam would step with none
+        opt = init_optimizer_state(10, 7, RgclConfig(), seed=1, mode=_MODES[1 - flag])
+        path = tmp_path / "opt.ckpt"
+        save_optimizer_state(opt, str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + struct.pack("<q", flag) + data[16:])
+        with pytest.raises(ValueError, match="^corrupt checkpoint header: mode %d, .*, adam flag %d$" % (flag, 1 - flag)):
             load_optimizer_state(str(path))
 
     @pytest.mark.parametrize("bimodal", [False, True])
