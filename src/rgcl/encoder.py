@@ -130,12 +130,20 @@ def init_encoder_params(
     return EncoderParams(w1, b1, w2, b2, activation)
 
 
+class _NonFiniteRow(ValueError):
+    """A non-finite input row; row is its place in the encoder's input."""
+
+    def __init__(self, row: int):
+        super().__init__("input row %d of the encoder is not finite" % row)
+        self.row = row
+
+
 def _forward(params: EncoderParams, inputs: np.ndarray):
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.d_in:
         raise ValueError("input shape does not match encoder")
     if not np.isfinite(x).all():
-        raise ValueError("input row %d of the encoder is not finite" % np.argmin(np.isfinite(x).all(axis=1)))
+        raise _NonFiniteRow(int(np.argmin(np.isfinite(x).all(axis=1))))
     z1 = x @ params.w1.T + params.b1
     a1 = np.tanh(z1) if params.activation == "tanh" else z1
     z2 = a1 @ params.w2.T + params.b2

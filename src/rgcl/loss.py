@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .encoder import EncoderParams, encode, encode_backward
+from .encoder import EncoderParams, _NonFiniteRow, encode, encode_backward
 from .numerics import log_sum_exp, softmax_shifted
 
 __all__ = [
@@ -222,6 +222,8 @@ _EVAL_ROWS = 16
 
 # what a non-finite error calls the anchors of each side, by side count
 _ANCHOR_NAMES = {1: ("anchor",), 2: ("image anchor", "text anchor")}
+# and the rows of each tower's samples: the unimodal tower interleaves two views
+_TOWER_ROWS = {1: (("view a", "view b"),), 2: (("image",), ("text",))}
 
 
 def _require_finite_rows(what: str, index, **vectors) -> None:
@@ -340,12 +342,26 @@ def _contrast(towers, h_rows, rows: int, taus, kernel):
     return dys
 
 
-def _encoder_pass(params, inputs, h_rows, rows: int, taus, kernel):
-    """Encode each tower's input rows with its encoder in params, run
-    _contrast over the embeddings with h_rows, rows, taus and kernel, and
-    back-propagate each tower's embedding gradient.  Returns per encoder its
-    flat parameter gradient."""
-    batches = [encode(p, x) for p, x in zip(params, inputs)]
+def _encode_towers(params, inputs, index):
+    """encode(p, x) for each encoder p in params and its tower's input rows
+    x.  A non-finite row raises ValueError naming its sample, index[k] for the
+    tower's k-th sample, and its view (see ViewPairs) or its tower."""
+    batches = []
+    for p, x, names in zip(params, inputs, _TOWER_ROWS[len(params)]):
+        try:
+            batches.append(encode(p, x))
+        except _NonFiniteRow as err:
+            k, row = divmod(err.row, len(names))
+            raise ValueError("sample %d has a non-finite %s input" % (index[k], names[row])) from None
+    return batches
+
+
+def _encoder_pass(params, inputs, index, h_rows, rows: int, taus, kernel):
+    """Encode each tower's input rows with its encoder in params (see
+    _encode_towers for index), run _contrast over the embeddings with
+    h_rows, rows, taus and kernel, and back-propagate each tower's embedding
+    gradient.  Returns per encoder its flat parameter gradient."""
+    batches = _encode_towers(params, inputs, index)
     dys = _contrast([b.embeddings for b in batches], h_rows, rows, taus, kernel)
     return [encode_backward(p, batch, dy).flatten() for p, batch, dy in zip(params, batches, dys)]
 
@@ -382,20 +398,21 @@ def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
             table[:, lo:hi] = _softmax_rows(row, tau[lo:hi], cfg, n)
         return [table[4, lo:hi] for table in stats]
 
-    grads = _encoder_pass(params, inputs, h_rows, _EVAL_ROWS, taus, kernel)
+    grads = _encoder_pass(params, inputs, range(n), h_rows, _EVAL_ROWS, taus, kernel)
     for what, (g, _, _, dtau, _) in zip(_ANCHOR_NAMES[len(taus)], stats):
         _require_finite_rows(what, range(n), g=g, grad_tau=dtau / n)
     return [(terms, dtau / n) for _, _, terms, dtau, _ in stats], grads
 
 
-def _objective(towers, h_rows, taus, cfg: RgclConfig) -> float:
+def _objective(params, inputs, h_rows, taus, cfg: RgclConfig) -> float:
     """Exact objective: the mean over anchors of the row kernel's dual terms,
     summed over the directions of the loss, on the score blocks that h_rows
     gives for blocks of _EVAL_ROWS anchors at their temperatures (see
-    _checked_taus); one exp buffer serves every direction, and no gradient
-    GEMM runs."""
+    _checked_taus) of the towers params and inputs give (see _encoder_pass);
+    one exp buffer serves every direction, and no gradient GEMM runs."""
     taus = _checked_taus(taus)
     n = len(taus[0])
+    towers = [batch.embeddings for batch in _encode_towers(params, inputs, range(n))]
     scales = [1.0 / tau for tau in taus]
     terms, work = np.zeros(n), {}
     for lo in range(0, n, _EVAL_ROWS):
@@ -418,7 +435,7 @@ def require_same_length(**arrays) -> None:
 def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
     """Exact full-batch objective: mean over anchors of the dual loss."""
     require_same_length(views=views.views_a, taus=taus)
-    return _objective([encode(params, views.views).embeddings], _anchor_h_rows, [taus], cfg)
+    return _objective([params], [views.views], _anchor_h_rows, [taus], cfg)
 
 
 def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
@@ -440,8 +457,7 @@ def objective_bimodal(
 ) -> float:
     """Exact two-way full-batch objective over n image-text pairs."""
     require_same_length(images=images, texts=texts, taus_v=taus_v, taus_t=taus_t)
-    towers = [encode(params_img, images).embeddings, encode(params_txt, texts).embeddings]
-    return _objective(towers, _bimodal_h_rows, [taus_v, taus_t], cfg)
+    return _objective([params_img, params_txt], [images, texts], _bimodal_h_rows, [taus_v, taus_t], cfg)
 
 
 def bimodal_value_and_grads(

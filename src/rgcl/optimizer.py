@@ -194,7 +194,7 @@ def _step(opt: OptimizerState, params, inputs, idx, h_rows, cfg: RgclConfig):
     rows inputs, one tower per encoder in params, that scores the batch as
     one block at its temperatures with the kernel _tables, then one update
     of the concatenated parameters of every encoder; returns the new ones."""
-    grads = _encoder_pass(params, inputs, h_rows, len(idx), opt.tau[:, idx],
+    grads = _encoder_pass(params, inputs, idx, h_rows, len(idx), opt.tau[:, idx],
                           lambda lo, hi, stats: _tables(opt, idx, stats, cfg))
     opt.initialized[idx] = True
     new_flat = _param_update(opt, np.concatenate([p.flatten() for p in params]), np.concatenate(grads), cfg)

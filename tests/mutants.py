@@ -13,7 +13,9 @@ fails, survived when it passes, and stale when its old text is not found
 exactly once; any other pytest outcome (a collection or usage error) is
 reported as broken.  Exits 1 unless every entry is killed.
 
-pytest does not collect this file; it is not part of Tier-1.  A change that
+pytest does not collect this file, and running the mutants is not part of
+Tier-1; tests/test_mutant_catalogue.py checks in Tier-1 that every entry
+still applies and every selection names a test that exists.  A change that
 adds a check adds the mutant it catches, and a change that rewrites code
 updates the entries it touches.
 """
@@ -31,6 +33,16 @@ LOSS, OPTIMIZER, HARNESS, ORACLE, ENCODER = (
     "src/rgcl/%s.py" % m for m in ("loss", "optimizer", "harness", "oracle", "encoder"))
 ACROSS_BLOCKS = "tests/test_bitwise_reference.py::test_evaluation_matches_oracle_across_blocks"
 VERIFY_REPORT = "tests/test_bitwise_reference.py::test_verify_report"
+
+
+def shared(name, old, new, criterion):
+    """One mutation of a harness check that rgcl verify and an acceptance
+    criterion both call, as two entries: a bug in the shared check must fail
+    both judges, verify's pinned report and the criterion's own tolerance."""
+    return [("%s, judged by verify" % name, HARNESS, old, new, [VERIFY_REPORT]),
+            ("%s, judged by criterion %s" % (name, criterion[:2]), HARNESS, old, new,
+             ["tests/test_acceptance.py::test_criterion_" + criterion])]
+
 
 MUTANTS = [
     ("own group zeroed at offset 0 instead of lo", LOSS,
@@ -89,18 +101,34 @@ MUTANTS = [
      "    keep[over] &= (np.cumsum(tied, axis=1) <= open_slots) | ~tied\n",
      "    keep[over] &= (np.cumsum(tied[:, ::-1], axis=1)[:, ::-1] <= open_slots) | ~tied\n",
      ["tests/test_harness.py::TestKnn::test_matches_loop_on_ties"]),
-    ("tau* measured against tau0 instead of tau_max", HARNESS,
-     "excess = max(excess, tau_star - cfg.tau_max)",
-     "excess = max(excess, tau_star - cfg.tau0)",
-     [VERIFY_REPORT]),
-    ("grid compared with the dual value", HARNESS,
-     "oracle.grid_search_simplex(h, cfg.rho, cfg.tau0)[1] - sol.value)",
-     "oracle.grid_search_simplex(h, cfg.rho, cfg.tau0)[1] - dual_value)",
-     [VERIFY_REPORT]),
-    ("grid run on the three-negative instances", HARNESS,
-     "        if len(h) == 2:\n",
-     "        if len(h) == 3:\n",
-     [VERIFY_REPORT]),
+    *shared("tau* measured against tau0 instead of tau_max",
+            "excess = max(excess, tau_star - cfg.tau_max)",
+            "excess = max(excess, tau_star - cfg.tau0)",
+            "04_temperature_bound"),
+    *shared("grid solved at tau0 = 0",
+            "oracle.grid_search_simplex(h, cfg.rho, cfg.tau0)[1] - sol.value)",
+            "oracle.grid_search_simplex(h, cfg.rho, 0.0)[1] - sol.value)",
+            "02_primal_dual_equivalence"),
+    *shared("grid run on one more negative count",
+            "        if len(h) <= grid_negatives:\n",
+            "        if len(h) <= grid_negatives + 1:\n",
+            "02_primal_dual_equivalence"),
+    *shared("fixed instance's rho list reversed",
+            "for r in (0.05, 0.1, 0.2, 0.4)]",
+            "for r in (0.4, 0.2, 0.1, 0.05)]",
+            "03_hard_negative_weighting"),
+    *shared("max_tau reported as max_tau_seen + 10",
+            '"max_tau": hi,',
+            '"max_tau": hi + 10,',
+            "04_temperature_bound"),
+    *shared("g floor reported doubled",
+            '"floor": cfg.g_floor}',
+            '"floor": 2 * cfg.g_floor}',
+            "05_g_floor"),
+    *shared("fixed-tau identity with log(m + 1)",
+            "ident = gcl - tau * math.log(m) +",
+            "ident = gcl - tau * math.log(m + 1) +",
+            "08_fixed_tau_reduction"),
     ("complementary slackness dropped from primal_feasibility", HARNESS,
      "violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))",
      "violation = max(violation, kl - cfg.rho)",
@@ -118,6 +146,10 @@ MUTANTS = [
      "    if False:\n",
      ["tests/test_encoder.py::TestForward::test_non_finite_row_rejected",
       "tests/test_loss.py::TestNonFinite", "tests/test_optimizer.py::TestNonFinite::test_unimodal_step_input_row"]),
+    ("full-batch g and grad_tau not checked", LOSS,
+     "        _require_finite_rows(what, range(n), g=g, grad_tau=dtau / n)\n",
+     "        pass\n",
+     ["tests/test_loss.py::TestNonFinite"]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",
      "                    d_neg[j] += 0.999 * wk * anchor[i]\n",

@@ -4,6 +4,10 @@ Each test exercises one acceptance criterion at its stated tolerance and
 prints a single PASS line on success (run with -s to see them; under plain
 pytest the per-test PASSED/FAILED line carries the same information).
 The long-tail training criteria share one session-scoped default run.
+
+Criteria 02-05 and 08 call rgcl verify's checks (rgcl.harness._vcheck_*),
+each with the stream and count it states, and assert their own tolerances
+on the figures the checks return; README's table lists verify's own.
 """
 
 import json
@@ -20,19 +24,12 @@ from rgcl.encoder import encode, init_encoder_params
 from rgcl.loss import (
     RgclConfig,
     ViewPairs,
-    dual_loss_anchor,
     g_value,
     objective_unimodal,
     unimodal_value_and_grads,
 )
 from rgcl.numerics import RandomStream
-from rgcl.oracle import (
-    finite_diff_grad,
-    full_batch_reference,
-    grid_search_simplex,
-    solve_dual_tau,
-    solve_primal,
-)
+from rgcl.oracle import finite_diff_grad, full_batch_reference
 from test_loss import hardness_rows
 
 
@@ -84,20 +81,9 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_primal_dual_equivalence():
-    stream = RandomStream(1, ("acc", "pd"))
-    worst = 0.0
-    worst_grid = 0.0
-    for m in range(2, 7):
-        for rho in (0.1, 0.5, 1.0):
-            for i in range(20):
-                h = np.clip(stream.split("h%d-%d-%s" % (m, i, rho)).normal(m), -2, 2)
-                cfg = RgclConfig(rho=rho, tau0=0.05, tau_init=0.05)
-                _, dv = solve_dual_tau(h, cfg)
-                sol = solve_primal(h, rho, cfg.tau0)
-                worst = max(worst, abs(dv - sol.value))
-                if m <= 3:
-                    _, gv = grid_search_simplex(h, rho, cfg.tau0)
-                    worst_grid = max(worst_grid, abs(gv - sol.value))
+    battery = harness._oracle_battery(RandomStream(1, ("acc", "pd")), 20)
+    _, dual, grid, _ = harness._vcheck_oracle_battery(battery, 3)
+    worst, worst_grid = dual["detail"]["worst_gap"], grid["detail"]["worst_gap"]
     assert worst <= 1e-6
     assert worst_grid <= 1e-3
     passed(
@@ -109,34 +95,29 @@ def test_criterion_02_primal_dual_equivalence():
 def test_criterion_03_hard_negative_weighting():
     # two negatives with h = [0, -1]: the harder one carries 0.80 of the
     # worst-case mass at rho = 0.2, and the mass grows with rho
-    sol = solve_primal(np.array([0.0, -1.0]), 0.2, 0.0)
-    p1 = float(sol.p[0])
+    reference, monotone = harness._vcheck_fixed_instance()
+    p1, curve = reference["detail"]["p1"], monotone["detail"]["p1_by_rho"]
     assert abs(p1 - 0.80) <= 0.02
-    curve = [
-        float(solve_primal(np.array([0.0, -1.0]), rho, 0.0).p[0])
-        for rho in (0.05, 0.1, 0.2, 0.4)
-    ]
     assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
     passed("criterion 03 hard-negative weighting: p1=%.4f, curve %s" % (p1, curve))
 
 
 def test_criterion_04_temperature_bound(longtail_run):
     stream = RandomStream(2, ("acc", "tb"))
-    for i in range(50):
-        m = 2 + int(stream.integers(0, 5))
-        h = np.clip(stream.split("h%d" % i).normal(m), -2, 2)
-        rho = 0.1 + 0.9 * float(stream.uniform())
-        cfg = RgclConfig(rho=rho, tau0=0.05, tau_init=0.05)
-        tau_star, _ = solve_dual_tau(h, cfg)
-        assert tau_star <= cfg.tau_max + 1e-8
+    # each instance draws m, then its h from a sub-stream, then rho
+    instances = ((np.clip(stream.split("h%d" % i).normal(2 + int(stream.integers(0, 5))), -2, 2),
+                  RgclConfig(rho=0.1 + 0.9 * float(stream.uniform()), tau0=0.05, tau_init=0.05))
+                 for i in range(50))
+    *_, tau_bound = harness._vcheck_oracle_battery(instances, 0)
+    assert tau_bound["detail"]["worst_excess"] <= 1e-8
     cfg, _ = longtail_run
     opt = optimizer.load_optimizer_state(os.path.join(cfg.out, "optimizer.ckpt"))
-    rcfg = cfg.rgcl_config()
-    assert opt.min_tau_seen >= rcfg.tau0 - 1e-15
-    assert opt.max_tau_seen <= rcfg.tau_max + 1e-15
+    box = harness._vcheck_tau_box(opt, cfg)["detail"]
+    assert box["min_tau"] >= cfg.tau0 - 1e-15
+    assert box["max_tau"] <= cfg.tau_max + 1e-15
     passed(
         "criterion 04 temperature bound: trained tau in [%.4f, %.4f] within [%.4f, %.4f]"
-        % (opt.min_tau_seen, opt.max_tau_seen, rcfg.tau0, rcfg.tau_max)
+        % (box["min_tau"], box["max_tau"], cfg.tau0, cfg.tau_max)
     )
 
 
@@ -149,13 +130,14 @@ def test_criterion_05_g_floor(tmp_path):
         "rho": 2.0, "eta_w": 0.03, "eta_tau": 0.01, "batch_size": 16,
         "epochs": 14, "eval_every": 7,
     })
-    report = harness.run_train_unimodal(cfg)
-    floor = report["g_floor"] - 1e-12
-    assert report["min_g_seen"] >= floor
-    assert report["min_s_seen"] >= floor
+    harness.run_train_unimodal(cfg)
+    opt = optimizer.load_optimizer_state(os.path.join(cfg.out, "optimizer.ckpt"))
+    floor = harness._vcheck_g_floor(opt, cfg)["detail"]
+    assert floor["min_g"] >= floor["floor"] - 1e-12
+    assert floor["min_s"] >= floor["floor"] - 1e-12
     passed(
         "criterion 05 g floor: min g %.4f, min s %.4f, floor %.4f"
-        % (report["min_g_seen"], report["min_s_seen"], report["g_floor"])
+        % (floor["min_g"], floor["min_s"], floor["floor"])
     )
 
 
@@ -211,16 +193,8 @@ def test_criterion_07_exact_degeneration():
 
 
 def test_criterion_08_fixed_tau_reduction():
-    stream = RandomStream(5, ("acc", "gcl"))
-    cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.1)
-    worst = 0.0
-    for i in range(30):
-        m = 3 + int(stream.integers(0, 6))
-        h = np.clip(stream.split("h%d" % i).normal(m), -2, 2)
-        tau = 0.1 + float(stream.uniform())
-        plain = tau * math.log(float(np.sum(np.exp(h / tau))))
-        ident = plain - tau * math.log(m) + (tau - cfg.tau0) * cfg.rho
-        worst = max(worst, abs(dual_loss_anchor(h, tau, cfg) - ident))
+    identity = harness._vcheck_fixed_tau_identity(RandomStream(5, ("acc", "gcl")), 30)
+    worst = identity["detail"]["worst_gap"]
     assert worst <= 1e-12
 
     # eta_tau = 0 must reproduce the fixed-temperature baseline bitwise

@@ -446,6 +446,11 @@ class TestSubcommands:
                 harness.export_tau_csv(opt, labels, str(tmp_path / "tau.csv"))
 
 
+def verify_battery(seed):
+    """The four oracle checks as run_verify runs them at seed."""
+    return harness._vcheck_oracle_battery(harness._oracle_battery(RandomStream(seed, ("verify", "dual")), 5), 2)
+
+
 class TestVerify:
     def test_all_checks_pass_and_named(self, tmp_path):
         cfg = small_cfg(tmp_path, name="verify")
@@ -495,7 +500,7 @@ class TestVerify:
             return dataclasses.replace(sol, lam=1e9 + k) if k in (3, 7) else sol
 
         monkeypatch.setattr(oracle, "solve_primal", over_bound_at_3_and_7)
-        feasible = harness._vcheck_oracle_battery(0)[0]
+        feasible = verify_battery(0)[0]
         assert feasible == {"name": "primal_feasibility", "passed": False, "detail": {"lambda_over_bound": 1e9 + 3}}
 
     def test_feasibility_counts_complementary_slackness(self, monkeypatch):
@@ -514,7 +519,7 @@ class TestVerify:
             return dataclasses.replace(sol, p=p, lam=1.5)
 
         monkeypatch.setattr(oracle, "solve_primal", slack_at_1)
-        feasible = harness._vcheck_oracle_battery(0)[0]
+        feasible = verify_battery(0)[0]
         assert feasible == {"name": "primal_feasibility", "passed": False,
                             "detail": {"worst_violation": 1.5 * (loss.kl_uniform(p) - 0.1)}}
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgcl import loss
 from rgcl.encoder import EncoderParams, init_encoder_params
 from rgcl.loss import (
     HARDNESS_BOUND,
@@ -370,7 +372,7 @@ class TestRowKernelProperties:
             rows.append((terms, dtau))
             return [c]
 
-        [grad_w] = _encoder_pass([params], [views.views], _anchor_h_rows, n, [taus], kernel)
+        [grad_w] = _encoder_pass([params], [views.views], range(n), _anchor_h_rows, n, [taus], kernel)
         [(terms, dtau)] = rows
         ref_value, ref_grad_w, ref_grad_tau = full_batch_reference(params, views, taus, cfg)
         assert float(np.mean(terms)) == pytest.approx(ref_value, rel=1e-12, abs=1e-14)
@@ -679,12 +681,42 @@ class TestNonFinite:
         # the encoder sees the interleaved views: positive view 1 is row 3
         params, views, taus, cfg = small_unimodal(19, n=5)
         views.views_b[1, 2] = bad
-        with pytest.raises(ValueError, match="^input row 3 of the encoder is not finite$"):
-            unimodal_value_and_grads(params, views, taus, cfg)
+        for evaluate in (unimodal_value_and_grads, objective_unimodal):
+            with pytest.raises(ValueError, match="^sample 1 has a non-finite view b input$"):
+                evaluate(params, views, taus, cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_bimodal_text_row_named(self, bad):
         p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(20, n=4)
         texts[2, 0] = bad
-        with pytest.raises(ValueError, match="^input row 2 of the encoder is not finite$"):
+        for evaluate in (bimodal_value_and_grads, objective_bimodal):
+            with pytest.raises(ValueError, match="^sample 2 has a non-finite text input$"):
+                evaluate(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
+
+    @staticmethod
+    def nan_g_at(monkeypatch, call, anchor):
+        """Make the row kernel's call-th call return g = nan for anchor."""
+        calls, kernel = itertools.count(), loss._softmax_rows
+
+        def nan_g(*args, **kwargs):
+            g, *rest = kernel(*args, **kwargs)
+            if next(calls) == call:
+                g = g.copy()
+                g[anchor] = np.nan
+            return g, *rest
+
+        monkeypatch.setattr(loss, "_softmax_rows", nan_g)
+
+    def test_unimodal_non_finite_g_named(self, monkeypatch):
+        params, views, taus, cfg = small_unimodal(19, n=5)
+        self.nan_g_at(monkeypatch, 0, 3)
+        with pytest.raises(ValueError, match=r"^anchor 3 has a non-finite value: g = nan, grad_tau = "):
+            unimodal_value_and_grads(params, views, taus, cfg)
+
+    @pytest.mark.parametrize("side, what", [(0, "image"), (1, "text")])
+    def test_bimodal_non_finite_g_named(self, monkeypatch, side, what):
+        # one block of both directions: the image kernel call, then the text one
+        p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(20, n=4)
+        self.nan_g_at(monkeypatch, side, 1)
+        with pytest.raises(ValueError, match=r"^%s anchor 1 has a non-finite value: g = nan, grad_tau = " % what):
             bimodal_value_and_grads(p_img, p_txt, images, texts, taus_v, taus_t, cfg)

@@ -379,15 +379,32 @@ class TestNonFinite:
         for name in names:
             np.testing.assert_array_equal(getattr(opt, name), before[name])
 
+    @staticmethod
+    def first_batch(opt, n, batch_size):
+        """The dataset indices of opt's next batch."""
+        return optimizer._batch_indices(RandomStream(opt.seed, ("train", str(opt.t))), n, batch_size)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_unimodal_step_input_row(self, bad):
-        # a full batch takes every row in order, and its interleaved views put
-        # the anchor view of dataset row 5 at encoder row 10
+        # the interleaved views put the anchor view of the batch's third
+        # sample at encoder row 4; the error names its dataset index
         data, cfg, params, opt = training_setup(10)
-        data.inputs[5, 1] = bad
+        idx = self.first_batch(opt, 24, 8)
+        assert idx[2] != 2
+        data.inputs[idx[2], 1] = bad
         before = copy.deepcopy(opt)
-        with pytest.raises(ValueError, match="^input row 10 of the encoder is not finite$"):
-            step_unimodal(opt, params, data.inputs, cfg, 24, 0.3)
+        with pytest.raises(ValueError, match="^sample %d has a non-finite view a input$" % idx[2]):
+            step_unimodal(opt, params, data.inputs, cfg, 8, 0.3)
+        assert_states_equal(opt, before)
+
+    def test_bimodal_step_input_row(self):
+        images, texts, cfg, p_img, p_txt, opt = TestStepBimodal().mirrored_setup(12)
+        idx = self.first_batch(opt, 20, 8)
+        assert idx[3] != 3
+        texts[idx[3], 0] = np.inf
+        before = copy.deepcopy(opt)
+        with pytest.raises(ValueError, match="^sample %d has a non-finite text input$" % idx[3]):
+            step_bimodal(opt, p_img, p_txt, images, texts, cfg, 8)
         assert_states_equal(opt, before)
 
 

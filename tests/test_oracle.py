@@ -162,7 +162,7 @@ class TestGridSearch:
     def test_two_point_matches_loop_on_verify_instances(self, seed):
         # the instances of rgcl verify's grid_cross_check: the battery's
         # two-negative ones
-        pairs = [(h, cfg) for h, cfg in _oracle_battery(seed) if len(h) == 2]
+        pairs = [(h, cfg) for h, cfg in _oracle_battery(RandomStream(seed, ("verify", "dual")), 5) if len(h) == 2]
         assert len(pairs) == 15
         for h, cfg in pairs:
             p, v = grid_search_simplex(h, cfg.rho, cfg.tau0)
