@@ -147,16 +147,20 @@ def _forward(params: EncoderParams, inputs: np.ndarray):
     z1 = x @ params.w1.T + params.b1
     a1 = np.tanh(z1) if params.activation == "tanh" else z1
     z2 = a1 @ params.w2.T + params.b2
-    norms = np.linalg.norm(z2, axis=1)
-    if np.any(norms < 1e-12):
-        raise ValueError("degenerate embedding")
+    norms = np.sqrt(np.add.reduce(z2 * z2, axis=1))  # np.linalg.norm(z2, axis=1) without its wrapper
+    ok = (norms >= 1e-12) & (norms < np.inf)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError("degenerate embedding: row %d has norm %r, not finite and >= 1e-12" % (k, float(norms[k])))
     y = z2 / norms[:, None]
     return y, (x, a1, norms)
 
 
 def encode(params: EncoderParams, inputs: np.ndarray) -> EmbeddingBatch:
-    y, cache = _forward(params, inputs)
-    return EmbeddingBatch(y, cache)
+    """Unit rows that _forward has checked, so without EmbeddingBatch's check."""
+    batch = EmbeddingBatch.__new__(EmbeddingBatch)
+    batch.embeddings, batch.cache = _forward(params, inputs)
+    return batch
 
 
 def encode_backward(params: EncoderParams, batch: EmbeddingBatch, grad_embeddings: np.ndarray) -> EncoderParams:
@@ -168,13 +172,13 @@ def encode_backward(params: EncoderParams, batch: EmbeddingBatch, grad_embedding
     if g.shape != y.shape:
         raise ValueError("grad_embeddings shape mismatch")
     # normalization Jacobian per row: (g - (g.y) y) / ||z2||
-    dz2 = (g - np.sum(g * y, axis=1, keepdims=True) * y) / norms[:, None]
+    dz2 = (g - np.add.reduce(g * y, axis=1, keepdims=True) * y) / norms[:, None]
     dw2 = dz2.T @ a1
-    db2 = dz2.sum(axis=0)
+    db2 = np.add.reduce(dz2, axis=0)
     da1 = dz2 @ params.w2
     dz1 = da1 * (1.0 - a1 * a1) if params.activation == "tanh" else da1
     dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
+    db1 = np.add.reduce(dz1, axis=0)
     return EncoderParams(dw1, db1, dw2, db2, params.activation)
 
 

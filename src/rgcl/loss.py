@@ -226,14 +226,14 @@ _ANCHOR_NAMES = {1: ("anchor",), 2: ("image anchor", "text anchor")}
 _TOWER_ROWS = {1: (("view a", "view b"),), 2: (("image",), ("text",))}
 
 
-def _require_finite_rows(what: str, index, **vectors) -> None:
-    """Raise ValueError naming index[k] for the first k at which one of the
-    per-anchor vectors is not finite."""
-    bad = ~np.logical_and.reduce([np.isfinite(v) for v in vectors.values()])
-    if bad.any():
-        k = int(np.argmax(bad))
-        values = ", ".join("%s = %r" % (name, float(v[k])) for name, v in vectors.items())
-        raise ValueError("%s %d has a non-finite value: %s" % (what, index[k], values))
+def _require_finite_rows(names, index, **tables) -> None:
+    """Raise ValueError naming names[side] and index[k] for the first (side,
+    k) at which one of the (sides, len(index)) per-anchor tables is not finite."""
+    ok = np.logical_and.reduce([np.isfinite(v) for v in tables.values()])
+    if not ok.all():
+        side, k = divmod(int(np.argmin(ok)), ok.shape[1])
+        values = ", ".join("%s = %r" % (name, float(v[side, k])) for name, v in tables.items())
+        raise ValueError("%s %d has a non-finite value: %s" % (names[side], index[k], values))
 
 
 def _rows(work, key, r: int, width: int) -> np.ndarray:
@@ -279,28 +279,35 @@ def _bimodal_h_rows(towers, lo: int, hi: int, work, scales):
             (1, 0, 1, _scores(t, x, 1, lo, hi, scales[1], work, ("scores", 1)))]
 
 
-def _exp_rows(z, p: int, lo: int, e):
-    """Write e = exp(z) of a scaled score block z (r, p*n), z_ij = s_ij /
-    tau_i, zeroed on each row's own group (see _own_groups), and return the
-    row kernel's input (S, log mean_exp, E_p[h] / tau): S sums e over the m
-    negatives, p = e / S, and mean_exp = S exp(-z_iq) / m, q the positive.
-    No max is subtracted: unit rows score in [-1, 1] and tau >= _TAU0_MIN,
-    so |z| <= log(DBL_MAX) / 2 and every e is a normal float."""
-    np.exp(z, out=e)
-    _own_groups(e, p, lo)[...] = 0.0
-    sums = e.sum(axis=1)
-    zq = _own_groups(z, p, lo)[:, -1]
-    return sums, np.log(sums) - math.log(e.shape[1] - p) - zq, np.vecdot(e, z) / sums - zq
+def _exp_rows(directions, lo: int, work):
+    """Returns the blocks e = exp(z) of each direction's scaled scores z (r,
+    p*n), z_ij = s_ij / tau_i (see _contrast), zeroed on each row's own group
+    (see _own_groups), the first in buffer "exp" of work, each later one over
+    the spent z before it; and the row kernel's input (3, directions, r), (S,
+    log mean_exp, E_p[h] / tau): S sums e over the m negatives, p = e / S,
+    and mean_exp = S exp(-z_iq) / m, q the positive.  No max is subtracted:
+    unit rows score in [-1, 1] and tau >= _TAU0_MIN, so |z| <= log(DBL_MAX)
+    / 2 and every e is a normal float."""
+    es = [_rows(work, "exp", *directions[0][3].shape)] + [z for *_, z in directions[:-1]]
+    stats = np.empty((3, len(directions), len(directions[0][3])))
+    for (_, _, p, z), e, (sums, log_mean_exp, ehz) in zip(directions, es, stats.transpose(1, 0, 2)):
+        np.exp(z, out=e)
+        _own_groups(e, p, lo)[...] = 0.0
+        e.sum(axis=1, out=sums)
+        zq = _own_groups(z, p, lo)[:, -1]
+        np.subtract(np.log(sums) - math.log(e.shape[1] - p), zq, out=log_mean_exp)
+        np.subtract(np.vecdot(e, z) / sums, zq, out=ehz)
+    return es, stats
 
 
 def _softmax_rows(stats, taus, cfg: RgclConfig, count, denom=None):
     """The row kernel of every exact value and stochastic step, on _exp_rows'
-    rows stats at the temperatures taus.  Returns (g, d, terms, dtau, c): g =
-    mean_exp + log_epsilon; d = denom(g), or g when denom is None (the step
-    passes its moving-average update of s); the dual terms tau log d + (tau -
-    tau0) rho; their temperature derivatives dtau = log d + rho - ratio
-    E_p[h] / tau, with ratio = mean_exp / d; and c = ratio / (S count), which
-    turns e into the pair weights p * ratio / count of the parameter gradient."""
+    stats of all directions at the temperatures taus.  Returns (g, d, terms,
+    dtau, c): g = mean_exp + log_epsilon; d = denom(g), or g when denom is
+    None (the step passes its moving-average update of s); the dual terms tau
+    log d + (tau - tau0) rho; their temperature derivatives dtau = log d + rho
+    - ratio E_p[h] / tau, with ratio = mean_exp / d; and c = ratio / (S
+    count), which turns e into the pair weights p * ratio / count."""
     sums, log_mean_exp, ehz = stats
     mean_exp = np.exp(log_mean_exp)
     g = mean_exp + cfg.log_epsilon
@@ -314,24 +321,23 @@ def _contrast(towers, h_rows, rows: int, taus, kernel):
     to `rows` anchors, h_rows(towers, lo, hi, work, scales) gives each
     direction of the loss as (anchor tower, negative tower, group size,
     score block), towers by index and laid out as in _scores, each anchor's
-    scores divided by its temperature in taus[direction]; _exp_rows turns
-    each block into e and the kernel's input, and kernel(lo, hi, stats)
-    returns per direction one scale c per row.  Returns per tower the
-    embedding gradient of the hardness sum weighted by c * e.  With e set to
-    -S at each positive, the anchor role c * (e @ neg) and the negative and
-    positive roles e.T @ (c * anchors) take one GEMM each; the anchor roles
-    come after every direction's negative roles, so mirrored bimodal towers
-    see the same operations in the same order."""
+    scores divided by its temperature in taus[direction], a (directions, n)
+    array; _exp_rows turns each block into e and the kernel's input, and
+    kernel(lo, hi, stats) returns per direction one scale c per row.
+    Returns per tower the embedding gradient of the hardness sum weighted by
+    c * e.  With e set to -S at each positive, the anchor role c * (e @ neg)
+    and the negative and positive roles e.T @ (c * anchors) take one GEMM
+    each; the anchor roles come after every direction's negative roles, so
+    mirrored bimodal towers see the same operations in the same order."""
     n = sum(map(len, towers)) // 2  # every sample has two rows among the towers
-    scales = [1.0 / np.asarray(t, dtype=np.float64) for t in taus]
+    scales = 1.0 / np.asarray(taus, dtype=np.float64)
     dys, work = [np.zeros_like(y) for y in towers], {}
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        directions = h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales])
-        es = [_rows(work, ("exp", k), *z.shape) for k, (_, _, _, z) in enumerate(directions)]
-        stats = [_exp_rows(z, p, lo, e) for (_, _, p, z), e in zip(directions, es)]
+        directions = h_rows(towers, lo, hi, work, scales[:, lo:hi])
+        es, stats = _exp_rows(directions, lo, work)
         anchor_roles = []
-        for k, ((a, b, p, _), e, (sums, _, _), c) in enumerate(zip(directions, es, stats, kernel(lo, hi, stats))):
+        for k, ((a, b, p, _), e, sums, c) in enumerate(zip(directions, es, stats[0], kernel(lo, hi, stats))):
             neg, c = towers[b], c[:, None]
             _own_groups(e, p, lo)[:, -1] = -sums
             anchors = np.multiply(towers[a][p * lo : p * hi : p], c, out=_rows(work, "scaled", hi - lo, neg.shape[1]))
@@ -367,12 +373,12 @@ def _encoder_pass(params, inputs, index, h_rows, rows: int, taus, kernel):
 
 
 def _checked_taus(taus):
-    """taus, the temperatures of each direction, as float64 arrays, after
-    refusing fewer than 2 anchors or a temperature that is not finite or is
-    below _TAU0_MIN (see _exp_rows) with ValueError naming its side and
-    anchor."""
-    taus = [np.asarray(t, dtype=np.float64) for t in taus]
-    if len(taus[0]) < 2:
+    """taus, the temperatures of each direction, as a (directions, n) float64
+    array, after refusing fewer than 2 anchors or a temperature that is not
+    finite or is below _TAU0_MIN (see _exp_rows) with ValueError naming its
+    side and anchor."""
+    taus = np.asarray(taus, dtype=np.float64)
+    if taus.shape[1] < 2:
         raise ValueError("need at least 2 samples")
     for what, tau in zip(_ANCHOR_NAMES[len(taus)], taus):
         bad = ~np.isfinite(tau) | (tau < _TAU0_MIN)
@@ -390,18 +396,17 @@ def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
     direction the terms tau log g + (tau - tau0) rho and the temperature
     gradient, and per encoder its parameter gradient."""
     taus = _checked_taus(taus)
-    n = len(taus[0])
-    stats = [np.empty((5, n)) for _ in taus]  # (g, d, terms, dtau, c) of _softmax_rows
+    n = taus.shape[1]
+    stats = np.empty((5, *taus.shape))  # (g, d, terms, dtau, c) of _softmax_rows
 
     def kernel(lo, hi, rows):
-        for row, tau, table in zip(rows, taus, stats):
-            table[:, lo:hi] = _softmax_rows(row, tau[lo:hi], cfg, n)
-        return [table[4, lo:hi] for table in stats]
+        stats[:, :, lo:hi] = _softmax_rows(rows, taus[:, lo:hi], cfg, n)
+        return stats[4, :, lo:hi]
 
     grads = _encoder_pass(params, inputs, range(n), h_rows, _EVAL_ROWS, taus, kernel)
-    for what, (g, _, _, dtau, _) in zip(_ANCHOR_NAMES[len(taus)], stats):
-        _require_finite_rows(what, range(n), g=g, grad_tau=dtau / n)
-    return [(terms, dtau / n) for _, _, terms, dtau, _ in stats], grads
+    grad_tau = stats[3] / n
+    _require_finite_rows(_ANCHOR_NAMES[len(taus)], range(n), g=stats[0], grad_tau=grad_tau)
+    return list(zip(stats[2], grad_tau)), grads
 
 
 def _objective(params, inputs, h_rows, taus, cfg: RgclConfig) -> float:
@@ -409,17 +414,16 @@ def _objective(params, inputs, h_rows, taus, cfg: RgclConfig) -> float:
     summed over the directions of the loss, on the score blocks that h_rows
     gives for blocks of _EVAL_ROWS anchors at their temperatures (see
     _checked_taus) of the towers params and inputs give (see _encoder_pass);
-    one exp buffer serves every direction, and no gradient GEMM runs."""
+    the exp blocks are _exp_rows', and no gradient GEMM runs."""
     taus = _checked_taus(taus)
-    n = len(taus[0])
+    n = taus.shape[1]
     towers = [batch.embeddings for batch in _encode_towers(params, inputs, range(n))]
-    scales = [1.0 / tau for tau in taus]
+    scales = 1.0 / taus
     terms, work = np.zeros(n), {}
     for lo in range(0, n, _EVAL_ROWS):
         hi = min(lo + _EVAL_ROWS, n)
-        for (_, _, p, z), tau in zip(h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales]), taus):
-            stats = _exp_rows(z, p, lo, _rows(work, "exp", *z.shape))
-            terms[lo:hi] += _softmax_rows(stats, tau[lo:hi], cfg, n)[2]
+        _, stats = _exp_rows(h_rows(towers, lo, hi, work, scales[:, lo:hi]), lo, work)
+        terms[lo:hi] += np.add.reduce(_softmax_rows(stats, taus[:, lo:hi], cfg, n)[2])
     return float(np.mean(terms))
 
 

@@ -15,11 +15,12 @@ temperature tau_i.  Every step:
 
 With a full batch and beta0 = beta1 = 1 this degenerates to exact gradient
 descent on the objective.  Both modalities' steps run _step, which scores
-the batch as one block of loss._encoder_pass, whose kernel _tables writes
-every side's tables only once all of them are finite.  The fixed-temperature
-baseline runs the same step with eta_tau = 0.  Parameter updates optionally
-use an Adam-style rule instead of momentum; temperatures always use
-momentum.
+the batch as one block of loss._encoder_pass; its kernel _tables runs the
+row kernel once over the (sides, B) arrays of every side, and writes the
+tables only once one check has found all of them finite.  The
+fixed-temperature baseline runs the same step with eta_tau = 0.  Parameter
+updates optionally use an Adam-style rule instead of momentum;
+temperatures always use momentum.
 """
 
 from __future__ import annotations
@@ -152,34 +153,30 @@ def _param_update(opt, params_flat: np.ndarray, grad: np.ndarray, cfg: RgclConfi
 
 
 def _project_tau(tau: np.ndarray, cfg: RgclConfig) -> np.ndarray:
-    """Clamp updated temperatures onto the box [tau0, tau_max]."""
-    return np.clip(tau, cfg.tau0, cfg.tau_max)
+    """Clamp updated temperatures onto the box [tau0, tau_max]; NaN stays NaN."""
+    return np.minimum(np.maximum(tau, cfg.tau0), cfg.tau_max)
 
 
 def _tables(opt: OptimizerState, idx, stats, cfg: RgclConfig):
-    """The step's kernel: the row kernel on each side's batch rows stats[side]
-    (see loss._exp_rows), in-place updates of the batch anchors' s, u and
-    projected tau, and each side's pair-weight scales at the fresh s.  A
-    non-finite g, s or new tau on any side raises ValueError naming its side
-    and dataset index before any table of any side is written."""
-    init = opt.initialized[idx]
-    updates = []
-    for side, rows in enumerate(stats):
-        taus, s_old = opt.tau[side][idx], opt.s[side][idx]
-        g, s_new, _, dtau, c = _softmax_rows(
-            rows, taus, cfg, len(idx), lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g))
-        grad_tau = dtau / opt.n * cfg.resolved_tau_grad_scale(opt.n)
-        u_new = (1.0 - cfg.beta1) * opt.u[side][idx] + cfg.beta1 * grad_tau
-        tau_new = _project_tau(taus - cfg.eta_tau * u_new, cfg)
-        _require_finite_rows(_ANCHOR_NAMES[opt.sides][side], idx, g=g, s=s_new, tau=tau_new)
-        updates.append((g, s_new, u_new, tau_new, c))
-    for side, (g, s_new, u_new, tau_new, _) in enumerate(updates):
-        opt.s[side][idx], opt.u[side][idx], opt.tau[side][idx] = s_new, u_new, tau_new
-        opt.min_g_seen = min(opt.min_g_seen, float(np.min(g)))
-        opt.min_s_seen = min(opt.min_s_seen, float(np.min(s_new)))
-        opt.min_tau_seen = min(opt.min_tau_seen, float(np.min(tau_new)))
-        opt.max_tau_seen = max(opt.max_tau_seen, float(np.max(tau_new)))
-    return [c for *_, c in updates]
+    """The step's kernel: one run of the row kernel over every side's batch
+    rows stats, a (3, sides, B) array (see loss._exp_rows), at the (sides, B)
+    temperatures opt.tau[:, idx]; in-place updates of the batch anchors' s, u
+    and projected tau; and the (sides, B) pair-weight scales at the fresh s.
+    A non-finite g, s or new tau raises ValueError naming the first such
+    side and its dataset index before any table is written."""
+    init, taus, s_old = opt.initialized[idx], opt.tau[:, idx], opt.s[:, idx]
+    g, s_new, _, dtau, c = _softmax_rows(
+        stats, taus, cfg, len(idx), lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g))
+    grad_tau = dtau / opt.n * cfg.resolved_tau_grad_scale(opt.n)
+    u_new = (1.0 - cfg.beta1) * opt.u[:, idx] + cfg.beta1 * grad_tau
+    tau_new = _project_tau(taus - cfg.eta_tau * u_new, cfg)
+    _require_finite_rows(_ANCHOR_NAMES[opt.sides], idx, g=g, s=s_new, tau=tau_new)
+    opt.s[:, idx], opt.u[:, idx], opt.tau[:, idx] = s_new, u_new, tau_new
+    opt.min_g_seen = float(np.minimum.reduce(g, axis=None, initial=opt.min_g_seen))
+    opt.min_s_seen = float(np.minimum.reduce(s_new, axis=None, initial=opt.min_s_seen))
+    opt.min_tau_seen = float(np.minimum.reduce(tau_new, axis=None, initial=opt.min_tau_seen))
+    opt.max_tau_seen = float(np.maximum.reduce(tau_new, axis=None, initial=opt.max_tau_seen))
+    return c
 
 
 def _check_rows(opt: OptimizerState, n: int) -> None:
@@ -203,14 +200,8 @@ def _step(opt: OptimizerState, params, inputs, idx, h_rows, cfg: RgclConfig):
     return tuple(p.from_flat(new_flat[end - p.n_params : end]) for p, end in zip(params, ends))
 
 
-def step_unimodal(
-    opt: OptimizerState,
-    params: EncoderParams,
-    inputs: np.ndarray,
-    cfg: RgclConfig,
-    batch_size: int,
-    aug_strength: float,
-) -> EncoderParams:
+def step_unimodal(opt: OptimizerState, params: EncoderParams, inputs: np.ndarray, cfg: RgclConfig,
+                  batch_size: int, aug_strength: float) -> EncoderParams:
     """One optimizer step; returns the new parameters and mutates opt.
 
     Deterministic given (opt.seed, opt.t): the batch and augmentations are
@@ -223,19 +214,14 @@ def step_unimodal(
     _check_rows(opt, n)
     step_stream = RandomStream(opt.seed, ("train", str(opt.t)))
     idx, noise_a, noise_b = sample_batch(step_stream, n, batch_size, inputs.shape[1])
-    views = ViewPairs(inputs[idx] + aug_strength * noise_a, inputs[idx] + aug_strength * noise_b)
+    rows = inputs[idx]
+    views = ViewPairs(rows + aug_strength * noise_a, rows + aug_strength * noise_b)
     [new_params] = _step(opt, [params], [views.views], idx, _anchor_h_rows, cfg)
     return new_params
 
 
-def step_sogclr_baseline(
-    opt: OptimizerState,
-    params: EncoderParams,
-    inputs: np.ndarray,
-    cfg: RgclConfig,
-    batch_size: int,
-    aug_strength: float,
-) -> EncoderParams:
+def step_sogclr_baseline(opt: OptimizerState, params: EncoderParams, inputs: np.ndarray, cfg: RgclConfig,
+                         batch_size: int, aug_strength: float) -> EncoderParams:
     """Fixed-temperature baseline: the same step with the tau update
     disabled (eta_tau = 0), so every tau stays at tau_init."""
     return step_unimodal(opt, params, inputs, replace(cfg, eta_tau=0.0), batch_size, aug_strength)

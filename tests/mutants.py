@@ -46,20 +46,20 @@ def shared(name, old, new, criterion):
 
 MUTANTS = [
     ("own group zeroed at offset 0 instead of lo", LOSS,
-     "    _own_groups(e, p, lo)[...] = 0.0\n",
-     "    _own_groups(e, p, 0)[...] = 0.0\n",
+     "        _own_groups(e, p, lo)[...] = 0.0\n",
+     "        _own_groups(e, p, 0)[...] = 0.0\n",
      [ACROSS_BLOCKS]),
     ("positive taken from the group's first row instead of its last", LOSS,
-     "    zq = _own_groups(z, p, lo)[:, -1]\n",
-     "    zq = _own_groups(z, p, lo)[:, 0]\n",
+     "        zq = _own_groups(z, p, lo)[:, -1]\n",
+     "        zq = _own_groups(z, p, lo)[:, 0]\n",
      [ACROSS_BLOCKS]),
     ("anchor roles added before the negative roles", LOSS,
      "            anchor_roles.append((a, p, c, np.matmul(",
      "            dys[a][p * lo : p * hi : p] += c * ((np.matmul(",
      ["tests/test_bitwise_reference.py::test_bimodal_evaluation_mirrored"]),
     ("E_p[h] taken before normalising", LOSS,
-     "np.vecdot(e, z) / sums - zq",
-     "np.vecdot(e, z) - zq",
+     "np.vecdot(e, z) / sums, zq",
+     "np.vecdot(e, z), zq",
      ["tests/test_loss.py::TestRowKernelProperties"]),
     ("text direction's positive weight dropped", LOSS,
      "            _own_groups(e, p, lo)[:, -1] = -sums\n",
@@ -70,28 +70,34 @@ MUTANTS = [
      "            _own_groups(e, p, lo)[:, -1] = sums\n",
      [ACROSS_BLOCKS]),
     ("own group zeroed only after the row sum", LOSS,
-     "    _own_groups(e, p, lo)[...] = 0.0\n    sums = e.sum(axis=1)\n",
-     "    sums = e.sum(axis=1)\n    _own_groups(e, p, lo)[...] = 0.0\n",
+     "        _own_groups(e, p, lo)[...] = 0.0\n        e.sum(axis=1, out=sums)\n",
+     "        e.sum(axis=1, out=sums)\n        _own_groups(e, p, lo)[...] = 0.0\n",
      [ACROSS_BLOCKS]),
     ("row scale c applied to the anchor role only", LOSS,
      "            anchors = np.multiply(towers[a][p * lo : p * hi : p], c, out=",
      "            anchors = np.multiply(towers[a][p * lo : p * hi : p], 1.0, out=",
      [ACROSS_BLOCKS]),
     ("_project_tau as the identity", OPTIMIZER,
-     "    return np.clip(tau, cfg.tau0, cfg.tau_max)\n",
+     "    return np.minimum(np.maximum(tau, cfg.tau0), cfg.tau_max)\n",
      "    return tau\n",
      ["tests/test_optimizer.py::TestProjectTau"]),
-    ("side 0's s written inside _tables' first loop", OPTIMIZER,
-     "        updates.append((g, s_new, u_new, tau_new, c))\n",
-     "        opt.s[side][idx] = s_new\n        updates.append((g, s_new, u_new, tau_new, c))\n",
+    ("tables written before the finite check", OPTIMIZER,
+     "    _require_finite_rows(_ANCHOR_NAMES[opt.sides], idx, g=g, s=s_new, tau=tau_new)\n"
+     "    opt.s[:, idx], opt.u[:, idx], opt.tau[:, idx] = s_new, u_new, tau_new\n",
+     "    opt.s[:, idx], opt.u[:, idx], opt.tau[:, idx] = s_new, u_new, tau_new\n"
+     "    _require_finite_rows(_ANCHOR_NAMES[opt.sides], idx, g=g, s=s_new, tau=tau_new)\n",
      ["tests/test_optimizer.py::TestNonFinite"]),
+    ("the all-sides finite check naming side 0 for a side-1 fault", LOSS,
+     "        side, k = divmod(int(np.argmin(ok)), ok.shape[1])\n",
+     "        side, k = 0, int(np.argmin(ok)) % ok.shape[1]\n",
+     ["tests/test_optimizer.py::TestNonFinite::test_bimodal_step_names_the_side"]),
     ("rho scaled by 1.001 in the row kernel's temperature derivative", LOSS,
      "log_d + cfg.rho - ratio * ehz",
      "log_d + cfg.rho * 1.001 - ratio * ehz",
      ["tests/test_bitwise_reference.py::test_degeneration_check_matches_original"]),
     ("objective sums the image direction only", LOSS,
-     "        for (_, _, p, z), tau in zip(h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales]), taus):\n",
-     "        for (_, _, p, z), tau in zip(h_rows(towers, lo, hi, work, [scale[lo:hi] for scale in scales])[:1], taus):\n",
+     "        terms[lo:hi] += np.add.reduce(_softmax_rows(stats, taus[:, lo:hi], cfg, n)[2])\n",
+     "        terms[lo:hi] += np.add.reduce(_softmax_rows(stats, taus[:, lo:hi], cfg, n)[2][:1])\n",
      ["tests/test_loss.py::TestBimodal::test_penalty_vanishes_at_tau0"]),
     ("log m counts the own group", LOSS,
      "math.log(e.shape[1] - p)",
@@ -146,9 +152,13 @@ MUTANTS = [
      "    if False:\n",
      ["tests/test_encoder.py::TestForward::test_non_finite_row_rejected",
       "tests/test_loss.py::TestNonFinite", "tests/test_optimizer.py::TestNonFinite::test_unimodal_step_input_row"]),
+    ("_forward's norm check without its finite half", ENCODER,
+     "    ok = (norms >= 1e-12) & (norms < np.inf)\n",
+     "    ok = norms >= 1e-12\n",
+     ["tests/test_encoder.py::TestForward::test_overflowing_norm_rejected"]),
     ("full-batch g and grad_tau not checked", LOSS,
-     "        _require_finite_rows(what, range(n), g=g, grad_tau=dtau / n)\n",
-     "        pass\n",
+     "    _require_finite_rows(_ANCHOR_NAMES[len(taus)], range(n), g=stats[0], grad_tau=grad_tau)\n",
+     "    pass\n",
      ["tests/test_loss.py::TestNonFinite"]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rgcl.encoder import (
+    EmbeddingBatch,
     EncoderParams,
     encode,
     encode_backward,
@@ -51,8 +52,28 @@ class TestForward:
 
     def test_degenerate_embedding_rejected(self):
         params = identity_params(2)
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(ValueError, match="^degenerate embedding: row 0 has norm 0.0"):
             encode(params, np.zeros((1, 2)))
+
+    def test_overflowing_norm_rejected(self):
+        # finite rows whose squared norm overflows: encode builds its batch
+        # without EmbeddingBatch's unit-norm check, so _forward must refuse
+        # the infinite norm itself
+        x = np.array([[1.0, 2.0], [1e200, 1e200]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="^degenerate embedding: row 1 has norm inf, not finite"):
+                encode(identity_params(2), x)
+
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_unit_norm_at_every_input_scale(self, activation, scale):
+        params = random_params(9, d_in=5, d_hidden=7, d_embed=3, activation=activation)
+        y = encode(params, scale * RandomStream(10).normal(20, 5)).embeddings
+        np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_hand_built_batch_checked(self):
+        with pytest.raises(ValueError, match="^embedding rows must be unit norm$"):
+            EmbeddingBatch(np.array([[0.6, 0.8], [0.6, 0.9]]), ())
 
     @pytest.mark.parametrize("activation", ["identity", "tanh"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -253,14 +253,14 @@ def exp_rows(s, taus, sq=0.0):
     """_exp_rows on the scores s (k, m) of each row's m negatives and sq of
     its positive, at the temperatures taus, each row scored as a one-row
     block whose own group is its first column, the positive.  Returns the
-    row kernel's input and e over the negatives, (k, m)."""
+    row kernel's input (3, k) and e over the negatives, (k, m)."""
     s = np.asarray(s, dtype=np.float64)
-    stats, es = [], []
-    for row, tau, q in zip(s, taus, np.broadcast_to(sq, len(s))):
-        e = np.empty((1, len(row) + 1))
-        stats.append(_exp_rows(np.concatenate([[q], row])[None] / tau, 1, 0, e))
+    stats, es = np.empty((3, len(s))), []
+    for k, (row, tau, q) in enumerate(zip(s, taus, np.broadcast_to(sq, len(s)))):
+        [e], block = _exp_rows([(0, 0, 1, np.concatenate([[q], row])[None] / tau)], 0, {})
+        stats[:, k] = block[:, 0, 0]
         es.append(e[0, 1:])
-    return [np.concatenate(column) for column in zip(*stats)], np.array(es)
+    return stats, np.array(es)
 
 
 def hardness_rows(anchors, positives, *negatives):
@@ -368,7 +368,7 @@ class TestRowKernelProperties:
         rows = []
 
         def kernel(lo, hi, stats):
-            _, _, terms, dtau, c = _softmax_rows(stats[0], taus, cfg, n)
+            _, _, terms, dtau, c = _softmax_rows(stats[:, 0], taus, cfg, n)
             rows.append((terms, dtau))
             return [c]
 
@@ -533,7 +533,7 @@ class TestContrastBlocks:
         towers = [y / np.linalg.norm(y, axis=1, keepdims=True) for y in towers]
         if h_rows is _anchor_h_rows:
             towers = [ViewPairs(*towers).views]  # one interleaved tower
-        taus = [0.05 + stream.split(name).uniform(n) for name in ("ta", "tb")]
+        taus = 0.05 + np.array([stream.split(name).uniform(n) for name in ("ta", "tb")])
 
         def run(rows):
             """The blocks and row statistics a recording kernel sees, and the
@@ -541,21 +541,19 @@ class TestContrastBlocks:
             seen = []
 
             def kernel(lo, hi, stats):
-                seen.append((lo, hi, [[np.copy(v) for v in row] for row in stats]))
-                return [_softmax_rows(row, tau[lo:hi], RgclConfig(), n)[-1] for row, tau in zip(stats, taus)]
+                seen.append((lo, hi, stats.copy()))
+                return _softmax_rows(stats, taus[: stats.shape[1], lo:hi], RgclConfig(), n)[-1]
 
             return seen, _contrast(towers, h_rows, rows, taus, kernel)
 
         (whole,), want = run(n)
         blocked, got = run(rows)
         assert [(lo, hi) for lo, hi, _ in blocked] == [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-        for k, row in enumerate(whole[2]):
-            # a block's score GEMM may round an entry differently from the whole
-            # matrix's (BLAS picks its kernel by shape): a few ulps of |s| <= 1,
-            # over tau >= 0.05
-            for j, v in enumerate(row):
-                np.testing.assert_allclose(np.concatenate([stats[k][j] for _, _, stats in blocked]), v,
-                                           rtol=1e-13, atol=1e-12)
+        # a block's score GEMM may round an entry differently from the whole
+        # matrix's (BLAS picks its kernel by shape): a few ulps of |s| <= 1,
+        # over tau >= 0.05
+        np.testing.assert_allclose(np.concatenate([stats for _, _, stats in blocked], axis=2), whole[2],
+                                   rtol=1e-13, atol=1e-12)
         for a, b in zip(got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -694,15 +692,16 @@ class TestNonFinite:
                 evaluate(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
 
     @staticmethod
-    def nan_g_at(monkeypatch, call, anchor):
-        """Make the row kernel's call-th call return g = nan for anchor."""
+    def nan_g_at(monkeypatch, side, anchor):
+        """Make the row kernel's first call, which runs every direction of
+        the first block, return g = nan for anchor of direction side."""
         calls, kernel = itertools.count(), loss._softmax_rows
 
         def nan_g(*args, **kwargs):
             g, *rest = kernel(*args, **kwargs)
-            if next(calls) == call:
+            if next(calls) == 0:
                 g = g.copy()
-                g[anchor] = np.nan
+                g[side, anchor] = np.nan
             return g, *rest
 
         monkeypatch.setattr(loss, "_softmax_rows", nan_g)
@@ -715,7 +714,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("side, what", [(0, "image"), (1, "text")])
     def test_bimodal_non_finite_g_named(self, monkeypatch, side, what):
-        # one block of both directions: the image kernel call, then the text one
+        # one block of both directions, scored by one kernel call
         p_img, p_txt, images, texts, taus_v, taus_t, cfg = small_bimodal(20, n=4)
         self.nan_g_at(monkeypatch, side, 1)
         with pytest.raises(ValueError, match=r"^%s anchor 1 has a non-finite value: g = nan, grad_tau = " % what):

@@ -81,7 +81,7 @@ def side_step(opt, hmat, cfg, eta_tau=0.0):
     """_tables on every anchor of opt with the hardness rows hmat (n, n-1)
     of its one side (scored against a positive at 0), at the step size
     eta_tau."""
-    _tables(opt, np.arange(opt.n), [exp_rows(hmat, opt.tau[0])[0]], replace(cfg, eta_tau=eta_tau))
+    _tables(opt, np.arange(opt.n), exp_rows(hmat, opt.tau[0])[0][:, None], replace(cfg, eta_tau=eta_tau))
 
 
 class TestUpdateS:
@@ -140,7 +140,7 @@ class TestGradTauEstimator:
         opt = side_state(6, cfg)
         y = encode(params, views.views).embeddings
         h = hardness_rows(y[0::2], y[1::2], y[0::2], y[1::2])
-        _tables(opt, np.arange(6), [exp_rows(h, taus)[0]], replace(cfg, eta_tau=0.0))
+        _tables(opt, np.arange(6), exp_rows(h, taus)[0][:, None], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
     def test_scale_linearity(self):
@@ -378,6 +378,15 @@ class TestNonFinite:
         # the image side comes first, yet no table of either side is written
         for name in names:
             np.testing.assert_array_equal(getattr(opt, name), before[name])
+
+    def test_bimodal_step_names_the_image_side_first(self):
+        # both sides fault: the image side is named, and no field is written
+        images, texts, cfg, p_img, p_txt, opt = TestStepBimodal().mirrored_setup(11)
+        opt.tau[:] = np.nan
+        before = copy.deepcopy(opt)
+        with pytest.raises(ValueError, match=r"^image anchor (\d+) has a non-finite value: g = nan, s = nan, tau = nan$"):
+            step_bimodal(opt, p_img, p_txt, images, texts, cfg, 8)
+        assert_states_equal(opt, before)
 
     @staticmethod
     def first_batch(opt, n, batch_size):
