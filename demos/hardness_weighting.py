@@ -61,5 +61,5 @@ for scale in (0.1, 0.5, 1.0, 2.0):
     print("%27s  %8.4f" % (np.array2string(h * scale), tau_s))
 print()
 print("the softmax weights at tau* match the primal worst case:")
-print("  p(tau*) =", np.round(p_star(h, tau_star).p, 4))
+print("  p(tau*) =", np.round(p_star(h, tau_star), 4))
 print("  primal  =", np.round(sol.p, 4))

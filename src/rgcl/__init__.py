@@ -8,18 +8,7 @@ individualized temperature, optimized jointly with the encoder by a
 stochastic moving-average algorithm.
 """
 
-from .loss import (
-    HARDNESS_BOUND,
-    RgclConfig,
-    ViewPairs,
-    dual_loss_anchor,
-    hardness_scores,
-    kl_uniform,
-    objective_bimodal,
-    objective_unimodal,
-    p_star,
-    primal_rgcl_value,
-)
+from .loss import HARDNESS_BOUND, RgclConfig, ViewPairs, objective_bimodal, objective_unimodal
 from .encoder import EncoderParams, encode, init_encoder_params
 from .numerics import RandomStream
 from .optimizer import (
@@ -29,6 +18,7 @@ from .optimizer import (
     step_sogclr_baseline,
     step_unimodal,
 )
+from .oracle import dual_loss_anchor, hardness_scores, kl_uniform, p_star, primal_rgcl_value
 
 __all__ = [
     "HARDNESS_BOUND",

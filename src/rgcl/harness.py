@@ -519,7 +519,7 @@ def _vcheck_oracle_battery(instances, grid_negatives):
     for h, cfg in instances:
         tau_star, dual_value = oracle.solve_dual_tau(h, cfg)
         sol = oracle.solve_primal(h, cfg.rho, cfg.tau0)
-        kl = loss.kl_uniform(sol.p)
+        kl = oracle.kl_uniform(sol.p)
         violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))
         if over_bound is None and sol.lam > loss.HARDNESS_BOUND / cfg.rho:
             over_bound = sol.lam
@@ -584,10 +584,11 @@ def _vcheck_degeneration(seed):
     p = params.copy()
     worst = 0.0
     for _ in range(5):
-        tau = opt.tau[0].copy()
+        taus = opt.tau[:, idx]
+        tau = taus[0]
         _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
-        [gw] = loss._encoder_pass([p], [views.views], idx, loss._anchor_h_rows, n, opt.tau[:, idx],
-                                  lambda lo, hi, stats: optimizer._tables(opt, idx, stats, cfg))
+        [gw] = loss._encoder_pass([p], [views.views], idx, loss._anchor_h_rows, n, taus,
+                                  lambda lo, hi, stats: optimizer._tables(opt, idx, taus, stats, cfg))
         ref_step = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max) - tau
         for got, want in ((gw, ref_gw), (opt.tau[0] - tau, ref_step)):
             worst = max(worst, float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)))
@@ -626,7 +627,7 @@ def _vcheck_fixed_tau_identity(stream, count):
         h = _random_instance(stream.split("h%d" % i), m)
         tau = 0.1 + float(stream.uniform())
         gcl = tau * math.log(float(np.sum(np.exp(h / tau))))
-        dual = loss.dual_loss_anchor(h, tau, cfg)
+        dual = oracle.dual_loss_anchor(h, tau, cfg)
         ident = gcl - tau * math.log(m) + (tau - cfg.tau0) * cfg.rho
         worst = max(worst, abs(dual - ident))
     return _check("fixed_tau_identity", worst <= 1e-12, {"worst_gap": worst})
@@ -645,7 +646,7 @@ def _vcheck_unbiasedness(seed):
     all_negs = np.concatenate([np.delete(ya, anchor, 0), np.delete(yb, anchor, 0)])
     pos = float(ya[anchor] @ yb[anchor])
     scores = all_negs @ ya[anchor]
-    g_full = loss.g_value(scores - pos, tau)
+    g_full = oracle.g_value(scores - pos, tau)
     # 2000 batches of 8 negatives, drawn one by one; each batch's g is the
     # mean of exp(h / tau) over its row of picks
     picks = np.empty((2000, 8), dtype=np.intp)

@@ -1,16 +1,13 @@
-"""Robust contrastive loss mathematics.
+"""The training path of the robust contrastive loss.
 
-For an anchor with hardness scores h over its m negatives, the per-anchor
-loss in its dual form is
+The per-anchor loss is the dual tau log g + (tau - tau0) rho, with g the
+mean of exp(h_j / tau) over the hardness scores h of the anchor's
+negatives, and the full objective averages it over anchors, each with its
+own learnable temperature in [tau0, tau_max].  The paper's scalar
+per-anchor definitions, primal and dual, live in rgcl.oracle, which
+checks this module against them.
 
-    L(h, tau) = tau * log( mean_j exp(h_j / tau) ) + (tau - tau0) * rho,
-
-minimized over tau in [tau0, tau_max].  The worst-case weights over the
-KL ball are the softmax p*_j = exp(h_j/tau) / sum_k exp(h_k/tau).  The
-full objective averages the per-anchor dual losses, each with its own
-learnable temperature.
-
-This module also provides the exact full-batch objective and its gradients
+This module provides the exact full-batch objective and its gradients
 with respect to encoder parameters and temperatures.  One encoder pass,
 _encoder_pass, serves the exact evaluation, both stochastic steps and
 verify's degeneration check; a unimodal pass encodes both views as one
@@ -39,19 +36,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .encoder import EncoderParams, _NonFiniteRow, encode, encode_backward
-from .numerics import log_sum_exp, softmax_shifted
 
 __all__ = [
     "HARDNESS_BOUND",
     "RgclConfig",
-    "DistributionalWeights",
     "ViewPairs",
-    "hardness_scores",
-    "g_value",
-    "dual_loss_anchor",
-    "p_star",
-    "primal_rgcl_value",
-    "kl_uniform",
     "objective_unimodal",
     "objective_bimodal",
     "unimodal_value_and_grads",
@@ -127,19 +116,6 @@ class RgclConfig:
         return float(n) if self.tau_grad_scale is None else float(self.tau_grad_scale)
 
 
-@dataclass
-class DistributionalWeights:
-    """A point on the simplex over an anchor's negatives."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-10):  # NaN fails both comparisons
-            raise ValueError("weights must lie on the simplex")
-        self.p = p
-
-
 class ViewPairs:
     """Fixed augmented views of a dataset, interleaved in one (2n, d_in)
     array views: row 2i is the anchor view of sample i and row 2i+1 its
@@ -163,55 +139,6 @@ class ViewPairs:
     @property
     def n(self) -> int:
         return self.views.shape[0] // 2
-
-
-def hardness_scores(anchor, positive, negatives) -> np.ndarray:
-    """h_j = anchor.neg_j - anchor.positive for every negative."""
-    neg = np.asarray(negatives, dtype=np.float64)
-    if neg.size == 0:
-        raise ValueError("no negatives")
-    anchor = np.asarray(anchor, dtype=np.float64)
-    positive = np.asarray(positive, dtype=np.float64)
-    return neg @ anchor - float(anchor @ positive)
-
-
-def g_value(h, tau: float, log_epsilon: float = 0.0) -> float:
-    """Mean of exp(h_j / tau), plus the optional smoothing constant."""
-    e = np.exp(np.asarray(h, dtype=np.float64) / tau)
-    return float(np.add.reduce(e, axis=None) / e.size) + log_epsilon
-
-
-def dual_loss_anchor(h, tau: float, cfg: RgclConfig) -> float:
-    """tau * log g(h, tau) + (tau - tau0) * rho, via log-sum-exp."""
-    v = np.asarray(h, dtype=np.float64)
-    lme = log_sum_exp(v / tau) - math.log(len(v))
-    if cfg.log_epsilon > 0.0:
-        log_g = np.logaddexp(lme, math.log(cfg.log_epsilon))
-    else:
-        log_g = lme
-    return tau * float(log_g) + (tau - cfg.tau0) * cfg.rho
-
-
-def p_star(h, tau: float) -> DistributionalWeights:
-    """Closed-form worst-case weights: softmax of h / tau."""
-    return DistributionalWeights(softmax_shifted(np.asarray(h, dtype=np.float64) / tau))
-
-
-def kl_uniform(p) -> float:
-    """KL(p, uniform) = sum p_j log(m p_j), with 0 log 0 = 0."""
-    pv = p.p if isinstance(p, DistributionalWeights) else np.asarray(p, dtype=np.float64)
-    m = len(pv)
-    nz = pv[pv > 0.0]
-    return float(np.add.reduce(nz * np.log(m * nz)))
-
-
-def primal_rgcl_value(h, p, tau0: float) -> float:
-    """sum p_j h_j - tau0 * KL(p, uniform)."""
-    v = np.asarray(h, dtype=np.float64)
-    pv = p.p if isinstance(p, DistributionalWeights) else np.asarray(p, dtype=np.float64)
-    if len(pv) != len(v):
-        raise ValueError("dimension mismatch")
-    return float(pv @ v) - tau0 * kl_uniform(pv)
 
 
 # Anchors per block of the full-batch evaluation, whose score and exponential
@@ -376,7 +303,8 @@ def _checked_taus(taus):
     """taus, the temperatures of each direction, as a (directions, n) float64
     array, after refusing fewer than 2 anchors or a temperature that is not
     finite or is below _TAU0_MIN (see _exp_rows) with ValueError naming its
-    side and anchor."""
+    side and anchor.  The unimodal evaluations pass a (1, n) view of their
+    vector, which a float64 vector needs no copy for."""
     taus = np.asarray(taus, dtype=np.float64)
     if taus.shape[1] < 2:
         raise ValueError("need at least 2 samples")
@@ -439,14 +367,15 @@ def require_same_length(**arrays) -> None:
 def objective_unimodal(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig) -> float:
     """Exact full-batch objective: mean over anchors of the dual loss."""
     require_same_length(views=views.views_a, taus=taus)
-    return _objective([params], [views.views], _anchor_h_rows, [taus], cfg)
+    return _objective([params], [views.views], _anchor_h_rows, np.asarray(taus, dtype=np.float64)[None], cfg)
 
 
 def unimodal_value_and_grads(params: EncoderParams, views: ViewPairs, taus, cfg: RgclConfig):
     """Objective value plus exact gradients w.r.t. the flattened encoder
     parameters and the temperature vector.  Vectorized over anchors."""
     require_same_length(views=views.views_a, taus=taus)
-    [(terms, grad_tau)], [grad_w] = _full_batch([params], [views.views], _anchor_h_rows, [taus], cfg)
+    taus = np.asarray(taus, dtype=np.float64)[None]
+    [(terms, grad_tau)], [grad_w] = _full_batch([params], [views.views], _anchor_h_rows, taus, cfg)
     return float(np.mean(terms)), grad_w, grad_tau
 
 

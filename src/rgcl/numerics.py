@@ -1,10 +1,5 @@
-"""Shared numerical primitives: stable exponential reductions, rank statistics,
-and deterministic counter-based random streams.
-
-Everything here is double precision.  Hardness scores are bounded by C = 2
-and the temperature floor is C / log(DBL_MAX) ~ 0.00282 (loss.RgclConfig
-rejects a lower tau0), so intermediate values such as exp(C / tau) reach
-DBL_MAX ~ exp(709.8): representable in float64, but not in float32.
+"""Shared numerical primitives: rank statistics and deterministic
+counter-based random streams.
 """
 
 from __future__ import annotations
@@ -15,35 +10,9 @@ import hashlib
 import numpy as np
 
 __all__ = [
-    "log_sum_exp",
-    "softmax_shifted",
     "spearman_rank_corr",
     "RandomStream",
 ]
-
-
-# The scalar helpers here and in loss call the ufunc reductions that
-# ndarray.max, .sum and .mean run, without those methods' Python wrappers:
-# the oracle calls them thousands of times per verify on a few numbers each.
-
-
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v_j))) with max-shift; safe for |v_j| up to ~700."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty reduction")
-    m = float(np.maximum.reduce(v, axis=None))
-    return m + float(np.log(np.add.reduce(np.exp(v - m), axis=None)))
-
-
-def softmax_shifted(values) -> np.ndarray:
-    """Softmax computed after subtracting the max, so it is invariant to
-    adding a constant to all inputs and never overflows."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty reduction")
-    e = np.exp(v - np.maximum.reduce(v, axis=None))
-    return e / np.add.reduce(e, axis=None)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

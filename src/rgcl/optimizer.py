@@ -157,14 +157,14 @@ def _project_tau(tau: np.ndarray, cfg: RgclConfig) -> np.ndarray:
     return np.minimum(np.maximum(tau, cfg.tau0), cfg.tau_max)
 
 
-def _tables(opt: OptimizerState, idx, stats, cfg: RgclConfig):
+def _tables(opt: OptimizerState, idx, taus, stats, cfg: RgclConfig):
     """The step's kernel: one run of the row kernel over every side's batch
-    rows stats, a (3, sides, B) array (see loss._exp_rows), at the (sides, B)
-    temperatures opt.tau[:, idx]; in-place updates of the batch anchors' s, u
+    rows stats, a (3, sides, B) array (see loss._exp_rows), at the batch
+    anchors' (sides, B) temperatures taus, opt.tau[:, idx]; in-place updates of the batch anchors' s, u
     and projected tau; and the (sides, B) pair-weight scales at the fresh s.
     A non-finite g, s or new tau raises ValueError naming the first such
     side and its dataset index before any table is written."""
-    init, taus, s_old = opt.initialized[idx], opt.tau[:, idx], opt.s[:, idx]
+    init, s_old = opt.initialized[idx], opt.s[:, idx]
     g, s_new, _, dtau, c = _softmax_rows(
         stats, taus, cfg, len(idx), lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g))
     grad_tau = dtau / opt.n * cfg.resolved_tau_grad_scale(opt.n)
@@ -191,8 +191,9 @@ def _step(opt: OptimizerState, params, inputs, idx, h_rows, cfg: RgclConfig):
     rows inputs, one tower per encoder in params, that scores the batch as
     one block at its temperatures with the kernel _tables, then one update
     of the concatenated parameters of every encoder; returns the new ones."""
-    grads = _encoder_pass(params, inputs, idx, h_rows, len(idx), opt.tau[:, idx],
-                          lambda lo, hi, stats: _tables(opt, idx, stats, cfg))
+    taus = opt.tau[:, idx]
+    grads = _encoder_pass(params, inputs, idx, h_rows, len(idx), taus,
+                          lambda lo, hi, stats: _tables(opt, idx, taus, stats, cfg))
     opt.initialized[idx] = True
     new_flat = _param_update(opt, np.concatenate([p.flatten() for p in params]), np.concatenate(grads), cfg)
     opt.t += 1

@@ -1,6 +1,12 @@
-"""Independent verification solvers.
+"""The paper's per-anchor definitions, and independent solvers that check
+the training code against them.
 
-These deliberately avoid the code paths they are used to check:
+hardness_scores, g_value, dual_loss_anchor, p_star, kl_uniform and
+primal_rgcl_value define one anchor's robust loss in its dual form, in the
+temperature, and its primal form, over weights on the simplex within KL
+rho of uniform.  Training runs none of them, only rgcl.loss's block pass.
+
+The solvers deliberately avoid the code paths they are used to check:
 
 * solve_primal works on the constrained weight problem directly, by
   bisecting the Lagrange multiplier of the KL constraint;
@@ -24,18 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderParams, encode, encode_backward
-from .loss import (
-    HARDNESS_BOUND,
-    RgclConfig,
-    ViewPairs,
-    dual_loss_anchor,
-    kl_uniform,
-    primal_rgcl_value,
-    require_same_length,
-)
-from .numerics import softmax_shifted
+from .loss import HARDNESS_BOUND, RgclConfig, ViewPairs, require_same_length
 
 __all__ = [
+    "hardness_scores",
+    "g_value",
+    "dual_loss_anchor",
+    "p_star",
+    "kl_uniform",
+    "primal_rgcl_value",
     "PrimalSolution",
     "solve_primal",
     "grid_search_simplex",
@@ -53,6 +56,93 @@ _DUAL_TOL = 1e-10
 _GRID_STEP = 0.005
 _GRID_REFINE = 4
 _FD_STEP = 1e-5
+
+
+# The scalar definitions call the ufunc reductions that ndarray.max and .sum
+# run, without those methods' Python wrappers: the solvers call them
+# thousands of times per verify on a few numbers each.
+
+
+def _log_sum_exp(values) -> float:
+    """log(sum(exp(v_j))) with max-shift; safe for |v_j| up to ~700."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("empty reduction")
+    m = float(np.maximum.reduce(v, axis=None))
+    return m + float(np.log(np.add.reduce(np.exp(v - m), axis=None)))
+
+
+def _softmax_shifted(values) -> np.ndarray:
+    """Softmax computed after subtracting the max, so it is invariant to
+    adding a constant to all inputs and never overflows."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("empty reduction")
+    e = np.exp(v - np.maximum.reduce(v, axis=None))
+    return e / np.add.reduce(e, axis=None)
+
+
+def _simplex(p) -> np.ndarray:
+    """p as a float64 array, after refusing a point off the simplex over an
+    anchor's negatives: a weight below -1e-12 or a sum more than 1e-10 from 1."""
+    pv = np.asarray(p, dtype=np.float64)
+    if not (np.all(pv >= -1e-12) and abs(np.add.reduce(pv, axis=None) - 1.0) <= 1e-10):  # NaN fails both
+        raise ValueError("weights must lie on the simplex")
+    return pv
+
+
+def _kl(pv: np.ndarray) -> float:
+    """KL(pv, uniform) of a float64 array the caller knows is on the simplex."""
+    nz = pv[pv > 0.0]
+    return float(np.add.reduce(nz * np.log(len(pv) * nz)))
+
+
+def hardness_scores(anchor, positive, negatives) -> np.ndarray:
+    """h_j = anchor.neg_j - anchor.positive for every negative."""
+    neg = np.asarray(negatives, dtype=np.float64)
+    if neg.size == 0:
+        raise ValueError("no negatives")
+    anchor = np.asarray(anchor, dtype=np.float64)
+    positive = np.asarray(positive, dtype=np.float64)
+    return neg @ anchor - float(anchor @ positive)
+
+
+def g_value(h, tau: float, log_epsilon: float = 0.0) -> float:
+    """Mean of exp(h_j / tau), plus the optional smoothing constant."""
+    e = np.exp(np.asarray(h, dtype=np.float64) / tau)
+    return float(np.add.reduce(e, axis=None) / e.size) + log_epsilon
+
+
+def dual_loss_anchor(h, tau: float, cfg: RgclConfig) -> float:
+    """tau * log g(h, tau) + (tau - tau0) * rho, via log-sum-exp."""
+    v = np.asarray(h, dtype=np.float64)
+    lme = _log_sum_exp(v / tau) - math.log(len(v))
+    if cfg.log_epsilon > 0.0:
+        log_g = np.logaddexp(lme, math.log(cfg.log_epsilon))
+    else:
+        log_g = lme
+    return tau * float(log_g) + (tau - cfg.tau0) * cfg.rho
+
+
+def p_star(h, tau: float) -> np.ndarray:
+    """Closed-form worst-case weights: softmax of h / tau, checked to lie on
+    the simplex (a NaN score or a zero tau does not)."""
+    return _simplex(_softmax_shifted(np.asarray(h, dtype=np.float64) / tau))
+
+
+def kl_uniform(p) -> float:
+    """KL(p, uniform) = sum p_j log(m p_j), with 0 log 0 = 0, of weights p
+    on the simplex."""
+    return _kl(_simplex(p))
+
+
+def primal_rgcl_value(h, p, tau0: float) -> float:
+    """sum p_j h_j - tau0 * KL(p, uniform), for weights p on the simplex."""
+    v = np.asarray(h, dtype=np.float64)
+    pv = _simplex(p)
+    if len(pv) != len(v):
+        raise ValueError("dimension mismatch")
+    return float(pv @ v) - tau0 * _kl(pv)
 
 
 @dataclass
@@ -88,22 +178,22 @@ def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
             mask = hv >= hv.max() - 0.0
             p = np.where(mask, 1.0, 0.0)
             return p / p.sum()
-        return softmax_shifted(hv / t)
+        return _softmax_shifted(hv / t)
 
     p0 = weights_at(0.0)
-    if kl_uniform(p0) <= rho:
+    if _kl(p0) <= rho:
         return PrimalSolution(p0, 0.0, primal_rgcl_value(hv, p0, tau0), False)
 
     lo, hi = 0.0, HARDNESS_BOUND / rho + 1.0
-    if kl_uniform(weights_at(hi)) > rho:
+    if _kl(weights_at(hi)) > rho:
         raise RuntimeError(
             "bisection bracket does not contain the multiplier: KL(%g) = %g > rho = %g"
-            % (hi, kl_uniform(weights_at(hi)), rho)
+            % (hi, _kl(weights_at(hi)), rho)
         )
     it = 0
     while hi - lo > _PRIMAL_TOL and it < _PRIMAL_MAX_ITER:
         mid = 0.5 * (lo + hi)
-        if kl_uniform(weights_at(mid)) > rho:
+        if _kl(weights_at(mid)) > rho:
             lo = mid
         else:
             hi = mid
@@ -111,7 +201,7 @@ def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
     if hi - lo > _PRIMAL_TOL:
         raise RuntimeError(
             "bisection failed to converge: bracket width %g, residual KL %g"
-            % (hi - lo, kl_uniform(weights_at(0.5 * (lo + hi))) - rho)
+            % (hi - lo, _kl(weights_at(0.5 * (lo + hi))) - rho)
         )
     lam = 0.5 * (lo + hi)
     p = weights_at(lam)
@@ -139,8 +229,8 @@ def _grid_best(hv, rho, tau0, lows, highs, res):
     """Best feasible grid point in a box of the free coordinates: the first
     point, in grid order, with the greatest primal_rgcl_value.
 
-    Every point is scored at once on an open mesh of the axes; kl_uniform
-    and primal_rgcl_value settle the points within _GRID_SLACK of rho or
+    Every point is scored at once on an open mesh of the axes; kl_uniform's
+    _kl and primal_rgcl_value settle the points within _GRID_SLACK of rho or
     of the top value, so the result is the one a point-by-point loop finds.
     """
     m = len(hv)
@@ -165,7 +255,7 @@ def _grid_best(hv, rho, tau0, lows, highs, res):
     feasible = np.flatnonzero(ok & (kl <= rho + _GRID_SLACK))
     keep = np.ones(feasible.size, dtype=bool)
     near = np.flatnonzero(kl.flat[feasible] > rho - _GRID_SLACK)
-    keep[near] = [kl_uniform(point(i)) <= rho for i in feasible[near]]
+    keep[near] = [_kl(point(i)) <= rho for i in feasible[near]]
     feasible = feasible[keep]
     top = value.flat[feasible]
     best_p, best_v = None, -np.inf
@@ -280,12 +370,10 @@ def _reference_loop(n: int, directions, cfg: RgclConfig) -> float:
     for i in range(n):
         others = [j for j in range(n) if j != i]
         for anchor, positive, negatives, taus, (grad_tau, d_anchor, d_positive, d_negatives) in directions:
-            negs = np.concatenate([neg[others] for neg in negatives], axis=0)
-            h = negs @ anchor[i] - float(anchor[i] @ positive[i])
+            h = hardness_scores(anchor[i], positive[i], np.concatenate([neg[others] for neg in negatives]))
             m = len(h)
             tau = taus[i]
-            mean_exp = float(np.mean(np.exp(h / tau)))
-            g = mean_exp + cfg.log_epsilon
+            g = g_value(h, tau, cfg.log_epsilon)
             value += tau * math.log(g) + (tau - cfg.tau0) * cfg.rho
             dg_dtau = float(np.mean(np.exp(h / tau) * (-h / tau**2)))
             grad_tau[i] = (tau * dg_dtau / g + math.log(g) + cfg.rho) / n

@@ -160,6 +160,14 @@ MUTANTS = [
      "    _require_finite_rows(_ANCHOR_NAMES[len(taus)], range(n), g=stats[0], grad_tau=grad_tau)\n",
      "    pass\n",
      ["tests/test_loss.py::TestNonFinite"]),
+    ("the simplex check written with comparisons a NaN passes", ORACLE,
+     "    if not (np.all(pv >= -1e-12) and abs(np.add.reduce(pv, axis=None) - 1.0) <= 1e-10):",
+     "    if np.any(pv < -1e-12) or abs(np.add.reduce(pv, axis=None) - 1.0) > 1e-10:",
+     ["tests/test_loss.py::TestPrimalValue::test_simplex_validated"]),
+    ("dual_loss_anchor without its - log m term", ORACLE,
+     "    lme = _log_sum_exp(v / tau) - math.log(len(v))\n",
+     "    lme = _log_sum_exp(v / tau)\n",
+     ["tests/test_loss.py::TestDualLoss"]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",
      "                    d_neg[j] += 0.999 * wk * anchor[i]\n",

@@ -21,15 +21,9 @@ import pytest
 from rgcl import cli, harness, optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
-from rgcl.loss import (
-    RgclConfig,
-    ViewPairs,
-    g_value,
-    objective_unimodal,
-    unimodal_value_and_grads,
-)
+from rgcl.loss import RgclConfig, ViewPairs, objective_unimodal, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
-from rgcl.oracle import finite_diff_grad, full_batch_reference
+from rgcl.oracle import finite_diff_grad, full_batch_reference, g_value
 from test_loss import hardness_rows
 
 

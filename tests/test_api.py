@@ -1,10 +1,16 @@
-"""Guards on the public surface: every exported name exists, and every
-function the benchmark's tracer wraps is still there."""
+"""Guards on the public surface: every exported name exists, every
+function the benchmark's tracer wraps is still there, the paper's
+per-anchor definitions live in rgcl.oracle alone, and the demo that uses
+them runs."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -16,7 +22,11 @@ from rgcl.loss import RgclConfig
 from rgcl.numerics import RandomStream
 
 MODULES = ["rgcl"] + ["rgcl." + m.name for m in pkgutil.iter_modules(rgcl.__path__)]
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS = os.path.join(ROOT, "bench", "spans.py")
+# the per-anchor definitions rgcl.oracle owns, public and private
+DEFINITIONS = {"hardness_scores", "g_value", "dual_loss_anchor", "p_star", "kl_uniform", "primal_rgcl_value",
+               "_log_sum_exp", "_softmax_shifted"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -63,3 +73,37 @@ def test_bench_tracer_times_the_steps_score_blocks():
     assert len(spans._Spans(tracer).durations("loss.hardness_rows", "optimizer.step")) == 3
     value, note = spans.layer_metrics(tracer)["loss.hardness_rows.step_us_p50"]
     assert value > 0 and note is None
+
+
+def module_ast(name):
+    return ast.parse(inspect.getsource(importlib.import_module(name)))
+
+
+def test_oracle_owns_the_per_anchor_definitions():
+    # the oracle judges rgcl.loss, so it takes from it only the config, the
+    # bound, the view layout and the length check, never a formula
+    taken = set()
+    for node in ast.walk(module_ast("rgcl.oracle")):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("rgcl")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            assert node.module is not None, "oracle imports a whole rgcl module"
+            if node.module == "loss":
+                taken |= {a.name for a in node.names}
+    assert taken == {"HARDNESS_BOUND", "RgclConfig", "ViewPairs", "require_same_length"}
+    for name in ("rgcl.loss", "rgcl.numerics"):
+        defined = {node.name for node in module_ast(name).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert defined & (DEFINITIONS | {"log_sum_exp", "softmax_shifted", "DistributionalWeights"}) == set()
+    oracle = importlib.import_module("rgcl.oracle")
+    exported = DEFINITIONS & set(rgcl.__all__)
+    assert exported == {"hardness_scores", "dual_loss_anchor", "p_star", "kl_uniform", "primal_rgcl_value"}
+    assert all(getattr(rgcl, name) is getattr(oracle, name) for name in exported)
+
+
+def test_hardness_weighting_demo_runs():
+    src = os.path.dirname(os.path.dirname(rgcl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", "hardness_weighting.py")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

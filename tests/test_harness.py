@@ -509,7 +509,7 @@ class TestVerify:
         # slackness term |lam| (kl - rho) then sets the worst violation
         solve, count = oracle.solve_primal, itertools.count(1)
         p = solve(np.array([0.0, -1.0]), 0.1 + 1e-6, 0.0).p
-        assert 0.1 < loss.kl_uniform(p) < 0.1 + 2e-6
+        assert 0.1 < oracle.kl_uniform(p) < 0.1 + 2e-6
 
         def slack_at_1(h, rho, tau0):
             sol = solve(h, rho, tau0)
@@ -521,26 +521,26 @@ class TestVerify:
         monkeypatch.setattr(oracle, "solve_primal", slack_at_1)
         feasible = verify_battery(0)[0]
         assert feasible == {"name": "primal_feasibility", "passed": False,
-                            "detail": {"worst_violation": 1.5 * (loss.kl_uniform(p) - 0.1)}}
+                            "detail": {"worst_violation": 1.5 * (oracle.kl_uniform(p) - 0.1)}}
 
     @staticmethod
     def unbiasedness_loop(seed):
         """The estimator_unbiasedness detail with each batch drawn, scored
-        and reduced by loss.g_value one at a time."""
+        and reduced by oracle.g_value one at a time."""
         stream = RandomStream(seed, ("verify", "unbias"))
         n, d = 20, 5
         params = init_encoder_params(d, 6, 4, "tanh", stream.split("enc"))
         views = loss.ViewPairs(stream.split("va").normal(n, d), stream.split("vb").normal(n, d))
         y = encode(params, views.views).embeddings
         ya, yb = y[0::2], y[1::2]
-        g_full = loss.g_value(hardness_rows(ya, yb, ya, yb)[0], 0.5)
+        g_full = oracle.g_value(hardness_rows(ya, yb, ya, yb)[0], 0.5)
         bstream = stream.split("batches")
         all_negs = np.concatenate([ya[1:], yb[1:]])
         pos = float(ya[0] @ yb[0])
         draws = []
         for _ in range(2000):
             pick = bstream.choice_without_replacement(len(all_negs), 8)
-            draws.append(loss.g_value(all_negs[pick] @ ya[0] - pos, 0.5))
+            draws.append(oracle.g_value(all_negs[pick] @ ya[0] - pos, 0.5))
         draws = np.asarray(draws)
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         dev = abs(draws.mean() - g_full)

@@ -12,7 +12,6 @@ from rgcl import loss
 from rgcl.encoder import EncoderParams, init_encoder_params
 from rgcl.loss import (
     HARDNESS_BOUND,
-    DistributionalWeights,
     RgclConfig,
     ViewPairs,
     bimodal_value_and_grads,
@@ -23,21 +22,21 @@ from rgcl.loss import (
     _encoder_pass,
     _exp_rows,
     _softmax_rows,
-    dual_loss_anchor,
-    g_value,
-    hardness_scores,
-    kl_uniform,
     objective_bimodal,
     objective_unimodal,
-    p_star,
-    primal_rgcl_value,
     unimodal_value_and_grads,
 )
 from rgcl.numerics import RandomStream
 from rgcl.oracle import (
+    dual_loss_anchor,
     finite_diff_grad,
     full_batch_reference,
     full_batch_reference_bimodal,
+    g_value,
+    hardness_scores,
+    kl_uniform,
+    p_star,
+    primal_rgcl_value,
 )
 
 hvals = st.lists(
@@ -160,12 +159,12 @@ class TestDualLoss:
 
 class TestPStar:
     def test_reference_value(self):
-        p = p_star([0.0, -1.0], 1.0).p
+        p = p_star([0.0, -1.0], 1.0)
         assert p[0] == pytest.approx(0.7311, abs=1e-4)
         assert p[1] == pytest.approx(0.2689, abs=1e-4)
 
     def test_monotone_in_hardness(self):
-        p = p_star([0.5, -0.3, 1.2, 0.0], 0.7).p
+        p = p_star([0.5, -0.3, 1.2, 0.0], 0.7)
         h = np.array([0.5, -0.3, 1.2, 0.0])
         order = np.argsort(h)
         assert np.all(np.diff(p[order]) > 0)
@@ -173,7 +172,7 @@ class TestPStar:
     @given(hvals, st.floats(min_value=0.05, max_value=5.0))
     @settings(deadline=None)
     def test_on_simplex(self, h, tau):
-        p = p_star(h, tau).p
+        p = p_star(h, tau)
         assert np.all(p >= 0)
         assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
 
@@ -210,13 +209,14 @@ class TestPrimalValue:
         assert primal_rgcl_value(h, p, 0.0) == pytest.approx(1.1, abs=1e-12)
 
     def test_simplex_validated(self):
-        with pytest.raises(ValueError):
-            DistributionalWeights(np.array([0.7, 0.7]))
-        # NaN and infinities are off the simplex; a NaN fails every comparison,
-        # so it must not slip past the bounds
-        for weights in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf], [1.0, np.inf]):
+        # weights off the simplex are refused, not dropped or scored: a NaN
+        # fails every comparison, so it must not slip past the bounds
+        for weights in ([0.7, 0.7], [-0.5, 1.5], [np.nan, np.nan], [np.nan, 1.0], [np.inf, 1.0],
+                        [np.inf, -np.inf], [1.0, np.inf]):
             with pytest.raises(ValueError, match="simplex"):
-                DistributionalWeights(np.array(weights))
+                kl_uniform(weights)
+            with pytest.raises(ValueError, match="simplex"):
+                primal_rgcl_value([0.0, -1.0], weights, 0.05)
         with np.errstate(divide="ignore", invalid="ignore"):
             for h, tau in (([0.4, -0.2, 1.0], 0.0), ([0.1, np.nan], 0.5)):
                 with pytest.raises(ValueError, match="simplex"):

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgcl.numerics import (
-    RandomStream,
-    _average_ranks,
-    log_sum_exp,
-    softmax_shifted,
-    spearman_rank_corr,
-)
+from rgcl.numerics import RandomStream, _average_ranks, spearman_rank_corr
+from rgcl.oracle import _log_sum_exp as log_sum_exp, _softmax_shifted as softmax_shifted
 
 finite_floats = st.floats(
     min_value=-300.0, max_value=300.0, allow_nan=False, allow_infinity=False

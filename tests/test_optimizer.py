@@ -8,7 +8,7 @@ import pytest
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
-from rgcl.loss import RgclConfig, ViewPairs, g_value, unimodal_value_and_grads
+from rgcl.loss import RgclConfig, ViewPairs, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
     _MODES,
@@ -22,7 +22,7 @@ from rgcl.optimizer import (
     step_sogclr_baseline,
     step_unimodal,
 )
-from rgcl.oracle import full_batch_reference, full_batch_reference_bimodal
+from rgcl.oracle import full_batch_reference, full_batch_reference_bimodal, g_value
 from test_loss import exp_rows, hardness_rows
 
 
@@ -81,7 +81,8 @@ def side_step(opt, hmat, cfg, eta_tau=0.0):
     """_tables on every anchor of opt with the hardness rows hmat (n, n-1)
     of its one side (scored against a positive at 0), at the step size
     eta_tau."""
-    _tables(opt, np.arange(opt.n), exp_rows(hmat, opt.tau[0])[0][:, None], replace(cfg, eta_tau=eta_tau))
+    idx = np.arange(opt.n)
+    _tables(opt, idx, opt.tau[:, idx], exp_rows(hmat, opt.tau[0])[0][:, None], replace(cfg, eta_tau=eta_tau))
 
 
 class TestUpdateS:
@@ -140,7 +141,7 @@ class TestGradTauEstimator:
         opt = side_state(6, cfg)
         y = encode(params, views.views).embeddings
         h = hardness_rows(y[0::2], y[1::2], y[0::2], y[1::2])
-        _tables(opt, np.arange(6), exp_rows(h, taus)[0][:, None], replace(cfg, eta_tau=0.0))
+        _tables(opt, np.arange(6), taus[None], exp_rows(h, taus)[0][:, None], replace(cfg, eta_tau=0.0))
         np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
 
     def test_scale_linearity(self):

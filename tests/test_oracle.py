@@ -4,20 +4,15 @@ import pytest
 from rgcl import loss, optimizer, oracle
 from rgcl.encoder import init_encoder_params
 from rgcl.harness import _oracle_battery
-from rgcl.loss import (
-    HARDNESS_BOUND,
-    RgclConfig,
-    ViewPairs,
-    kl_uniform,
-    primal_rgcl_value,
-    unimodal_value_and_grads,
-)
+from rgcl.loss import HARDNESS_BOUND, RgclConfig, ViewPairs, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.oracle import (
     finite_diff_grad,
     full_batch_reference,
     full_batch_reference_bimodal,
     grid_search_simplex,
+    kl_uniform,
+    primal_rgcl_value,
     solve_dual_tau,
     solve_primal,
 )
