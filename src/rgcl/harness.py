@@ -16,7 +16,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -418,14 +418,14 @@ def run_train_unimodal(cfg: ExperimentConfig) -> dict:
         datasynth.augment(data.inputs, cfg.aug_strength, ev.split("a")),
         datasynth.augment(data.inputs, cfg.aug_strength, ev.split("b")),
     )
-    step_fn = optimizer.step_sogclr_baseline if cfg.mode == "sogclr-baseline" else optimizer.step_unimodal
+    step_cfg = replace(rcfg, eta_tau=0.0) if cfg.mode == "sogclr-baseline" else rcfg
 
     tau = opt.tau[0]
     initial_objective, initial_gm = _grad_mapping_sq(params, eval_views, tau, rcfg)
     series = {"objective_estimate": [], "exact_objective": [], "grad_mapping_sq": []}
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(max(1, cfg.n // cfg.batch_size)):
-            params = step_fn(opt, params, data.inputs, rcfg, cfg.batch_size, cfg.aug_strength)
+            params = optimizer.step_unimodal(opt, params, data.inputs, step_cfg, cfg.batch_size, cfg.aug_strength)
         series["objective_estimate"].append(_objective_estimate(opt, rcfg))
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             value, gm = _grad_mapping_sq(params, eval_views, tau, rcfg)
@@ -552,16 +552,18 @@ def _small_instance(seed, n=5, d=4):
     return params, views, taus, cfg
 
 
-def _vcheck_finite_diff(seed):
-    """grad_w_finite_diff and grad_tau_finite_diff on one small instance and
-    its exact full-batch gradients."""
+def _finite_diff_cases(seed):
+    """verify's two finite-difference cases: _small_instance(seed) and its exact gradients."""
     params, views, taus, cfg = _small_instance(seed)
     _, grad_w, grad_tau = oracle.full_batch_reference(params, views, taus, cfg)
-    cases = [
-        ("grad_w_finite_diff", grad_w, params.flatten(),
-         lambda flat: loss.objective_unimodal(params.from_flat(flat), views, taus, cfg)),
-        ("grad_tau_finite_diff", grad_tau, taus, lambda tv: loss.objective_unimodal(params, views, tv, cfg)),
-    ]
+    return [("grad_w_finite_diff", grad_w, params.flatten(),
+             lambda flat: loss.objective_unimodal(params.from_flat(flat), views, taus, cfg)),
+            ("grad_tau_finite_diff", grad_tau, taus, lambda tv: loss.objective_unimodal(params, views, tv, cfg))]
+
+
+def _vcheck_finite_diff(cases):
+    """One check per (name, exact, point, func) of cases: the gradient exact
+    against oracle.finite_diff_grad(func, point), at 1e-6 relative."""
     checks = []
     for name, exact, point, func in cases:
         fd = oracle.finite_diff_grad(func, point)
@@ -570,29 +572,30 @@ def _vcheck_finite_diff(seed):
     return checks
 
 
-def _vcheck_degeneration(seed):
-    """The step's kernel, optimizer._tables, scoring the whole set of fixed
-    views as one block with beta0 = beta1 = 1 and tau_grad_scale = 1, must
-    give the exact parameter gradient and take the exact projected
-    temperature step.  (A real step would draw augmentation noise and so
-    change the fixed views.)"""
-    params, views, _, cfg0 = _small_instance(seed, n=6, d=4)
-    cfg = RgclConfig(rho=cfg0.rho, tau0=cfg0.tau0, tau_init=0.6, beta0=1.0, beta1=1.0,
-                     eta_w=0.05, eta_tau=0.05, tau_grad_scale=1.0)
-    n, idx = views.n, np.arange(views.n)
-    opt = optimizer.init_optimizer_state(n, params.n_params, cfg, seed)
-    p = params.copy()
+def _degeneration_instance(seed):
+    """verify's _vcheck_degeneration arguments: 5 optimizer._step calls on all
+    6 anchors of the fixed views of _small_instance(seed, n=6, d=4), which
+    step_unimodal would augment, with beta0 = beta1 = 1, tau_grad_scale = 1."""
+    params, views, _, cfg = _small_instance(seed, n=6, d=4)
+    cfg = replace(cfg, beta0=1.0, beta1=1.0, eta_w=0.05, eta_tau=0.05, tau_grad_scale=1.0)
+    opt, idx = optimizer.init_optimizer_state(views.n, params.n_params, cfg, seed), np.arange(views.n)
+    return (opt, [params], lambda ps: optimizer._step(opt, ps, [views.views], idx, loss._anchor_h_rows, cfg),
+            lambda ps: oracle.full_batch_reference(ps[0], views, opt.tau[0], cfg)[1:], cfg, 5)
+
+
+def _vcheck_degeneration(opt, towers, step, reference, cfg, steps):
+    """estimator_degeneration: each of steps calls of step(towers), which
+    returns the new towers, moves each tower, then each temperature side, by
+    eta_w or eta_tau times the gradients reference(towers) gave before it,
+    to 1e-10 relative.  Nothing is projected, so a clamped step fails."""
     worst = 0.0
-    for _ in range(5):
-        taus = opt.tau[:, idx]
-        tau = taus[0]
-        _, ref_gw, ref_gt = oracle.full_batch_reference(p, views, tau, cfg)
-        [gw] = loss._encoder_pass([p], [views.views], idx, loss._anchor_h_rows, n, taus,
-                                  lambda lo, hi, stats: optimizer._tables(opt, idx, taus, stats, cfg))
-        ref_step = np.clip(tau - cfg.eta_tau * ref_gt, cfg.tau0, cfg.tau_max) - tau
-        for got, want in ((gw, ref_gw), (opt.tau[0] - tau, ref_step)):
-            worst = max(worst, float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)))
-        p = p.from_flat(p.flatten() - cfg.eta_w * gw)
+    for _ in range(steps):
+        want = reference(towers)
+        before = [p.flatten() for p in towers] + list(opt.tau.copy())
+        towers = step(towers)
+        etas = [cfg.eta_w] * len(towers) + [cfg.eta_tau] * opt.sides
+        for b, a, eta, w in zip(before, [p.flatten() for p in towers] + list(opt.tau), etas, want):
+            worst = max(worst, float(np.linalg.norm((b - a) / eta - w) / max(np.linalg.norm(w), 1e-12)))
     return _check("estimator_degeneration", worst <= 1e-10, {"worst_rel_err": worst})
 
 
@@ -670,9 +673,9 @@ def run_verify(cfg: ExperimentConfig) -> dict:
     the CLI exit code is 0 iff every check passed.  The four oracle checks
     share one battery of 75 instances from ("verify", "dual"), five per (m,
     rho), each solved once by each solver, with the grid at m = 2;
-    fixed_tau_identity takes 20 from ("verify", "gcl").  Criteria 02-05 and 08
-    call the same checks with their own streams and counts (see
-    tests/test_acceptance.py)."""
+    fixed_tau_identity takes 20 from ("verify", "gcl"), the finite differences
+    _small_instance(seed), estimator_degeneration 5 optimizer._step calls.
+    Criteria 01-05, 07 and 08 call these checks on their own instances."""
     os.makedirs(cfg.out, exist_ok=True)
     seed = cfg.seed
     # the g-floor check's run is also the determinism check's first run
@@ -685,8 +688,8 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         grid,
         *_vcheck_fixed_instance(),
         tau_bound,
-        *_vcheck_finite_diff(seed),
-        _vcheck_degeneration(seed),
+        *_vcheck_finite_diff(_finite_diff_cases(seed)),
+        _vcheck_degeneration(*_degeneration_instance(seed)),
         # a deliberately oversized temperature step, which the box projection must contain
         _vcheck_tau_box(*_short_training(seed, steps=6, eta_tau=2.0)),
         _vcheck_g_floor(*trained),

@@ -20,6 +20,8 @@ The solvers deliberately avoid the code paths they are used to check:
 * full_batch_reference and full_batch_reference_bimodal recompute the
   full objective and its gradients in one straight-line per-anchor loop,
   _reference_loop, which uses none of loss's block machinery.
+
+The three solvers refuse a NaN or infinite score, naming its index.
 """
 
 from __future__ import annotations
@@ -89,6 +91,17 @@ def _simplex(p) -> np.ndarray:
     if not (np.all(pv >= -1e-12) and abs(np.add.reduce(pv, axis=None) - 1.0) <= 1e-10):  # NaN fails both
         raise ValueError("weights must lie on the simplex")
     return pv
+
+
+def _finite_scores(h) -> np.ndarray:
+    """h as a float64 array, after refusing a NaN or infinite score by the
+    index of the first."""
+    hv = np.asarray(h, dtype=np.float64)
+    ok = np.isfinite(hv)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError("hardness score %d is %r: the solvers take finite scores only" % (k, float(hv[k])))
+    return hv
 
 
 def _kl(pv: np.ndarray) -> float:
@@ -162,7 +175,7 @@ def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
     _PRIMAL_TOL within _PRIMAL_MAX_ITER halvings.  tau0 = 0 is allowed
     (the lam -> 0 limit puts uniform mass on the argmax of h).
     """
-    hv = np.asarray(h, dtype=np.float64)
+    hv = _finite_scores(h)
     m = len(hv)
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -175,7 +188,7 @@ def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
         t = lam + tau0
         if t <= 0.0:
             # limit: uniform over the maximizers of h
-            mask = hv >= hv.max() - 0.0
+            mask = hv >= hv.max()
             p = np.where(mask, 1.0, 0.0)
             return p / p.sum()
         return _softmax_shifted(hv / t)
@@ -282,7 +295,7 @@ def grid_search_simplex(h, rho: float, tau0: float):
     within one step of the optimum and no window re-centres.  Raises
     ValueError when no point of the first pass lies in the KL ball.
     """
-    hv = np.asarray(h, dtype=np.float64)
+    hv = _finite_scores(h)
     m = len(hv)
     if m > 3:
         raise ValueError("grid oracle limited")
@@ -317,7 +330,7 @@ def solve_dual_tau(h, cfg: RgclConfig):
     The dual objective is convex in tau (a perspective of log-sum-exp),
     so golden-section search is reliable.  Returns (tau_star, value).
     """
-    hv = np.asarray(h, dtype=np.float64)
+    hv = _finite_scores(h)
     a, b = cfg.tau0, cfg.tau_max
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -135,6 +135,22 @@ MUTANTS = [
             "ident = gcl - tau * math.log(m) +",
             "ident = gcl - tau * math.log(m + 1) +",
             "08_fixed_tau_reduction"),
+    *shared("finite differences taken at 1.001 times the point",
+            "fd = oracle.finite_diff_grad(func, point)\n",
+            "fd = oracle.finite_diff_grad(func, 1.001 * point)\n",
+            "01_gradient_oracle"),
+    *shared("degeneration moves taken as after - before",
+            "np.linalg.norm((b - a) / eta - w)",
+            "np.linalg.norm((a - b) / eta - w)",
+            "07_exact_degeneration"),
+    ("momentum update stepping up the gradient", OPTIMIZER,
+     "    return params_flat - cfg.eta_w * opt.v\n",
+     "    return params_flat + cfg.eta_w * opt.v\n",
+     ["tests/test_bitwise_reference.py::test_degeneration_check_matches_original"]),
+    ("the solvers' finite check letting inf through", ORACLE,
+     "    ok = np.isfinite(hv)\n",
+     "    ok = hv == hv\n",
+     ["tests/test_oracle.py::test_solvers_refuse_a_non_finite_score"]),
     ("complementary slackness dropped from primal_feasibility", HARNESS,
      "violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))",
      "violation = max(violation, kl - cfg.rho)",

@@ -135,7 +135,7 @@ def bimodal_steps(mirrored, log_epsilon):
 
 
 def degeneration_check(seed):
-    check = harness._vcheck_degeneration(seed)
+    check = harness._vcheck_degeneration(*harness._degeneration_instance(seed))
     return _named([check["name"], check["passed"], *check["detail"].values()], ["name", "passed", *check["detail"]])
 
 

@@ -5,12 +5,11 @@ prints a single PASS line on success (run with -s to see them; under plain
 pytest the per-test PASSED/FAILED line carries the same information).
 The long-tail training criteria share one session-scoped default run.
 
-Criteria 02-05 and 08 call rgcl verify's checks (rgcl.harness._vcheck_*),
+Criteria 01-05, 07 and 08 call rgcl verify's checks (rgcl.harness._vcheck_*),
 each with the stream and count it states, and assert their own tolerances
 on the figures the checks return; README's table lists verify's own.
 """
 
-import json
 import math
 import os
 import time
@@ -23,7 +22,7 @@ from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
 from rgcl.loss import RgclConfig, ViewPairs, objective_unimodal, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
-from rgcl.oracle import finite_diff_grad, full_batch_reference, g_value
+from rgcl.oracle import full_batch_reference, g_value
 from test_loss import hardness_rows
 
 
@@ -49,7 +48,7 @@ def test_criterion_01_gradient_oracle():
     stream = RandomStream(0, ("acc", "grad"))
     t0 = time.monotonic()
     cfg = RgclConfig(rho=0.4, tau0=0.05, tau_init=0.6)
-    worst_w = worst_t = 0.0
+    errors = []
     for i in range(100):
         sub = stream.split("i%d" % i)
         n = 2 + int(sub.split("n").integers(0, 3))  # m = 2(n-1) <= 6
@@ -58,13 +57,10 @@ def test_criterion_01_gradient_oracle():
         views = ViewPairs(sub.split("a").normal(n, d), sub.split("b").normal(n, d))
         taus = 0.2 + 0.6 * sub.split("tau").uniform(n)
         _, gw, gt = unimodal_value_and_grads(params, views, taus, cfg)
-        fd_w = finite_diff_grad(
-            lambda f: objective_unimodal(params.from_flat(f), views, taus, cfg),
-            params.flatten(),
-        )
-        fd_t = finite_diff_grad(lambda t: objective_unimodal(params, views, t, cfg), taus)
-        worst_w = max(worst_w, np.linalg.norm(gw - fd_w) / np.linalg.norm(fd_w))
-        worst_t = max(worst_t, np.linalg.norm(gt - fd_t) / np.linalg.norm(fd_t))
+        errors.append([check["detail"]["rel_err"] for check in harness._vcheck_finite_diff([
+            ("w", gw, params.flatten(), lambda f: objective_unimodal(params.from_flat(f), views, taus, cfg)),
+            ("tau", gt, taus, lambda t: objective_unimodal(params, views, t, cfg))])])
+    worst_w, worst_t = np.max(errors, axis=0)
     elapsed = time.monotonic() - t0
     assert worst_w <= 1e-6 and worst_t <= 1e-6
     assert elapsed < 5.0
@@ -168,20 +164,10 @@ def test_criterion_07_exact_degeneration():
     params = init_encoder_params(d, 6, 4, "tanh", RandomStream(4, ("enc",)))
     opt = optimizer.init_optimizer_state(n, params.n_params, cfg, seed=4)
     views = ViewPairs(data.inputs, data.inputs)
-    worst = 0.0
-    for _ in range(20):
-        _, ref_gw, ref_gt = full_batch_reference(params, views, opt.tau[0], cfg)
-        before_w = params.flatten()
-        before_tau = opt.tau[0].copy()
-        params = optimizer.step_unimodal(opt, params, data.inputs, cfg, n, 0.0)
-        step_gw = (before_w - params.flatten()) / cfg.eta_w
-        step_gt = (before_tau - opt.tau[0]) / cfg.eta_tau
-        assert opt.tau.min() > cfg.tau0 and opt.tau.max() < cfg.tau_max
-        worst = max(
-            worst,
-            np.linalg.norm(step_gw - ref_gw) / np.linalg.norm(ref_gw),
-            np.linalg.norm(step_gt - ref_gt) / np.linalg.norm(ref_gt),
-        )
+    check = harness._vcheck_degeneration(
+        opt, [params], lambda ps: [optimizer.step_unimodal(opt, ps[0], data.inputs, cfg, n, 0.0)],
+        lambda ps: full_batch_reference(ps[0], views, opt.tau[0], cfg)[1:], cfg, 20)
+    worst = check["detail"]["worst_rel_err"]
     assert worst <= 1e-10
     passed("criterion 07 exact degeneration: worst rel err %.2e over 20 steps" % worst)
 

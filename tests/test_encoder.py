@@ -13,7 +13,7 @@ from rgcl.encoder import (
     save_params,
 )
 from rgcl.numerics import RandomStream
-from rgcl.oracle import finite_diff_grad
+from test_loss import assert_finite_diff
 
 
 def identity_params(d):
@@ -102,9 +102,7 @@ class TestBackward:
             return float(np.sum(target * y))
 
         exact = encode_backward(params, encode(params, x), target).flatten()
-        fd = finite_diff_grad(scalar, params.flatten())
-        rel = np.linalg.norm(exact - fd) / np.linalg.norm(fd)
-        assert rel <= 1e-6
+        assert_finite_diff(("w", exact, params.flatten(), scalar))
 
     def test_grad_along_embedding_vanishes(self):
         # (I - y y^T) y = 0: upstream gradient parallel to the embedding

@@ -22,6 +22,7 @@ from rgcl.harness import (
     run_verify,
 )
 from rgcl.numerics import RandomStream
+from test_api import load_spans
 from test_loss import hardness_rows
 
 
@@ -283,6 +284,18 @@ class TestTrainUnimodal:
         assert len(taus) == 1
         assert float(taus.pop()) == cfg.tau_init
 
+    def test_baseline_run_records_one_step_span_per_step(self, tmp_path):
+        # the baseline calls step_unimodal itself: bench/spans.py's tracer
+        # sees one optimizer.step span per step, none inside another
+        tracer = load_spans().Tracer()
+        tracer.install()
+        try:
+            report = run_train_unimodal(small_cfg(tmp_path, mode="sogclr-baseline"))
+        finally:
+            tracer.uninstall()
+        parents = [span[1] for span in tracer.spans if span[2] == "optimizer.step"]
+        assert len(parents) == report["steps"] == 30 and set(parents) == {0}
+
     def test_tau_csv_contracts(self, tmp_path):
         cfg = small_cfg(tmp_path)
         run_train_unimodal(cfg)
@@ -522,6 +535,10 @@ class TestVerify:
         feasible = verify_battery(0)[0]
         assert feasible == {"name": "primal_feasibility", "passed": False,
                             "detail": {"worst_violation": 1.5 * (oracle.kl_uniform(p) - 0.1)}}
+
+    def test_finite_diff_check_fails_a_scaled_gradient(self):
+        scaled = [(name, (1 + 1e-3) * exact, point, func) for name, exact, point, func in harness._finite_diff_cases(0)]
+        assert not any(check["passed"] for check in harness._vcheck_finite_diff(scaled))
 
     @staticmethod
     def unbiasedness_loop(seed):

@@ -26,10 +26,10 @@ from rgcl.loss import (
     objective_unimodal,
     unimodal_value_and_grads,
 )
+from rgcl.harness import _vcheck_finite_diff
 from rgcl.numerics import RandomStream
 from rgcl.oracle import (
     dual_loss_anchor,
-    finite_diff_grad,
     full_batch_reference,
     full_batch_reference_bimodal,
     g_value,
@@ -42,6 +42,11 @@ from rgcl.oracle import (
 hvals = st.lists(
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=2, max_size=8
 )
+
+
+def assert_finite_diff(*cases):
+    """rgcl verify's finite-difference check passes each (name, exact, point, func) of cases."""
+    assert [check for check in _vcheck_finite_diff(cases) if not check["passed"]] == []
 
 
 def unit(v):
@@ -245,8 +250,7 @@ class TestExactGradTau:
             params, views, _, _ = small_unimodal(20 + i)
             taus = 0.15 + stream.split(str(i)).uniform(views.n)
             _, _, exact = unimodal_value_and_grads(params, views, taus, cfg)
-            fd = finite_diff_grad(lambda t: objective_unimodal(params, views, t, cfg), taus)
-            assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) <= 1e-6
+            assert_finite_diff(("tau", exact, taus, lambda t: objective_unimodal(params, views, t, cfg)))
 
 
 def exp_rows(s, taus, sq=0.0):
@@ -436,17 +440,13 @@ class TestUnimodalGrads:
     def test_grad_w_finite_difference(self):
         params, views, taus, cfg = small_unimodal(11)
         _, gw, _ = unimodal_value_and_grads(params, views, taus, cfg)
-        fd = finite_diff_grad(
-            lambda flat: objective_unimodal(params.from_flat(flat), views, taus, cfg),
-            params.flatten(),
-        )
-        assert np.linalg.norm(gw - fd) / np.linalg.norm(fd) <= 1e-6
+        assert_finite_diff(("w", gw, params.flatten(),
+                            lambda flat: objective_unimodal(params.from_flat(flat), views, taus, cfg)))
 
     def test_grad_tau_finite_difference(self):
         params, views, taus, cfg = small_unimodal(12)
         _, _, gt = unimodal_value_and_grads(params, views, taus, cfg)
-        fd = finite_diff_grad(lambda t: objective_unimodal(params, views, t, cfg), taus)
-        assert np.linalg.norm(gt - fd) / np.linalg.norm(fd) <= 1e-6
+        assert_finite_diff(("tau", gt, taus, lambda t: objective_unimodal(params, views, t, cfg)))
 
 
 def small_bimodal(seed, n=3, d=3, hidden=5, embed=3):
@@ -503,17 +503,14 @@ class TestBimodal:
         _, gx, gt, gtv, gtt = bimodal_value_and_grads(
             p_img, p_txt, images, texts, taus_v, taus_t, cfg
         )
-        cases = [
-            (gx, p_img.flatten(),
+        assert_finite_diff(
+            ("w_img", gx, p_img.flatten(),
              lambda f: objective_bimodal(p_img.from_flat(f), p_txt, images, texts, taus_v, taus_t, cfg)),
-            (gt, p_txt.flatten(),
+            ("w_txt", gt, p_txt.flatten(),
              lambda f: objective_bimodal(p_img, p_txt.from_flat(f), images, texts, taus_v, taus_t, cfg)),
-            (gtv, taus_v, lambda tv: objective_bimodal(p_img, p_txt, images, texts, tv, taus_t, cfg)),
-            (gtt, taus_t, lambda tt: objective_bimodal(p_img, p_txt, images, texts, taus_v, tt, cfg)),
-        ]
-        for exact, point, func in cases:
-            fd = finite_diff_grad(func, point)
-            assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) <= 1e-6
+            ("tau_img", gtv, taus_v, lambda tv: objective_bimodal(p_img, p_txt, images, texts, tv, taus_t, cfg)),
+            ("tau_txt", gtt, taus_t, lambda tt: objective_bimodal(p_img, p_txt, images, texts, taus_v, tt, cfg)),
+        )
 
 
 class TestContrastBlocks:

@@ -8,6 +8,7 @@ import pytest
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
 from rgcl.encoder import encode, init_encoder_params
+from rgcl.harness import _vcheck_degeneration, _vcheck_tau_box
 from rgcl.loss import RgclConfig, ViewPairs, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.optimizer import (
@@ -216,29 +217,28 @@ EXACT_CFG = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=1.0, beta1=1.0,
                        eta_w=0.05, eta_tau=0.02, tau_grad_scale=1.0)
 
 
-def assert_exact_descent(opt, towers, step, reference):
-    """Over 5 steps, the gradients recovered from the deltas of each tower's
-    parameters and each side's temperatures match reference(towers) to 1e-10
-    relative, and no temperature is clamped (the delta would not be the
-    gradient)."""
-    for _ in range(5):
-        want = reference(towers)
-        before = [p.flatten() for p in towers] + list(opt.tau.copy())
-        towers = step(towers)
-        etas = [EXACT_CFG.eta_w] * len(towers) + [EXACT_CFG.eta_tau] * opt.sides
-        for b, a, eta, w in zip(before, [p.flatten() for p in towers] + list(opt.tau), etas, want):
-            assert np.linalg.norm((b - a) / eta - w) / np.linalg.norm(w) <= 1e-10
-        assert opt.tau.min() > EXACT_CFG.tau0 and opt.tau.max() < EXACT_CFG.tau_max
-
-
 class TestStepUnimodal:
-    def test_exact_degeneration(self):
+    @staticmethod
+    def exact_descent(step_cfg, cfg):
+        """The state after 5 full-batch steps under step_cfg, and verify's check of them at cfg."""
         n = 12
         data, _, params, _ = training_setup(0, n=n)
-        opt = init_optimizer_state(n, params.n_params, EXACT_CFG, seed=0)
+        opt = init_optimizer_state(n, params.n_params, cfg, seed=0)
         views = ViewPairs(data.inputs, data.inputs)
-        assert_exact_descent(opt, [params], lambda ps: [step_unimodal(opt, ps[0], data.inputs, EXACT_CFG, n, 0.0)],
-                             lambda ps: full_batch_reference(ps[0], views, opt.tau[0], EXACT_CFG)[1:])
+        return opt, _vcheck_degeneration(
+            opt, [params], lambda ps: [step_unimodal(opt, ps[0], data.inputs, step_cfg, n, 0.0)],
+            lambda ps: full_batch_reference(ps[0], views, opt.tau[0], cfg)[1:], cfg, 5)
+
+    def test_exact_degeneration(self):
+        assert self.exact_descent(EXACT_CFG, EXACT_CFG)[1]["detail"]["worst_rel_err"] <= 1e-10
+
+    @pytest.mark.parametrize("step_cfg,cfg", [(replace(EXACT_CFG, eta_w=EXACT_CFG.eta_w / 2), EXACT_CFG),
+                                              (replace(EXACT_CFG, eta_tau=100.0),) * 2])
+    def test_degeneration_check_fails_a_wrong_step(self, step_cfg, cfg):
+        # half the parameter step, or a temperature step that the box clamps
+        opt, check = self.exact_descent(step_cfg, cfg)
+        assert not check["passed"]
+        assert (opt.min_tau_seen == cfg.tau0 or opt.max_tau_seen == cfg.tau_max) == (step_cfg is cfg)
 
     def test_zero_learning_rates_freeze_model(self):
         data, _, params, _ = training_setup(1)
@@ -266,8 +266,7 @@ class TestStepUnimodal:
         opt = init_optimizer_state(24, params.n_params, cfg, seed=3)
         for _ in range(8):
             params = step_unimodal(opt, params, data.inputs, cfg, 8, 0.3)
-        assert opt.min_tau_seen >= cfg.tau0 - 1e-15
-        assert opt.max_tau_seen <= cfg.tau_max + 1e-15
+        assert _vcheck_tau_box(opt, cfg)["passed"]
 
     def test_projection_fault_injection(self, monkeypatch):
         data, _, params, _ = training_setup(3)
@@ -344,8 +343,10 @@ class TestStepBimodal:
         towers = [init_encoder_params(d, 6, 4, "tanh", stream.split("enc-x")),
                   init_encoder_params(d, 5, 4, "tanh", stream.split("enc-t"))]
         opt = init_optimizer_state(n, sum(p.n_params for p in towers), EXACT_CFG, seed=10, sides=2)
-        assert_exact_descent(opt, towers, lambda ps: step_bimodal(opt, *ps, images, texts, EXACT_CFG, n),
-                             lambda ps: full_batch_reference_bimodal(*ps, images, texts, *opt.tau, EXACT_CFG)[1:])
+        assert _vcheck_degeneration(
+            opt, towers, lambda ps: step_bimodal(opt, *ps, images, texts, EXACT_CFG, n),
+            lambda ps: full_batch_reference_bimodal(*ps, images, texts, *opt.tau, EXACT_CFG)[1:], EXACT_CFG, 5,
+        )["detail"]["worst_rel_err"] <= 1e-10
 
     def test_batch_size_validation(self):
         images, texts, cfg, p_img, p_txt, opt = self.mirrored_setup(9)

@@ -3,7 +3,7 @@ import pytest
 
 from rgcl import loss, optimizer, oracle
 from rgcl.encoder import init_encoder_params
-from rgcl.harness import _oracle_battery
+from rgcl.harness import _oracle_battery, _vcheck_fixed_instance, _vcheck_oracle_battery
 from rgcl.loss import HARDNESS_BOUND, RgclConfig, ViewPairs, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.oracle import (
@@ -16,6 +16,7 @@ from rgcl.oracle import (
     solve_dual_tau,
     solve_primal,
 )
+from test_loss import assert_finite_diff
 
 
 def random_h(stream, m):
@@ -70,13 +71,11 @@ class TestSolvePrimal:
         assert not sol.constraint_active
 
     def test_feasibility(self):
+        # rgcl verify's primal_feasibility; each instance draws m, h, then rho
         stream = RandomStream(0, ("primal",))
-        for i in range(30):
-            m = 2 + int(stream.integers(0, 6))
-            h = random_h(stream.split("h%d" % i), m)
-            rho = 0.05 + float(stream.uniform())
-            sol = solve_primal(h, rho, 0.05)
-            assert kl_uniform(sol.p) <= rho + 1e-8
+        instances = ((random_h(stream.split("h%d" % i), 2 + int(stream.integers(0, 6))),
+                      RgclConfig(rho=0.05 + float(stream.uniform()), tau0=0.05, tau_init=0.05)) for i in range(30))
+        assert _vcheck_oracle_battery(instances, 0)[0]["detail"]["worst_violation"] <= 1e-8
 
     def test_multiplier_bound(self):
         # at the optimum lam <= C / rho (from the dual temperature bound)
@@ -105,21 +104,16 @@ class TestSolvePrimal:
 
 class TestGridSearch:
     def test_agrees_with_primal_solver(self):
+        # rgcl verify's grid_cross_check
         stream = RandomStream(2, ("grid",))
-        for i in range(20):
-            h = random_h(stream.split("h%d" % i), 2)
-            rho = 0.1 + 0.5 * float(stream.uniform())
-            _, gv = grid_search_simplex(h, rho, 0.05)
-            sol = solve_primal(h, rho, 0.05)
-            assert abs(gv - sol.value) <= 1e-3
+        instances = ((random_h(stream.split("h%d" % i), 2),
+                      RgclConfig(rho=0.1 + 0.5 * float(stream.uniform()), tau0=0.05, tau_init=0.05)) for i in range(20))
+        assert _vcheck_oracle_battery(instances, 2)[2]["detail"]["worst_gap"] <= 1e-3
 
     def test_three_point_instances(self):
         stream = RandomStream(3, ("grid3",))
-        for i in range(5):
-            h = random_h(stream.split("h%d" % i), 3)
-            _, gv = grid_search_simplex(h, 0.3, 0.05)
-            sol = solve_primal(h, 0.3, 0.05)
-            assert abs(gv - sol.value) <= 1e-3
+        instances = ((random_h(stream.split("h%d" % i), 3), RgclConfig(rho=0.3, tau0=0.05, tau_init=0.05)) for i in range(5))
+        assert _vcheck_oracle_battery(instances, 3)[2]["detail"]["worst_gap"] <= 1e-3
 
     def test_slack_constraint_one_hot(self):
         h = np.array([0.1, 0.9])
@@ -145,13 +139,9 @@ class TestGridSearch:
 
     def test_three_point_random_instances(self):
         stream = RandomStream(8, ("grid3-many",))
-        worst = 0.0
-        for i in range(200):
-            h = random_h(stream.split("h%d" % i), 3)
-            rho = (0.1, 0.5, 1.0)[i % 3]
-            _, gv = grid_search_simplex(h, rho, 0.05)
-            worst = max(worst, abs(gv - solve_primal(h, rho, 0.05).value))
-        assert worst <= 3e-4
+        cfgs = [RgclConfig(rho=rho, tau0=0.05, tau_init=0.05) for rho in (0.1, 0.5, 1.0)]
+        instances = ((random_h(stream.split("h%d" % i), 3), cfgs[i % 3]) for i in range(200))
+        assert _vcheck_oracle_battery(instances, 3)[2]["detail"]["worst_gap"] <= 3e-4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_two_point_matches_loop_on_verify_instances(self, seed):
@@ -254,17 +244,9 @@ class TestGridBestMatchesLoop:
 
 class TestSolveDualTau:
     def test_equivalence_with_primal(self):
-        stream = RandomStream(4, ("dual",))
-        worst = 0.0
-        for m in range(2, 7):
-            for rho in (0.1, 0.5, 1.0):
-                for i in range(20):
-                    h = random_h(stream.split("h%d-%d-%s" % (m, i, rho)), m)
-                    cfg = RgclConfig(rho=rho, tau0=0.05, tau_init=0.05)
-                    _, dv = solve_dual_tau(h, cfg)
-                    sol = solve_primal(h, rho, cfg.tau0)
-                    worst = max(worst, abs(dv - sol.value))
-        assert worst <= 1e-6
+        # rgcl verify's battery check, on 20 instances per (m, rho)
+        _, dual, _, _ = _vcheck_oracle_battery(_oracle_battery(RandomStream(4, ("dual",)), 20), 0)
+        assert dual["detail"]["worst_gap"] <= 1e-6
 
     def test_constant_hardness_minimizer_at_tau0(self):
         cfg = RgclConfig(rho=0.4, tau0=0.05, tau_init=0.05)
@@ -284,17 +266,22 @@ class TestSolveDualTau:
 
 class TestHardnessAwareWeighting:
     def test_reference_weight(self):
-        # h = [0, -1], rho = 0.2, tau0 -> 0: the harder negative carries
-        # p1 = 0.80 of the mass
-        sol = solve_primal(np.array([0.0, -1.0]), 0.2, 0.0)
-        assert float(sol.p[0]) == pytest.approx(0.80, abs=0.02)
+        # rgcl verify's check of h = [0, -1], tau0 = 0: the harder negative
+        # carries p1 = 0.80 of the mass at rho = 0.2
+        assert _vcheck_fixed_instance()[0]["detail"]["p1"] == pytest.approx(0.80, abs=0.02)
 
     def test_weight_monotone_in_rho(self):
-        p1 = [
-            float(solve_primal(np.array([0.0, -1.0]), rho, 0.0).p[0])
-            for rho in (0.05, 0.1, 0.2, 0.4)
-        ]
+        p1 = _vcheck_fixed_instance()[1]["detail"]["p1_by_rho"]
         assert all(b >= a - 1e-12 for a, b in zip(p1, p1[1:]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solve", [lambda h: solve_primal(h, 0.5, 0.05), lambda h: grid_search_simplex(h, 0.5, 0.05),
+                                   lambda h: solve_dual_tau(h, RgclConfig(rho=0.5, tau0=0.05, tau_init=0.05))])
+def test_solvers_refuse_a_non_finite_score(solve, bad):
+    # each solver names the first bad score, not a symptom of it downstream
+    with pytest.raises(ValueError, match="hardness score 1 is %r" % float(bad)):
+        solve([0.1, bad, -0.3])
 
 
 class TestFiniteDiff:
@@ -341,17 +328,14 @@ class TestFullBatchReference:
 
         _, gw, gtau = full_batch_reference(p_img, views, taus_v, cfg)
         _, gx, gt, gtv, gtt = full_batch_reference_bimodal(p_img, p_txt, images, texts, taus_v, taus_t, cfg)
-        cases = [
-            (gw, p_img.flatten(), lambda f: uni(params=p_img.from_flat(f))),
-            (gtau, taus_v, lambda t: uni(taus=t)),
-            (gx, p_img.flatten(), lambda f: bi(p_img=p_img.from_flat(f))),
-            (gt, p_txt.flatten(), lambda f: bi(p_txt=p_txt.from_flat(f))),
-            (gtv, taus_v, lambda t: bi(taus_v=t)),
-            (gtt, taus_t, lambda t: bi(taus_t=t)),
-        ]
-        for exact, point, func in cases:
-            fd = finite_diff_grad(func, point)
-            assert np.linalg.norm(exact - fd) / np.linalg.norm(fd) <= 1e-6
+        assert_finite_diff(
+            ("w", gw, p_img.flatten(), lambda f: uni(params=p_img.from_flat(f))),
+            ("tau", gtau, taus_v, lambda t: uni(taus=t)),
+            ("w_img", gx, p_img.flatten(), lambda f: bi(p_img=p_img.from_flat(f))),
+            ("w_txt", gt, p_txt.flatten(), lambda f: bi(p_txt=p_txt.from_flat(f))),
+            ("tau_img", gtv, taus_v, lambda t: bi(taus_v=t)),
+            ("tau_txt", gtt, taus_t, lambda t: bi(taus_t=t)),
+        )
 
     def test_size_cap(self):
         stream = RandomStream(7, ("cap",))
