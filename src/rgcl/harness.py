@@ -512,13 +512,17 @@ def _oracle_battery(stream, per_pair):
 
 def _vcheck_oracle_battery(instances, grid_negatives):
     """primal_feasibility, primal_dual_equivalence, grid_cross_check and
-    tau_upper_bound, read from one solve_primal and one solve_dual_tau of
-    each (h, cfg) of instances; the grid runs on those with at most
-    grid_negatives negatives."""
+    tau_upper_bound, read from the primal and dual solution of each (h, cfg)
+    of instances, folded in their order; the grid runs on those with at most
+    grid_negatives negatives.  Each solver solves the m-negative ones at once."""
+    instances, solved = list(instances), {}
+    for m in dict.fromkeys(len(h) for h, _ in instances):
+        idx = [i for i, (h, _) in enumerate(instances) if len(h) == m]
+        hv, cfgs = np.array([instances[i][0] for i in idx], dtype=np.float64), [instances[i][1] for i in idx]
+        primals = oracle._primal_rows(hv, [c.rho for c in cfgs], [c.tau0 for c in cfgs])
+        solved.update(zip(idx, zip(oracle._dual_tau_rows(hv, cfgs), primals)))
     violation, dual_gap, grid_gap, excess, over_bound = 0.0, 0.0, 0.0, -np.inf, None
-    for h, cfg in instances:
-        tau_star, dual_value = oracle.solve_dual_tau(h, cfg)
-        sol = oracle.solve_primal(h, cfg.rho, cfg.tau0)
+    for (h, cfg), ((tau_star, dual_value), sol) in zip(instances, [solved[i] for i in range(len(instances))]):
         kl = oracle.kl_uniform(sol.p)
         violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))
         if over_bound is None and sol.lam > loss.HARDNESS_BOUND / cfg.rho:
@@ -537,7 +541,7 @@ def _vcheck_oracle_battery(instances, grid_negatives):
 def _vcheck_fixed_instance():
     """weight_concentration_reference (at rho = 0.2) and
     hardness_awareness_monotone, from the primal solutions of h = (0, -1)."""
-    p1s = [float(oracle.solve_primal(np.array([0.0, -1.0]), r, 0.0).p[0]) for r in (0.05, 0.1, 0.2, 0.4)]
+    p1s = [float(s.p[0]) for s in oracle._primal_rows(np.tile([0.0, -1.0], (4, 1)), (0.05, 0.1, 0.2, 0.4), [0.0] * 4)]
     ok = all(b >= a - 1e-12 for a, b in zip(p1s, p1s[1:]))
     return [_check("weight_concentration_reference", abs(p1s[2] - 0.80) <= 0.02, {"p1": p1s[2]}),
             _check("hardness_awareness_monotone", ok, {"p1_by_rho": p1s})]
@@ -575,9 +579,9 @@ def _vcheck_finite_diff(cases):
 def _degeneration_instance(seed):
     """verify's _vcheck_degeneration arguments: 5 optimizer._step calls on all
     6 anchors of the fixed views of _small_instance(seed, n=6, d=4), which
-    step_unimodal would augment, with beta0 = beta1 = 1, tau_grad_scale = 1."""
+    step_unimodal would augment, with beta0 = beta1 = 1, tau_grad_scale = 1, eta_w != eta_tau."""
     params, views, _, cfg = _small_instance(seed, n=6, d=4)
-    cfg = replace(cfg, beta0=1.0, beta1=1.0, eta_w=0.05, eta_tau=0.05, tau_grad_scale=1.0)
+    cfg = replace(cfg, beta0=1.0, beta1=1.0, eta_w=0.05, eta_tau=0.03, tau_grad_scale=1.0)
     opt, idx = optimizer.init_optimizer_state(views.n, params.n_params, cfg, seed), np.arange(views.n)
     return (opt, [params], lambda ps: optimizer._step(opt, ps, [views.views], idx, loss._anchor_h_rows, cfg),
             lambda ps: oracle.full_batch_reference(ps[0], views, opt.tau[0], cfg)[1:], cfg, 5)

@@ -9,19 +9,21 @@ rho of uniform.  Training runs none of them, only rgcl.loss's block pass.
 The solvers deliberately avoid the code paths they are used to check:
 
 * solve_primal works on the constrained weight problem directly, by
-  bisecting the Lagrange multiplier of the KL constraint;
+  bisecting the Lagrange multiplier of the KL constraint, and
+  solve_dual_tau minimizes the one-dimensional dual by derivative-free
+  golden-section search; each is the one-row case of a routine that runs
+  the searches of a (k, m) batch in _lockstep, one array call per pass;
 * grid_search_simplex enumerates the simplex (m <= 3), scoring each pass
   with array operations but returning the point a point-by-point loop of
   kl_uniform and primal_rgcl_value would; its m = 3 refinement windows
   re-centre to follow the curved KL boundary;
-* solve_dual_tau minimizes the one-dimensional dual by derivative-free
-  golden-section search;
 * finite_diff_grad is plain central differences;
 * full_batch_reference and full_batch_reference_bimodal recompute the
   full objective and its gradients in one straight-line per-anchor loop,
   _reference_loop, which uses none of loss's block machinery.
 
-The three solvers refuse a NaN or infinite score, naming its index.
+The three solvers refuse a NaN or infinite score, naming its index.  A
+row's solution is the same, bit for bit, alone or in any batch.
 """
 
 from __future__ import annotations
@@ -60,28 +62,30 @@ _GRID_REFINE = 4
 _FD_STEP = 1e-5
 
 
-# The scalar definitions call the ufunc reductions that ndarray.max and .sum
-# run, without those methods' Python wrappers: the solvers call them
-# thousands of times per verify on a few numbers each.
+# The definitions take one row or a (k, m) batch of rows and reduce over the
+# last axis by the ufunc calls ndarray.max and .sum make, without their Python
+# wrappers; one row is scaled by floats, which numpy broadcasts at less cost.
 
 
-def _log_sum_exp(values) -> float:
-    """log(sum(exp(v_j))) with max-shift; safe for |v_j| up to ~700."""
+def _floats(x) -> list:
+    """The per-row figures x as a list of floats, one row's too."""
+    return x.tolist() if x.ndim else [float(x)]
+
+
+def _log_sum_exp(values):
+    """log(sum(exp(v_j))) of each row, shifted by the row's max; safe for
+    |v_j| up to ~700."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty reduction")
-    m = float(np.maximum.reduce(v, axis=None))
-    return m + float(np.log(np.add.reduce(np.exp(v - m), axis=None)))
+    top = np.maximum.reduce(v, -1)
+    return top + np.log(np.add.reduce(np.exp(v - (top[..., None] if v.ndim > 1 else top)), -1))
 
 
 def _softmax_shifted(values) -> np.ndarray:
-    """Softmax computed after subtracting the max, so it is invariant to
-    adding a constant to all inputs and never overflows."""
+    """Softmax of each row computed after subtracting the row's max, so it is
+    invariant to adding a constant to a row and never overflows."""
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("empty reduction")
-    e = np.exp(v - np.maximum.reduce(v, axis=None))
-    return e / np.add.reduce(e, axis=None)
+    e = np.exp(v - np.maximum.reduce(v, -1, None, None, v.ndim > 1))  # a batch keeps a column per row
+    return e / np.add.reduce(e, -1, None, None, v.ndim > 1)
 
 
 def _simplex(p) -> np.ndarray:
@@ -104,10 +108,23 @@ def _finite_scores(h) -> np.ndarray:
     return hv
 
 
-def _kl(pv: np.ndarray) -> float:
-    """KL(pv, uniform) of a float64 array the caller knows is on the simplex."""
-    nz = pv[pv > 0.0]
-    return float(np.add.reduce(nz * np.log(len(pv) * nz)))
+def _kl(pv: np.ndarray):
+    """KL(p, uniform) of each row of float64 weights the caller knows are on
+    the simplex: sum p_j log(m p_j) over the row's positive weights."""
+    if pv.ndim > 1 and not np.minimum.reduce(pv, None) > 0.0:
+        # a zero left in place would shift the pairwise sum's blocks (m >= 8)
+        return np.array([_kl(row) for row in pv])
+    nz = pv[pv > 0.0] if pv.ndim == 1 else pv
+    return np.add.reduce(nz * np.log(float(pv.shape[-1]) * nz), -1)
+
+
+def _dual_rows(v, cfgs, taus) -> list:
+    """tau log g + (tau - tau0) rho, log g by log-sum-exp, of each row of the
+    scores v at its tau in taus under its config in cfgs: a list of floats."""
+    log_m = math.log(v.shape[-1])
+    lse = _floats(_log_sum_exp(v / (np.array(taus)[:, None] if v.ndim > 1 else taus[0])))
+    return [tau * (x - log_m if not c.log_epsilon > 0.0 else float(np.logaddexp(x - log_m, math.log(c.log_epsilon))))
+            + (tau - c.tau0) * c.rho for x, tau, c in zip(lse, taus, cfgs)]
 
 
 def hardness_scores(anchor, positive, negatives) -> np.ndarray:
@@ -128,13 +145,7 @@ def g_value(h, tau: float, log_epsilon: float = 0.0) -> float:
 
 def dual_loss_anchor(h, tau: float, cfg: RgclConfig) -> float:
     """tau * log g(h, tau) + (tau - tau0) * rho, via log-sum-exp."""
-    v = np.asarray(h, dtype=np.float64)
-    lme = _log_sum_exp(v / tau) - math.log(len(v))
-    if cfg.log_epsilon > 0.0:
-        log_g = np.logaddexp(lme, math.log(cfg.log_epsilon))
-    else:
-        log_g = lme
-    return tau * float(log_g) + (tau - cfg.tau0) * cfg.rho
+    return _dual_rows(np.asarray(h, dtype=np.float64), [cfg], [tau])[0]
 
 
 def p_star(h, tau: float) -> np.ndarray:
@@ -146,7 +157,7 @@ def p_star(h, tau: float) -> np.ndarray:
 def kl_uniform(p) -> float:
     """KL(p, uniform) = sum p_j log(m p_j), with 0 log 0 = 0, of weights p
     on the simplex."""
-    return _kl(_simplex(p))
+    return float(_kl(_simplex(p)))
 
 
 def primal_rgcl_value(h, p, tau0: float) -> float:
@@ -155,7 +166,7 @@ def primal_rgcl_value(h, p, tau0: float) -> float:
     pv = _simplex(p)
     if len(pv) != len(v):
         raise ValueError("dimension mismatch")
-    return float(pv @ v) - tau0 * _kl(pv)
+    return float(pv @ v - tau0 * _kl(pv))
 
 
 @dataclass
@@ -175,50 +186,71 @@ def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
     _PRIMAL_TOL within _PRIMAL_MAX_ITER halvings.  tau0 = 0 is allowed
     (the lam -> 0 limit puts uniform mass on the argmax of h).
     """
-    hv = _finite_scores(h)
-    m = len(hv)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if tau0 < 0:
-        raise ValueError("tau0 must be nonnegative")
-    if m < 2:
-        raise ValueError("need at least 2 negatives")
+    return _primal_rows(_finite_scores(h)[None], [rho], [tau0])[0]
 
-    def weights_at(lam: float) -> np.ndarray:
-        t = lam + tau0
-        if t <= 0.0:
-            # limit: uniform over the maximizers of h
-            mask = hv >= hv.max()
-            p = np.where(mask, 1.0, 0.0)
-            return p / p.sum()
-        return _softmax_shifted(hv / t)
 
-    p0 = weights_at(0.0)
-    if _kl(p0) <= rho:
-        return PrimalSolution(p0, 0.0, primal_rgcl_value(hv, p0, tau0), False)
+def _weights_at(hv, t):
+    """p(lam) of each row of the scores hv at its t = lam + tau0 (a list):
+    softmax(h / t), or for t <= 0 the limit, uniform over the row's maximizers."""
+    if min(t) > 0.0 or not any(x <= 0.0 for x in t):  # a NaN t takes the softmax
+        return _softmax_shifted(hv / (np.array(t)[:, None] if hv.ndim > 1 else t[0]))
+    if hv.ndim > 1:
+        return np.array([_weights_at(h, [x]) for h, x in zip(hv, t)])
+    p = np.where(hv >= np.maximum.reduce(hv, None), 1.0, 0.0)
+    return p / np.add.reduce(p, None)
 
-    lo, hi = 0.0, HARDNESS_BOUND / rho + 1.0
-    if _kl(weights_at(hi)) > rho:
-        raise RuntimeError(
-            "bisection bracket does not contain the multiplier: KL(%g) = %g > rho = %g"
-            % (hi, _kl(weights_at(hi)), rho)
-        )
-    it = 0
+
+def _lockstep(searches, score, hv, args) -> list:
+    """The results of one search per row of the (k, m) array hv, run together:
+    a search is a generator that yields each point it needs scored and is sent
+    the score; each pass makes one score(open rows, their args, points) call."""
+    points, results, rows, still = [next(s) for s in searches], [None] * len(hv), [], list(range(len(hv)))
+    while still:
+        if len(still) != len(rows):
+            rows, at = still, (hv[still[0]] if len(still) == 1 else hv[still], [args[i] for i in still])
+        still, pending = [], []
+        for i, value in zip(rows, score(*at, points)):
+            try:
+                pending.append(searches[i].send(value))
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        points = pending
+    return results
+
+
+def _bisection(rho: float):
+    """solve_primal's search for one row: yields each lam whose KL(p(lam)) it needs; returns (lam, active)."""
+    if (yield 0.0) <= rho:
+        return 0.0, False
+    lo, hi, it = 0.0, HARDNESS_BOUND / rho + 1.0, 0
+    if (kl := (yield hi)) > rho:
+        raise RuntimeError("bisection bracket does not contain the multiplier: KL(%g) = %g > rho = %g"
+                           % (hi, kl, rho))
     while hi - lo > _PRIMAL_TOL and it < _PRIMAL_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if _kl(weights_at(mid)) > rho:
+        mid, it = 0.5 * (lo + hi), it + 1
+        if (yield mid) > rho:
             lo = mid
         else:
             hi = mid
-        it += 1
     if hi - lo > _PRIMAL_TOL:
-        raise RuntimeError(
-            "bisection failed to converge: bracket width %g, residual KL %g"
-            % (hi - lo, _kl(weights_at(0.5 * (lo + hi))) - rho)
-        )
-    lam = 0.5 * (lo + hi)
-    p = weights_at(lam)
-    return PrimalSolution(p, lam, primal_rgcl_value(hv, p, tau0), True)
+        raise RuntimeError("bisection failed to converge: bracket width %g, residual KL %g"
+                           % (hi - lo, (yield 0.5 * (lo + hi)) - rho))
+    return 0.5 * (lo + hi), True
+
+
+def _primal_rows(hv, rho, tau0) -> list:
+    """solve_primal of each row of the (k, m) finite scores hv, with its own rho and tau0 (lists)."""
+    for r, t in zip(rho, tau0):
+        if r <= 0 or t < 0:
+            raise ValueError("rho must be positive" if r <= 0 else "tau0 must be nonnegative")
+    if hv.shape[1] < 2:
+        raise ValueError("need at least 2 negatives")
+    found = _lockstep([_bisection(r) for r in rho], lambda h, t0, lams: _floats(_kl(_weights_at(
+        h, [lam + t for lam, t in zip(lams, t0)]))), hv, tau0)
+    p = _weights_at(hv, [lam + t for (lam, _), t in zip(found, tau0)])
+    return [PrimalSolution(p[i], lam, primal_rgcl_value(hv[i], p[i], tau0[i]), active)
+            for i, (lam, active) in enumerate(found)]
 
 
 # The vectorised KL and value of a grid point can differ from kl_uniform and
@@ -330,27 +362,31 @@ def solve_dual_tau(h, cfg: RgclConfig):
     The dual objective is convex in tau (a perspective of log-sum-exp),
     so golden-section search is reliable.  Returns (tau_star, value).
     """
-    hv = _finite_scores(h)
-    a, b = cfg.tau0, cfg.tau_max
+    return _dual_tau_rows(_finite_scores(h)[None], [cfg])[0]
+
+
+def _golden_section(a: float, b: float):
+    """solve_dual_tau's search over [a, b]: yields each tau whose dual loss it needs; returns (tau*, value)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def f(t):
-        return dual_loss_anchor(hv, t, cfg)
-
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
-    fc, fd = f(c), f(d)
+    fc, fd = (yield c), (yield d)
     while b - a > _DUAL_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
-            fd = f(d)
+            fd = yield d
     tau_star = 0.5 * (a + b)
-    return tau_star, f(tau_star)
+    return tau_star, (yield tau_star)
+
+
+def _dual_tau_rows(hv, cfgs) -> list:
+    """solve_dual_tau of each row of the (k, m) finite scores hv under its config in cfgs."""
+    return _lockstep([_golden_section(cfg.tau0, cfg.tau_max) for cfg in cfgs], _dual_rows, hv, cfgs)
 
 
 def finite_diff_grad(func, point) -> np.ndarray:

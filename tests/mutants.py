@@ -120,8 +120,8 @@ MUTANTS = [
             "        if len(h) <= grid_negatives + 1:\n",
             "02_primal_dual_equivalence"),
     *shared("fixed instance's rho list reversed",
-            "for r in (0.05, 0.1, 0.2, 0.4)]",
-            "for r in (0.4, 0.2, 0.1, 0.05)]",
+            "(0.05, 0.1, 0.2, 0.4), [0.0] * 4)]",
+            "(0.4, 0.2, 0.1, 0.05), [0.0] * 4)]",
             "03_hard_negative_weighting"),
     *shared("max_tau reported as max_tau_seen + 10",
             '"max_tau": hi,',
@@ -181,9 +181,25 @@ MUTANTS = [
      "    if np.any(pv < -1e-12) or abs(np.add.reduce(pv, axis=None) - 1.0) > 1e-10:",
      ["tests/test_loss.py::TestPrimalValue::test_simplex_validated"]),
     ("dual_loss_anchor without its - log m term", ORACLE,
-     "    lme = _log_sum_exp(v / tau) - math.log(len(v))\n",
-     "    lme = _log_sum_exp(v / tau)\n",
+     "    log_m = math.log(v.shape[-1])\n",
+     "    log_m = 0.0\n",
      ["tests/test_loss.py::TestDualLoss"]),
+    ("a golden-section row taking the other branch's new point", ORACLE,
+     "            fd = yield d\n",
+     "            fd = yield c\n",
+     ["tests/test_oracle.py::TestSolveDualTau"]),
+    ("_kl summing a row's zero weights in place", ORACLE,
+     "        return np.array([_kl(row) for row in pv])\n",
+     "        return np.add.reduce(np.where(pv > 0.0, pv * np.log(pv.shape[-1] * np.maximum(pv, 1e-300)), 0.0), -1)\n",
+     ["tests/test_oracle.py::TestBatchRows::test_row_definitions_match_one_row_calls"]),
+    ("battery results scattered in group order instead of instance order", HARNESS,
+     "[solved[i] for i in range(len(instances))]",
+     "list(solved.values())",
+     ["tests/test_oracle.py::TestBatchRows::test_grouped_battery_matches_per_instance_fold"]),
+    ("_vcheck_degeneration's sides divided by cfg.eta_w", HARNESS,
+     "[cfg.eta_tau] * opt.sides",
+     "[cfg.eta_w] * opt.sides",
+     [VERIFY_REPORT]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",
      "                    d_neg[j] += 0.999 * wk * anchor[i]\n",

@@ -494,25 +494,36 @@ class TestVerify:
 
     def test_each_oracle_instance_solved_once(self, tmp_path, monkeypatch):
         # the oracle checks share one battery of 75 instances, each solved
-        # once per solver, with the grid on its 15 two-negative ones; the
-        # fixed instance adds four primal solves
-        calls = {}
-        for name in ("solve_primal", "solve_dual_tau", "grid_search_simplex"):
-            def counted(*args, _solve=getattr(oracle, name), _name=name):
+        # once per solver in one batch call per negative count (m = 2..6),
+        # with the grid on its 15 two-negative ones; the fixed instance adds
+        # one batch of four primal rows
+        calls, rows = {}, {}
+        for name in ("_primal_rows", "_dual_tau_rows", "grid_search_simplex"):
+            def counted(h, *args, _solve=getattr(oracle, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _solve(*args)
+                rows[_name] = rows.get(_name, 0) + (len(h) if np.ndim(h) == 2 else 1)
+                return _solve(h, *args)
             monkeypatch.setattr(oracle, name, counted)
         run_verify(small_cfg(tmp_path, name="verify_calls"))
-        assert calls == {"solve_primal": 79, "solve_dual_tau": 75, "grid_search_simplex": 15}
+        assert rows == {"_primal_rows": 79, "_dual_tau_rows": 75, "grid_search_simplex": 15}
+        assert calls == {"_primal_rows": 6, "_dual_tau_rows": 5, "grid_search_simplex": 15}
+
+    @staticmethod
+    def replace_solutions(monkeypatch, change):
+        """Patch the primal batch routine so that the n-th row it solves,
+        counted from 1 across calls, is change(n, rows, rho, solution)."""
+        solve, count = oracle._primal_rows, itertools.count(1)
+
+        def changed(hv, rho, tau0):
+            return [change(next(count), hv, r, sol) for r, sol in zip(rho, solve(hv, rho, tau0))]
+
+        monkeypatch.setattr(oracle, "_primal_rows", changed)
 
     def test_feasibility_reports_the_first_lambda_over_bound(self, monkeypatch):
-        solve, count = oracle.solve_primal, itertools.count(1)
-
-        def over_bound_at_3_and_7(h, rho, tau0):
-            sol, k = solve(h, rho, tau0), next(count)
-            return dataclasses.replace(sol, lam=1e9 + k) if k in (3, 7) else sol
-
-        monkeypatch.setattr(oracle, "solve_primal", over_bound_at_3_and_7)
+        # the battery is solved in instance order (one batch per m, in m
+        # order), so rows 3 and 7 are instances 3 and 7
+        self.replace_solutions(
+            monkeypatch, lambda n, hv, rho, sol: dataclasses.replace(sol, lam=1e9 + n) if n in (3, 7) else sol)
         feasible = verify_battery(0)[0]
         assert feasible == {"name": "primal_feasibility", "passed": False, "detail": {"lambda_over_bound": 1e9 + 3}}
 
@@ -520,18 +531,16 @@ class TestVerify:
         # the first instance (m = 2, rho = 0.1) gets lam = 1.5, under C / rho
         # for every battery rho, and a p whose KL is just above rho: the
         # slackness term |lam| (kl - rho) then sets the worst violation
-        solve, count = oracle.solve_primal, itertools.count(1)
-        p = solve(np.array([0.0, -1.0]), 0.1 + 1e-6, 0.0).p
+        p = oracle.solve_primal(np.array([0.0, -1.0]), 0.1 + 1e-6, 0.0).p
         assert 0.1 < oracle.kl_uniform(p) < 0.1 + 2e-6
 
-        def slack_at_1(h, rho, tau0):
-            sol = solve(h, rho, tau0)
-            if next(count) > 1:
+        def slack_at_1(n, hv, rho, sol):
+            if n > 1:
                 return sol
-            assert (len(h), rho) == (2, 0.1)
+            assert (hv.shape[1], rho) == (2, 0.1)
             return dataclasses.replace(sol, p=p, lam=1.5)
 
-        monkeypatch.setattr(oracle, "solve_primal", slack_at_1)
+        self.replace_solutions(monkeypatch, slack_at_1)
         feasible = verify_battery(0)[0]
         assert feasible == {"name": "primal_feasibility", "passed": False,
                             "detail": {"worst_violation": 1.5 * (oracle.kl_uniform(p) - 0.1)}}

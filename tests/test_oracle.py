@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from rgcl.harness import _oracle_battery, _vcheck_fixed_instance, _vcheck_oracle
 from rgcl.loss import HARDNESS_BOUND, RgclConfig, ViewPairs, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
 from rgcl.oracle import (
+    _log_sum_exp,
+    _softmax_shifted,
     finite_diff_grad,
     full_batch_reference,
     full_batch_reference_bimodal,
@@ -273,6 +277,96 @@ class TestHardnessAwareWeighting:
     def test_weight_monotone_in_rho(self):
         p1 = _vcheck_fixed_instance()[1]["detail"]["p1_by_rho"]
         assert all(b >= a - 1e-12 for a, b in zip(p1, p1[1:]))
+
+
+def mixed_rows(seed, m, k=8):
+    """k score rows with m negatives and mixed settings: spreads from 0.3 to
+    3 before clipping to [-2, 2], rho up to near log m, tau0 = 0 for some
+    primal rows and log_epsilon > 0 for some dual rows.  Two rows are built
+    so that the primal weights underflow to exact zeros: a tie at the top,
+    whose tau0 = 0 limit is uniform over the tie, and a near-tie with rho
+    just under log m, which bisects the multiplier down to about 2e-3."""
+    rng = np.random.default_rng([seed, m])
+    hv = np.clip(rng.normal(size=(k, m)) * rng.choice([0.3, 1.0, 3.0], size=(k, 1)), -2.0, 2.0)
+    hv[0] = np.r_[2.0, 2.0, np.full(m - 2, -2.0)]
+    hv[1] = np.r_[2.0, 1.99, np.full(m - 2, -2.0)]
+    rho = [float(rng.choice([0.05, 0.5, 1.5, 0.9 * math.log(m)])) for _ in range(k)]
+    rho[:2] = [math.log(m) - 0.05] * 2
+    tau0 = [float(rng.choice([0.0, 0.05, 0.2])) for _ in range(k)]
+    tau0[:2] = [0.0, 0.0]
+    cfgs = [RgclConfig(rho=r, tau0=float(rng.choice([0.01, 0.05, 0.3])), tau_init=0.5,
+                       log_epsilon=float(rng.choice([0.0, 1e-3, 0.25])))
+            for r in rho]
+    return hv, rho, tau0, cfgs
+
+
+def per_instance_fold(instances, grid_negatives):
+    """The four oracle checks of _vcheck_oracle_battery, with each instance
+    solved alone by the public solvers and folded as it is solved."""
+    violation, dual_gap, grid_gap, excess, over_bound = 0.0, 0.0, 0.0, -np.inf, None
+    for h, cfg in instances:
+        tau_star, dual_value = solve_dual_tau(h, cfg)
+        sol = solve_primal(h, cfg.rho, cfg.tau0)
+        kl = kl_uniform(sol.p)
+        violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))
+        if over_bound is None and sol.lam > HARDNESS_BOUND / cfg.rho:
+            over_bound = sol.lam
+        dual_gap = max(dual_gap, abs(dual_value - sol.value))
+        if len(h) <= grid_negatives:
+            grid_gap = max(grid_gap, abs(grid_search_simplex(h, cfg.rho, cfg.tau0)[1] - sol.value))
+        excess = max(excess, tau_star - cfg.tau_max)
+    feasible = {"worst_violation": violation} if over_bound is None else {"lambda_over_bound": over_bound}
+    return [feasible, {"worst_gap": dual_gap}, {"worst_gap": grid_gap}, {"worst_excess": excess}]
+
+
+class TestBatchRows:
+    """The batch routines behind solve_dual_tau and solve_primal solve each
+    row as a one-row call does, bit for bit, whatever else is in the batch."""
+
+    def test_row_definitions_match_one_row_calls(self):
+        # log-sum-exp, softmax and KL of each row of a batch equal their 1-D
+        # values, KL on weights with exact zeros too (m up to 40)
+        rng = np.random.default_rng(7)
+        for m in range(2, 41):
+            v = rng.normal(size=(6, m)) * 5.0
+            p = _softmax_shifted(v)
+            zero = rng.random(size=p.shape) < 0.3
+            zero[:, 0] = False
+            p[zero] = 0.0
+            p /= p.sum(axis=1, keepdims=True)
+            assert _log_sum_exp(v).tolist() == [_log_sum_exp(row) for row in v]
+            assert np.array_equal(_softmax_shifted(v), [_softmax_shifted(row) for row in v])
+            assert oracle._kl(p).tolist() == [kl_uniform(row) for row in p]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_dual_rows_match_one_row_calls(self, m):
+        hv, _, _, cfgs = mixed_rows(0, m)
+        batch = oracle._dual_tau_rows(hv, cfgs)
+        assert batch == [solve_dual_tau(h, cfg) for h, cfg in zip(hv, cfgs)]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_primal_rows_match_one_row_calls(self, m):
+        hv, rho, tau0, _ = mixed_rows(1, m)
+        batch = oracle._primal_rows(hv, rho, tau0)
+        for got, h, r, t in zip(batch, hv, rho, tau0):
+            want = solve_primal(h, r, t)
+            assert (got.lam, got.value, got.constraint_active) == (want.lam, want.value, want.constraint_active)
+            assert np.array_equal(got.p, want.p)
+        # the rows built to underflow do, so _kl's sum over a row's positive
+        # weights alone is exercised, at m >= 8 on blocks the zeros would shift
+        assert not batch[0].p[2:].any() and not batch[1].p[2:].any()
+        assert batch[1].constraint_active and not batch[0].constraint_active
+
+    def test_grouped_battery_matches_per_instance_fold(self):
+        # instances of mixed m in shuffled order, mixed rho, one m-group of one
+        stream = RandomStream(6, ("fold",))
+        order = np.random.default_rng(6).permutation(40)
+        ms = [2 + i % 5 for i in order] + [9]
+        instances = [(random_h(stream.split("h%d" % i), m),
+                      RgclConfig(rho=0.1 + 0.9 * float(stream.uniform()), tau0=0.05, tau_init=0.05))
+                     for i, m in enumerate(ms)]
+        checks = _vcheck_oracle_battery(iter(instances), 3)
+        assert [c["detail"] for c in checks] == per_instance_fold(instances, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
