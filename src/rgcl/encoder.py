@@ -195,8 +195,9 @@ def save_params(params: EncoderParams, path: str) -> None:
 
 def load_params(path: str) -> EncoderParams:
     """Read a file written by save_params.  The header fixes the exact file
-    size; any other size, an unknown magic or activation flag or a negative
-    dimension is rejected with ValueError."""
+    size; any other size, an unknown magic or activation flag, a negative
+    dimension or a non-finite value in w1, b1, w2 or b2 is rejected with
+    ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != _MAGIC:
@@ -212,4 +213,8 @@ def load_params(path: str) -> EncoderParams:
         raise ValueError("encoder checkpoint is %d bytes, its header implies %d" % (len(data), size))
     template = EncoderParams(np.zeros((d_hidden, d_in)), np.zeros(d_hidden),
                              np.zeros((d_embed, d_hidden)), np.zeros(d_embed), _ACTIVATIONS[act])
-    return template.from_flat(np.frombuffer(data, "<f8", offset=40).astype(np.float64))
+    params = template.from_flat(np.frombuffer(data, "<f8", offset=40).astype(np.float64))
+    for name in ("w1", "b1", "w2", "b2"):
+        if not np.all(np.isfinite(getattr(params, name))):
+            raise ValueError("encoder checkpoint %s holds a non-finite value" % name)
+    return params

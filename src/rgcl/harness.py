@@ -523,8 +523,7 @@ def _vcheck_oracle_battery(instances, grid_negatives):
         solved.update(zip(idx, zip(oracle._dual_tau_rows(hv, cfgs), primals)))
     violation, dual_gap, grid_gap, excess, over_bound = 0.0, 0.0, 0.0, -np.inf, None
     for (h, cfg), ((tau_star, dual_value), sol) in zip(instances, [solved[i] for i in range(len(instances))]):
-        kl = oracle.kl_uniform(sol.p)
-        violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))
+        violation = max(violation, sol.kl - cfg.rho, abs(sol.lam) * max(0.0, sol.kl - cfg.rho))
         if over_bound is None and sol.lam > loss.HARDNESS_BOUND / cfg.rho:
             over_bound = sol.lam
         dual_gap = max(dual_gap, abs(dual_value - sol.value))

@@ -25,6 +25,17 @@ statistics into the dual terms, their temperature derivatives and the pair
 weights for every exact value and every step; the exact objective runs the
 same score blocks and sums the kernel's dual terms, with no gradient GEMM,
 a value apart from the gradients for finite differences.
+
+Every embedding normalize(W2 a + b2) lies in the span of its encoder's w2
+columns and b2.  When those of all encoders number k = sum(d_hidden + 1) <
+d_embed, the exact evaluation and objective score the embeddings'
+coordinates in one orthonormal basis of that span (see _span_towers), k
+columns instead of d_embed, and rotate each embedding gradient back before
+encode_backward; both share it, so the objective is the evaluation's value
+bit for bit.  The choice is made from the shapes alone, so a full span runs
+the embeddings themselves.  The steps and verify's degeneration check do
+not project: their last bits, and so the learned temperatures, stay as
+they are.
 """
 
 from __future__ import annotations
@@ -289,14 +300,31 @@ def _encode_towers(params, inputs, index):
     return batches
 
 
-def _encoder_pass(params, inputs, index, h_rows, rows: int, taus, kernel):
+def _span_towers(params, batches):
+    """The towers of the exact passes, and their basis: every embedding
+    normalize(W2 a + b2) lies in the span of its encoder's w2 columns and
+    b2, so when those of all encoders number k = sum(d_hidden + 1) <
+    d_embed, each tower's coordinates y @ Q in the orthonormal basis Q
+    (d_embed, k) of their span give its scores in k columns, and an
+    embedding gradient dc in coordinates is dc @ Q.T.  Otherwise the
+    embeddings themselves and None, decided from the shapes alone."""
+    if sum(p.d_hidden + 1 for p in params) >= params[0].d_embed:
+        return [b.embeddings for b in batches], None
+    q = np.linalg.qr(np.hstack([np.column_stack([p.w2, p.b2]) for p in params]))[0]
+    return [b.embeddings @ q for b in batches], q
+
+
+def _encoder_pass(params, inputs, index, h_rows, rows: int, taus, kernel, span=False):
     """Encode each tower's input rows with its encoder in params (see
     _encode_towers for index), run _contrast over the embeddings with
     h_rows, rows, taus and kernel, and back-propagate each tower's embedding
-    gradient.  Returns per encoder its flat parameter gradient."""
+    gradient.  Returns per encoder its flat parameter gradient.  With span,
+    _contrast runs on _span_towers' coordinates where they are shorter."""
     batches = _encode_towers(params, inputs, index)
-    dys = _contrast([b.embeddings for b in batches], h_rows, rows, taus, kernel)
-    return [encode_backward(p, batch, dy).flatten() for p, batch, dy in zip(params, batches, dys)]
+    towers, q = _span_towers(params, batches) if span else ([b.embeddings for b in batches], None)
+    dys = _contrast(towers, h_rows, rows, taus, kernel)
+    return [encode_backward(p, batch, dy if q is None else dy @ q.T).flatten()
+            for p, batch, dy in zip(params, batches, dys)]
 
 
 def _checked_taus(taus):
@@ -320,9 +348,10 @@ def _checked_taus(taus):
 def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
     """Exact objective terms and gradients of either modality, in blocks of
     _EVAL_ROWS anchors; params, inputs and h_rows are as in _encoder_pass,
-    taus the temperatures of each direction (see _checked_taus).  Returns per
-    direction the terms tau log g + (tau - tau0) rho and the temperature
-    gradient, and per encoder its parameter gradient."""
+    taus the temperatures of each direction (see _checked_taus), on
+    _span_towers' coordinates.  Returns per direction the terms tau log g +
+    (tau - tau0) rho and the temperature gradient, and per encoder its
+    parameter gradient."""
     taus = _checked_taus(taus)
     n = taus.shape[1]
     stats = np.empty((5, *taus.shape))  # (g, d, terms, dtau, c) of _softmax_rows
@@ -331,7 +360,7 @@ def _full_batch(params, inputs, h_rows, taus, cfg: RgclConfig):
         stats[:, :, lo:hi] = _softmax_rows(rows, taus[:, lo:hi], cfg, n)
         return stats[4, :, lo:hi]
 
-    grads = _encoder_pass(params, inputs, range(n), h_rows, _EVAL_ROWS, taus, kernel)
+    grads = _encoder_pass(params, inputs, range(n), h_rows, _EVAL_ROWS, taus, kernel, span=True)
     grad_tau = stats[3] / n
     _require_finite_rows(_ANCHOR_NAMES[len(taus)], range(n), g=stats[0], grad_tau=grad_tau)
     return list(zip(stats[2], grad_tau)), grads
@@ -341,11 +370,12 @@ def _objective(params, inputs, h_rows, taus, cfg: RgclConfig) -> float:
     """Exact objective: the mean over anchors of the row kernel's dual terms,
     summed over the directions of the loss, on the score blocks that h_rows
     gives for blocks of _EVAL_ROWS anchors at their temperatures (see
-    _checked_taus) of the towers params and inputs give (see _encoder_pass);
-    the exp blocks are _exp_rows', and no gradient GEMM runs."""
+    _checked_taus) of the towers params and inputs give (see _encoder_pass),
+    in _full_batch's coordinates (see _span_towers); the exp blocks are
+    _exp_rows', and no gradient GEMM runs."""
     taus = _checked_taus(taus)
     n = taus.shape[1]
-    towers = [batch.embeddings for batch in _encode_towers(params, inputs, range(n))]
+    towers, _ = _span_towers(params, _encode_towers(params, inputs, range(n)))
     scales = 1.0 / taus
     terms, work = np.zeros(n), {}
     for lo in range(0, n, _EVAL_ROWS):

@@ -175,6 +175,7 @@ class PrimalSolution:
     lam: float
     value: float
     constraint_active: bool
+    kl: float  # kl_uniform(p)
 
 
 def solve_primal(h, rho: float, tau0: float) -> PrimalSolution:
@@ -249,8 +250,10 @@ def _primal_rows(hv, rho, tau0) -> list:
     found = _lockstep([_bisection(r) for r in rho], lambda h, t0, lams: _floats(_kl(_weights_at(
         h, [lam + t for lam, t in zip(lams, t0)]))), hv, tau0)
     p = _weights_at(hv, [lam + t for (lam, _), t in zip(found, tau0)])
-    return [PrimalSolution(p[i], lam, primal_rgcl_value(hv[i], p[i], tau0[i]), active)
-            for i, (lam, active) in enumerate(found)]
+    # kl_uniform refuses a row off the simplex; the value is primal_rgcl_value's on that KL
+    kls = [kl_uniform(row) for row in p]
+    return [PrimalSolution(p[i], lam, float(p[i] @ hv[i] - tau0[i] * kl), active, kl)
+            for i, ((lam, active), kl) in enumerate(zip(found, kls))]
 
 
 # The vectorised KL and value of a grid point can differ from kl_uniform and

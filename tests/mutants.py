@@ -152,8 +152,8 @@ MUTANTS = [
      "    ok = hv == hv\n",
      ["tests/test_oracle.py::test_solvers_refuse_a_non_finite_score"]),
     ("complementary slackness dropped from primal_feasibility", HARNESS,
-     "violation = max(violation, kl - cfg.rho, abs(sol.lam) * max(0.0, kl - cfg.rho))",
-     "violation = max(violation, kl - cfg.rho)",
+     "violation = max(violation, sol.kl - cfg.rho, abs(sol.lam) * max(0.0, sol.kl - cfg.rho))",
+     "violation = max(violation, sol.kl - cfg.rho)",
      ["tests/test_harness.py::TestVerify::test_feasibility_counts_complementary_slackness"]),
     ("ExperimentConfig without RgclConfig's checks", HARNESS,
      "        super().__post_init__()\n",
@@ -200,6 +200,18 @@ MUTANTS = [
      "[cfg.eta_tau] * opt.sides",
      "[cfg.eta_w] * opt.sides",
      [VERIFY_REPORT]),
+    ("span basis built from w2 without b2", LOSS,
+     "np.column_stack([p.w2, p.b2])",
+     "p.w2",
+     ["tests/test_loss.py::TestSpanProjection"]),
+    ("_objective left unprojected", LOSS,
+     "    towers, _ = _span_towers(params, _encode_towers(params, inputs, range(n)))\n",
+     "    towers = [b.embeddings for b in _encode_towers(params, inputs, range(n))]\n",
+     ["tests/test_loss.py::TestSpanProjection"]),
+    ("load_params without its finite check", ENCODER,
+     "        if not np.all(np.isfinite(getattr(params, name))):\n",
+     "        if False:\n",
+     ["tests/test_encoder.py::TestParams::test_load_rejects_non_finite_values"]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",
      "                    d_neg[j] += 0.999 * wk * anchor[i]\n",

@@ -194,6 +194,19 @@ class TestParams:
         with pytest.raises(ValueError, match=match):
             load_params(str(path))
 
+    def test_load_rejects_non_finite_values(self, tmp_path):
+        # d_in 4, d_hidden 6, d_embed 3: w1 is float64 0-23, b1 24-29, w2
+        # 30-47 and b2 48-50 after the 40-byte header; each array's last entry
+        path = tmp_path / "enc.ckpt"
+        save_params(random_params(13, d_in=4, d_hidden=6, d_embed=3), str(path))
+        data = path.read_bytes()
+        for last, name in [(23, "w1"), (29, "b1"), (47, "w2"), (50, "b2")]:
+            at = 40 + 8 * last
+            for bad in (np.nan, np.inf, -np.inf):
+                path.write_bytes(data[:at] + struct.pack("<d", bad) + data[at + 8 :])
+                with pytest.raises(ValueError, match="^encoder checkpoint %s holds a non-finite value$" % name):
+                    load_params(str(path))
+
     def test_load_rejects_negative_dimension(self, tmp_path):
         path = tmp_path / "enc.ckpt"
         save_params(identity_params(3), str(path))

@@ -538,7 +538,7 @@ class TestVerify:
             if n > 1:
                 return sol
             assert (hv.shape[1], rho) == (2, 0.1)
-            return dataclasses.replace(sol, p=p, lam=1.5)
+            return dataclasses.replace(sol, p=p, lam=1.5, kl=oracle.kl_uniform(p))
 
         self.replace_solutions(monkeypatch, slack_at_1)
         feasible = verify_battery(0)[0]

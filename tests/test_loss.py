@@ -513,6 +513,66 @@ class TestBimodal:
         )
 
 
+class TestSpanProjection:
+    """The exact passes score the coordinates of the embeddings in the span
+    of the encoders' w2 columns and b2 when it is narrower than d_embed."""
+
+    @staticmethod
+    def unimodal(activation):
+        # k = hidden + 1 = 3 < embed = 8
+        params, views, taus, cfg = small_unimodal(30, n=7, d=4, hidden=2, embed=8)
+        return params if activation == "tanh" else EncoderParams(
+            params.w1, params.b1, params.w2, params.b2, activation), views, taus, cfg
+
+    @staticmethod
+    def bimodal():
+        # k = 2 * (hidden + 1) = 6 < embed = 8
+        return small_bimodal(31, n=6, d=4, hidden=2, embed=8)
+
+    @pytest.mark.parametrize("hidden, embed, projects", [(2, 8, True), (6, 8, True), (7, 8, False), (5, 3, False)])
+    def test_projects_when_the_span_is_narrower(self, hidden, embed, projects):
+        params, views, _, _ = small_unimodal(32, n=5, d=4, hidden=hidden, embed=embed)
+        batches = loss._encode_towers([params], [views.views], range(5))
+        [coords], q = loss._span_towers([params], batches)
+        if not projects:
+            assert q is None and coords is batches[0].embeddings
+            return
+        # an orthonormal basis that keeps every score and every norm
+        assert q.shape == (embed, hidden + 1)
+        np.testing.assert_allclose(q.T @ q, np.eye(hidden + 1), atol=1e-14)
+        y = batches[0].embeddings
+        np.testing.assert_allclose(coords @ coords.T, y @ y.T, atol=1e-14)
+        np.testing.assert_allclose(coords @ q.T, y, atol=1e-14)
+
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    def test_unimodal_matches_loop_reference(self, activation):
+        params, views, taus, cfg = self.unimodal(activation)
+        assert loss._span_towers([params], loss._encode_towers([params], [views.views], range(7)))[1] is not None
+        v, gw, gt = unimodal_value_and_grads(params, views, taus, cfg)
+        rv, rgw, rgt = full_batch_reference(params, views, taus, cfg)
+        assert v == pytest.approx(rv, abs=1e-12)
+        np.testing.assert_allclose(gw, rgw, atol=1e-12)
+        np.testing.assert_allclose(gt, rgt, atol=1e-12)
+        # the objective runs the evaluation's projection and score blocks
+        assert objective_unimodal(params, views, taus, cfg) == v
+
+    def test_bimodal_matches_loop_reference(self):
+        args = self.bimodal()
+        got = bimodal_value_and_grads(*args)
+        ref = full_batch_reference_bimodal(*args)
+        assert got[0] == pytest.approx(ref[0], abs=1e-12)
+        for a, b in zip(got[1:], ref[1:]):
+            np.testing.assert_allclose(a, b, atol=1e-12)
+        assert objective_bimodal(*args) == got[0]
+
+    def test_non_finite_parameter_fails_in_the_encoder(self):
+        params, views, taus, cfg = self.unimodal("tanh")
+        params.w2[3, 1] = np.nan
+        for evaluate in (unimodal_value_and_grads, objective_unimodal):
+            with pytest.raises(ValueError, match="^degenerate embedding: row 0 has norm nan"):
+                evaluate(params, views, taus, cfg)
+
+
 class TestContrastBlocks:
     """_contrast in blocks of any size against one block of every anchor."""
 
@@ -577,16 +637,19 @@ class TestEvaluationMemory:
             assert peak < n * n * 8
 
     @pytest.mark.parametrize("evaluate, instance, limit_mb", [
-        (unimodal_value_and_grads, small_unimodal, 3.25),
-        (bimodal_value_and_grads, small_bimodal, 2.9),
-        (objective_unimodal, small_unimodal, 1.7),
-        (objective_bimodal, small_bimodal, 1.4),
+        (unimodal_value_and_grads, small_unimodal, 3.0),
+        (bimodal_value_and_grads, small_bimodal, 2.75),
+        (objective_unimodal, small_unimodal, 1.42),
+        (objective_bimodal, small_bimodal, 1.14),
     ], ids=["unimodal", "bimodal", "objective_unimodal", "objective_bimodal"])
     def test_peak_at_n2000(self, evaluate, instance, limit_mb):
         # one n = 2000 evaluation runs its 125 blocks in one workspace that
-        # serves every direction, and traces 2.67 MB (unimodal), 2.52 MB
-        # (bimodal), 1.49 MB (the unimodal objective) and 1.26 MB (the
-        # bimodal objective, whose directions share one exp buffer)
+        # serves every direction, on the embeddings' coordinates in the span
+        # of w2 and b2 (4 of 16 columns, 8 for the two bimodal towers), and
+        # traces 2.47 MB (unimodal), 2.18 MB (bimodal), 1.26 MB (the
+        # unimodal objective) and 1.06 MB (the bimodal objective, whose
+        # directions share one exp buffer); unprojected, the objectives
+        # trace 1.51 MB and 1.31 MB
         args = instance(17, n=2000, d=16, hidden=3, embed=16)
         tracemalloc.start()
         try:

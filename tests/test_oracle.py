@@ -350,8 +350,12 @@ class TestBatchRows:
         batch = oracle._primal_rows(hv, rho, tau0)
         for got, h, r, t in zip(batch, hv, rho, tau0):
             want = solve_primal(h, r, t)
-            assert (got.lam, got.value, got.constraint_active) == (want.lam, want.value, want.constraint_active)
+            assert (got.lam, got.value, got.constraint_active, got.kl) == (
+                want.lam, want.value, want.constraint_active, want.kl)
             assert np.array_equal(got.p, want.p)
+            # the KL the search scored is the one kl_uniform gives, and the
+            # value is primal_rgcl_value's
+            assert (got.kl, got.value) == (kl_uniform(got.p), primal_rgcl_value(h, got.p, t))
         # the rows built to underflow do, so _kl's sum over a row's positive
         # weights alone is exercised, at m >= 8 on blocks the zeros would shift
         assert not batch[0].p[2:].any() and not batch[1].p[2:].any()
