@@ -123,17 +123,14 @@ class ExperimentConfig(RgclConfig):
 
 _FIELD_TYPES = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
 # the values each declared field type takes; an int in a float field stays an int
-_ACCEPTS = {"int": numbers.Integral, "float": numbers.Real, "float | None": (numbers.Real, type(None)),
-            "str": str, "bool": (bool, np.bool_)}
-_PARSERS = {"int": int, "float": float, "float | None": float, "str": str}
+_ACCEPTS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": (bool, np.bool_)}
+_PARSERS = {"int": int, "float": float, "str": str}
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
 def _coerce(key: str, value: str):
     """Parse a string override as the field's declared type."""
     kind = _FIELD_TYPES[key]
-    if kind == "float | None" and value.lower() in ("none", "null"):
-        return None
     if kind == "bool":
         if value.lower() in _BOOLEANS:
             return _BOOLEANS[value.lower()]
@@ -144,12 +141,22 @@ def _coerce(key: str, value: str):
         raise ValueError("%s must be of type %s, not %r" % (key, kind, value)) from None
 
 
+def _unique_keys(pairs) -> dict:
+    """json.load's object_pairs_hook, which refuses a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("repeated config key: %s" % key)
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | None = None, data: dict | None = None) -> ExperimentConfig:
     """Build a config from a JSON file and/or an override dict."""
     merged = {}
     if path is not None:
         with open(path) as fh:
-            loaded = json.load(fh)
+            loaded = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(loaded, dict):
             raise ValueError("config must be a JSON object: %s" % path)
         merged.update(loaded)
@@ -578,9 +585,9 @@ def _vcheck_finite_diff(cases):
 def _degeneration_instance(seed):
     """verify's _vcheck_degeneration arguments: 5 optimizer._step calls on all
     6 anchors of the fixed views of _small_instance(seed, n=6, d=4), which
-    step_unimodal would augment, with beta0 = beta1 = 1, tau_grad_scale = 1, eta_w != eta_tau."""
+    step_unimodal would augment, with beta0 = beta1 = 1, eta_tau n = 0.03 != eta_w."""
     params, views, _, cfg = _small_instance(seed, n=6, d=4)
-    cfg = replace(cfg, beta0=1.0, beta1=1.0, eta_w=0.05, eta_tau=0.03, tau_grad_scale=1.0)
+    cfg = replace(cfg, beta0=1.0, beta1=1.0, eta_w=0.05, eta_tau=0.005)
     opt, idx = optimizer.init_optimizer_state(views.n, params.n_params, cfg, seed), np.arange(views.n)
     return (opt, [params], lambda ps: optimizer._step(opt, ps, [views.views], idx, loss._anchor_h_rows, cfg),
             lambda ps: oracle.full_batch_reference(ps[0], views, opt.tau[0], cfg)[1:], cfg, 5)
@@ -589,14 +596,14 @@ def _degeneration_instance(seed):
 def _vcheck_degeneration(opt, towers, step, reference, cfg, steps):
     """estimator_degeneration: each of steps calls of step(towers), which
     returns the new towers, moves each tower, then each temperature side, by
-    eta_w or eta_tau times the gradients reference(towers) gave before it,
-    to 1e-10 relative.  Nothing is projected, so a clamped step fails."""
+    eta_w or eta_tau opt.n times the gradients reference(towers) gave before
+    it, to 1e-10 relative.  Nothing is projected, so a clamped step fails."""
     worst = 0.0
     for _ in range(steps):
         want = reference(towers)
         before = [p.flatten() for p in towers] + list(opt.tau.copy())
         towers = step(towers)
-        etas = [cfg.eta_w] * len(towers) + [cfg.eta_tau] * opt.sides
+        etas = [cfg.eta_w] * len(towers) + [cfg.eta_tau * opt.n] * opt.sides
         for b, a, eta, w in zip(before, [p.flatten() for p in towers] + list(opt.tau), etas, want):
             worst = max(worst, float(np.linalg.norm((b - a) / eta - w) / max(np.linalg.norm(w), 1e-12)))
     return _check("estimator_degeneration", worst <= 1e-10, {"worst_rel_err": worst})

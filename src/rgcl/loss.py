@@ -80,9 +80,8 @@ class RgclConfig:
     g_floor = exp(-C/tau_max) is the claimed lower bound on g over full
     negative sets.  Both are properties so they track rho and tau0.
 
-    tau_grad_scale multiplies the temperature gradient estimator; None
-    means "use the dataset size n", which cancels the 1/n factor in the
-    estimator and makes the temperature step size independent of n.
+    eta_tau steps each temperature along its anchor's own derivative, n times
+    the objective's gradient in it, so the step does not scale with n.
     """
 
     rho: float = 0.3
@@ -92,7 +91,6 @@ class RgclConfig:
     beta1: float = 0.9
     eta_w: float = 0.1
     eta_tau: float = 0.1
-    tau_grad_scale: float | None = None
     log_epsilon: float = 0.0
 
     def __post_init__(self):
@@ -108,8 +106,6 @@ class RgclConfig:
             raise ValueError("beta0 and beta1 must lie in (0, 1]")
         if self.eta_w < 0 or self.eta_tau < 0:
             raise ValueError("learning rates must be nonnegative")
-        if self.tau_grad_scale is not None and self.tau_grad_scale < 0:
-            raise ValueError("tau_grad_scale must be nonnegative, not %r" % self.tau_grad_scale)
         if self.log_epsilon < 0:
             raise ValueError("log_epsilon must be nonnegative")
         if not (self.tau0 <= self.tau_init <= self.tau_max):
@@ -122,9 +118,6 @@ class RgclConfig:
     @property
     def g_floor(self) -> float:
         return math.exp(-HARDNESS_BOUND / self.tau_max)
-
-    def resolved_tau_grad_scale(self, n: int) -> float:
-        return float(n) if self.tau_grad_scale is None else float(self.tau_grad_scale)
 
 
 class ViewPairs:

@@ -6,21 +6,21 @@ temperature tau_i.  Every step:
 
     g      <- batch estimate of g_i over the batch negatives
     s      <- (1 - beta0) s + beta0 g            (first touch: s <- g)
-    G(tau) <- (1/n)[tau dg/dtau / s + log s + rho] * tau_grad_scale
+    G(tau) <- tau dg/dtau / s + log s + rho
     u      <- (1 - beta1) u + beta1 G(tau)
     tau    <- clamp(tau - eta_tau u, [tau0, tau_max])
     G(w)   <- (1/B) sum_i (tau_i / s_i) grad_w g_i(batch)
     v      <- (1 - beta1) v + beta1 G(w)
     w      <- w - eta_w v
 
-With a full batch and beta0 = beta1 = 1 this degenerates to exact gradient
-descent on the objective.  Both modalities' steps run _step, which scores
-the batch as one block of loss._encoder_pass; its kernel _tables runs the
-row kernel once over the (sides, B) arrays of every side, and writes the
+With a full batch and beta0 = beta1 = 1, G(tau) is n times the objective's
+gradient in tau_i: the step is exact gradient descent, with step eta_w on w
+and eta_tau n on the temperatures.  Both modalities' steps run _step, which
+scores the batch as one block of loss._encoder_pass; its kernel _tables runs
+the row kernel once over the (sides, B) arrays of every side, and writes the
 tables only once one check has found all of them finite.  The
-fixed-temperature baseline runs the same step with eta_tau = 0.  Parameter
-updates optionally use an Adam-style rule instead of momentum;
-temperatures always use momentum.
+fixed-temperature baseline is the same step with eta_tau = 0.  Parameters
+update by momentum or an Adam-style rule; temperatures always by momentum.
 """
 
 from __future__ import annotations
@@ -167,8 +167,7 @@ def _tables(opt: OptimizerState, idx, taus, stats, cfg: RgclConfig):
     init, s_old = opt.initialized[idx], opt.s[:, idx]
     g, s_new, _, dtau, c = _softmax_rows(
         stats, taus, cfg, len(idx), lambda g: np.where(init, (1.0 - cfg.beta0) * s_old + cfg.beta0 * g, g))
-    grad_tau = dtau / opt.n * cfg.resolved_tau_grad_scale(opt.n)
-    u_new = (1.0 - cfg.beta1) * opt.u[:, idx] + cfg.beta1 * grad_tau
+    u_new = (1.0 - cfg.beta1) * opt.u[:, idx] + cfg.beta1 * dtau
     tau_new = _project_tau(taus - cfg.eta_tau * u_new, cfg)
     _require_finite_rows(_ANCHOR_NAMES[opt.sides], idx, g=g, s=s_new, tau=tau_new)
     opt.s[:, idx], opt.u[:, idx], opt.tau[:, idx] = s_new, u_new, tau_new

@@ -197,9 +197,22 @@ MUTANTS = [
      "list(solved.values())",
      ["tests/test_oracle.py::TestBatchRows::test_grouped_battery_matches_per_instance_fold"]),
     ("_vcheck_degeneration's sides divided by cfg.eta_w", HARNESS,
-     "[cfg.eta_tau] * opt.sides",
+     "[cfg.eta_tau * opt.n] * opt.sides",
      "[cfg.eta_w] * opt.sides",
      [VERIFY_REPORT]),
+    *shared("_vcheck_degeneration's sides at eta_tau without n",
+            "[cfg.eta_tau * opt.n] * opt.sides",
+            "[cfg.eta_tau] * opt.sides",
+            "07_exact_degeneration"),
+    ("temperature step fed dtau / n", OPTIMIZER,
+     "+ cfg.beta1 * dtau\n",
+     "+ cfg.beta1 * dtau / opt.n\n",
+     ["tests/test_acceptance.py::test_criterion_07_exact_degeneration",
+      "tests/test_optimizer.py::TestStepUnimodal::test_exact_degeneration"]),
+    ("a repeated config key keeping its last value", HARNESS,
+     "            loaded = json.load(fh, object_pairs_hook=_unique_keys)\n",
+     "            loaded = json.load(fh)\n",
+     ["tests/test_harness.py::TestCli::test_rejected_before_any_output[repeated-key]"]),
     ("span basis built from w2 without b2", LOSS,
      "np.column_stack([p.w2, p.b2])",
      "p.w2",

@@ -155,12 +155,12 @@ def test_criterion_06_estimator_unbiasedness():
 
 
 def test_criterion_07_exact_degeneration():
-    # full batch, beta0 = beta1 = 1, scale 1: the stochastic step is exact
-    # gradient descent for 20 consecutive steps
+    # full batch, beta0 = beta1 = 1: the stochastic step is exact gradient
+    # descent, with temperature step eta_tau n = 0.01, for 20 consecutive steps
     n, d = 10, 5
     data = gen_longtail_clusters(3, n, 5.0, d, 0.3, seed=4)
     cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=1.0, beta1=1.0,
-                     eta_w=0.05, eta_tau=0.01, tau_grad_scale=1.0)
+                     eta_w=0.05, eta_tau=0.001)
     params = init_encoder_params(d, 6, 4, "tanh", RandomStream(4, ("enc",)))
     opt = optimizer.init_optimizer_state(n, params.n_params, cfg, seed=4)
     views = ViewPairs(data.inputs, data.inputs)

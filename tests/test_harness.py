@@ -57,13 +57,9 @@ class TestConfig:
             apply_overrides(ExperimentConfig(), ["rho"])
 
     def test_override_coercion(self):
-        cfg = apply_overrides(
-            ExperimentConfig(), ["seed=3", "rho=0.7", "mirrored=true", "tau_grad_scale=none"]
-        )
+        cfg = apply_overrides(ExperimentConfig(), ["seed=3", "rho=0.7", "mirrored=true", "noise=2.5"])
         assert cfg.seed == 3 and cfg.rho == 0.7
-        assert cfg.mirrored is True and cfg.tau_grad_scale is None
-        cfg = apply_overrides(cfg, ["tau_grad_scale=2.5"])
-        assert cfg.tau_grad_scale == 2.5
+        assert cfg.mirrored is True and cfg.noise == 2.5
         for text, value in [("FALSE", False), ("0", False), ("no", False), ("Yes", True), ("1", True)]:
             assert apply_overrides(cfg, ["mirrored=" + text]).mirrored is value
         for text in ["ture", "", "2", "on", "y"]:
@@ -105,8 +101,7 @@ class TestConfig:
                 ExperimentConfig(batch_size=batch_size)
         with pytest.raises(ValueError):
             ExperimentConfig(rho=-1.0)  # loss hyperparameters validated too
-        for key in ["eta_w", "eta_tau", "rho", "beta0", "log_epsilon", "tau_grad_scale",
-                    "ratio", "noise", "aug_strength"]:
+        for key in ["eta_w", "eta_tau", "rho", "beta0", "log_epsilon", "ratio", "noise", "aug_strength"]:
             for bad in [float("nan"), float("inf"), -float("inf"), np.float32("nan")]:
                 with pytest.raises(ValueError, match=key):
                     ExperimentConfig(**{key: bad})
@@ -116,19 +111,18 @@ class TestConfig:
             load_config(data={"mirrored": "ture"})
         # each field takes only values of its declared type, named by key
         for key, bad in [("seed", 1.5), ("epochs", 2.5), ("n", "80"), ("n", True), ("seed", None),
-                         ("rho", "0.5"), ("rho", True), ("tau_grad_scale", "2"), ("tau_grad_scale", False),
+                         ("rho", "0.5"), ("rho", True), ("noise", "2"), ("noise", False), ("noise", None),
                          ("mode", 1), ("out", None), ("mirrored", 1), ("mirrored", None)]:
             with pytest.raises(ValueError, match="^%s must be of type" % key):
                 load_config(data={key: bad})
-        for key, text in [("n", "abc"), ("seed", "1.5"), ("rho", "x"), ("tau_grad_scale", "big")]:
+        for key, text in [("n", "abc"), ("seed", "1.5"), ("rho", "x"), ("noise", "big"), ("noise", "none")]:
             with pytest.raises(ValueError, match="^%s must be of type" % key):
                 apply_overrides(ExperimentConfig(), ["%s=%s" % (key, text)])
 
     def test_int_in_float_field_kept(self):
         # an int in a float field is stored as given, so its report bytes stay
-        cfg = load_config(data={"ratio": 20, "rho": 1, "tau_grad_scale": 3})
-        assert type(cfg.ratio) is int and type(cfg.rho) is int and type(cfg.tau_grad_scale) is int
-        assert ExperimentConfig(tau_grad_scale=None).tau_grad_scale is None
+        cfg = load_config(data={"ratio": 20, "rho": 1, "noise": 3})
+        assert type(cfg.ratio) is int and type(cfg.rho) is int and type(cfg.noise) is int
 
     def test_numpy_scalars_stored_as_python_numbers(self, tmp_path):
         # a run built from numpy values trains and writes the report of the
@@ -136,10 +130,10 @@ class TestConfig:
         reports = []
         for name, kind in [("np", np.int64), ("py", int)]:
             cfg = small_cfg(tmp_path, name=name, seed=kind(4), epochs=kind(2), rho=np.float64(0.8),
-                            tau_grad_scale=np.float64(3.0) if kind is np.int64 else 3.0,
+                            noise=np.float64(0.25) if kind is np.int64 else 0.25,
                             mirrored=np.bool_(False) if kind is np.int64 else False)
             assert type(cfg.seed) is int and type(cfg.epochs) is int
-            assert type(cfg.rho) is float and type(cfg.tau_grad_scale) is float
+            assert type(cfg.rho) is float and type(cfg.noise) is float
             assert type(cfg.mirrored) is bool
             run_train_unimodal(cfg)
             blob = json.load(open(os.path.join(cfg.out, "report.json")))
@@ -450,6 +444,17 @@ class TestSubcommands:
         with pytest.raises(ValueError, match="checkpoint holds 1 sides, a bimodal run has 2"):
             run_dump_tau(cfg)
 
+    def test_dump_tau_refuses_the_removed_scale(self, tmp_path, capsys):
+        # a run recorded while the temperature step had a second setting
+        cfg = small_cfg(tmp_path, epochs=1)
+        run_train_unimodal(cfg)
+        path = os.path.join(cfg.out, "report.json")
+        report = json.load(open(path))
+        report["config"]["tau_grad_scale"] = None
+        json.dump(report, open(path, "w"))
+        assert cli.main(["dump-tau", "--out", cfg.out]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: tau_grad_scale\n"
+
     def test_export_tau_csv_label_count_checked(self, tmp_path):
         from rgcl.optimizer import init_optimizer_state
 
@@ -633,10 +638,16 @@ class TestCli:
               ("noise=-1", "noise must be nonnegative, not -1.0"),
               ("aug_strength=-0.5", "aug_strength must be nonnegative, not -0.5"),
               ("batch_size=1", "batch_size must be >= 2, not 1"),
-              ("tau_grad_scale=-5", "tau_grad_scale must be nonnegative, not -5.0"),
+              # the removed temperature-step scale, in an override or in the file
+              ("tau_grad_scale=1", "unknown config keys: tau_grad_scale"),
           ]],
+        ('{"n": 80, "k": 4, "epochs": 1, "batch_size": 16, "tau_grad_scale": null}', [],
+         "unknown config keys: tau_grad_scale"),
+        # json would keep the last value
+        ('{"rho": 0.5, "rho": 0.9, "epochs": 1}', [], "repeated config key: rho"),
     ], ids=["array", "null", "seed-2**63", "knn_k-even", "knn_k-over-train", "d_in-0", "d_hidden-0", "d_embed-0",
-            "noise-negative", "aug_strength-negative", "batch_size-1", "tau_grad_scale-negative"])
+            "noise-negative", "aug_strength-negative", "batch_size-1", "tau_grad_scale-set", "tau_grad_scale-in-file",
+            "repeated-key"])
     def test_rejected_before_any_output(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "cfg.json"
         path.write_text(config)

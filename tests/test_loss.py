@@ -68,12 +68,7 @@ class TestConfig:
             RgclConfig(beta0=0.0)
         with pytest.raises(ValueError):
             RgclConfig(rho=2.0, tau0=0.05, tau_init=5.0)  # above tau_max
-        # a negative scale would turn the temperature update into ascent on the dual
-        with pytest.raises(ValueError, match="tau_grad_scale must be nonnegative, not -1.0"):
-            RgclConfig(tau_grad_scale=-1.0)
-        RgclConfig(tau_grad_scale=0.0)  # like eta_tau = 0, freezes the temperatures
-        for key in ["rho", "tau0", "tau_init", "beta0", "beta1", "eta_w", "eta_tau",
-                    "tau_grad_scale", "log_epsilon"]:
+        for key in ["rho", "tau0", "tau_init", "beta0", "beta1", "eta_w", "eta_tau", "log_epsilon"]:
             for bad in [float("nan"), float("inf"), np.float32("nan")]:
                 with pytest.raises(ValueError, match=key):
                     RgclConfig(**{key: bad})
@@ -87,10 +82,6 @@ class TestConfig:
         for tau0 in (0.0002, 0.001, np.nextafter(bound, 0.0)):
             with pytest.raises(ValueError, match=r"tau0 must be >= C / log\(DBL_MAX\) = 0\.00281776"):
                 RgclConfig(tau0=tau0, tau_init=0.1)
-
-    def test_resolved_scale(self):
-        assert RgclConfig(tau_grad_scale=None).resolved_tau_grad_scale(37) == 37.0
-        assert RgclConfig(tau_grad_scale=1.0).resolved_tau_grad_scale(37) == 1.0
 
 
 class TestHardness:

@@ -119,41 +119,31 @@ class TestUpdateS:
 
 
 class TestGradTauEstimator:
-    """The temperature gradient that _tables feeds into the momentum u;
-    with beta1 = 1 and u = 0, u holds the gradient itself."""
+    """The per-anchor temperature derivative that _tables feeds into the
+    momentum u; with beta1 = 1 and u = 0, u holds the derivative itself."""
 
     def test_constant_hardness(self):
-        # with s = g the -c/tau and +log(s) terms cancel: rho * scale / n
+        # with s = g the -c/tau and +log(s) terms cancel: rho
         c, tau = 0.4, 0.5
-        cfg = RgclConfig(rho=0.7, tau0=0.05, tau_init=tau, beta1=1.0, tau_grad_scale=5.0)
+        cfg = RgclConfig(rho=0.7, tau0=0.05, tau_init=tau, beta1=1.0)
         opt = side_state(7, cfg, s=float(np.exp(c / tau)), initialized=True)
         side_step(opt, np.full((7, 6), c), cfg)
-        np.testing.assert_allclose(opt.u[0], 0.7 * 5.0 / 7, atol=1e-12)
+        np.testing.assert_allclose(opt.u[0], 0.7, atol=1e-12)
 
     def test_full_batch_equals_exact(self):
-        # a full batch on first touch (s = g) with scale 1 is the exact
+        # a full batch on first touch (s = g) is n times the exact
         # full-batch temperature gradient
         stream = RandomStream(3, ("gtau",))
         params = init_encoder_params(4, 5, 3, "tanh", stream.split("enc"))
         views = ViewPairs(stream.split("a").normal(6, 4), stream.split("b").normal(6, 4))
-        cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.45, beta1=1.0, tau_grad_scale=1.0)
+        cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.45, beta1=1.0)
         taus = np.full(6, 0.45)
         _, _, want = unimodal_value_and_grads(params, views, taus, cfg)
         opt = side_state(6, cfg)
         y = encode(params, views.views).embeddings
         h = hardness_rows(y[0::2], y[1::2], y[0::2], y[1::2])
         _tables(opt, np.arange(6), taus[None], exp_rows(h, taus)[0][:, None], replace(cfg, eta_tau=0.0))
-        np.testing.assert_allclose(opt.u[0], want, rtol=0, atol=1e-12)
-
-    def test_scale_linearity(self):
-        h = np.clip(RandomStream(4).normal(5, 4), -2, 2)
-        us = []
-        for scale in (1.0, 7.0):
-            cfg = RgclConfig(rho=0.3, tau0=0.05, tau_init=0.6, beta1=1.0, tau_grad_scale=scale)
-            opt = side_state(5, cfg, s=1.3, initialized=True)
-            side_step(opt, h, cfg)
-            us.append(opt.u[0].copy())
-        np.testing.assert_allclose(us[1], 7.0 * us[0], rtol=1e-12)
+        np.testing.assert_allclose(opt.u[0], opt.n * want, rtol=0, atol=1e-12)
 
 
 class TestHardnessRows:
@@ -201,20 +191,17 @@ class TestProjectTau:
         assert cfg.tau_max == pytest.approx(6.7167, abs=1e-4)
 
 
-def training_setup(seed, n=24, d=5, beta0=0.9, beta1=0.9, eta_w=0.05, eta_tau=0.02,
-                   tau_grad_scale=None, mode="momentum"):
+def training_setup(seed, n=24, d=5, beta0=0.9, beta1=0.9, eta_w=0.05, eta_tau=0.02, mode="momentum"):
     data = gen_longtail_clusters(3, n, 5.0, d, 0.3, seed)
-    cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=beta0, beta1=beta1,
-                     eta_w=eta_w, eta_tau=eta_tau, tau_grad_scale=tau_grad_scale)
+    cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=beta0, beta1=beta1, eta_w=eta_w, eta_tau=eta_tau)
     params = init_encoder_params(d, 6, 4, "tanh", RandomStream(seed, ("enc",)))
     opt = init_optimizer_state(n, params.n_params, cfg, seed, mode)
     return data, cfg, params, opt
 
 
-# full batch, beta0 = beta1 = 1, scale 1 and no augmentation: every step is
-# exact gradient descent
-EXACT_CFG = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=1.0, beta1=1.0,
-                       eta_w=0.05, eta_tau=0.02, tau_grad_scale=1.0)
+# full batch, beta0 = beta1 = 1 and no augmentation: every step is exact
+# gradient descent, with temperature step eta_tau n
+EXACT_CFG = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6, beta0=1.0, beta1=1.0, eta_w=0.05, eta_tau=0.002)
 
 
 class TestStepUnimodal:
