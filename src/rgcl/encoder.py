@@ -15,12 +15,11 @@ in fixed index order so results are deterministic.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RandomStream
+from .numerics import RandomStream, _read_record, _write_record
 
 __all__ = [
     "EncoderParams",
@@ -183,38 +182,24 @@ def encode_backward(params: EncoderParams, batch: EmbeddingBatch, grad_embedding
 
 
 def save_params(params: EncoderParams, path: str) -> None:
-    """Binary layout: magic 'RGCLENC1', four little-endian int64
-    (d_in, d_hidden, d_embed, activation flag 0=identity 1=tanh),
-    then the flattened float64 parameters."""
-    act = _ACTIVATIONS.index(params.activation)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qqqq", params.d_in, params.d_hidden, params.d_embed, act))
-        fh.write(params.flatten().astype("<f8").tobytes())
+    """Write params as a numerics record: magic 'RGCLENC1'; header d_in,
+    d_hidden, d_embed and the activation flag (0 identity, 1 tanh);
+    float64 sections w1, b1, w2 and b2."""
+    _write_record(path, _MAGIC, [params.d_in, params.d_hidden, params.d_embed, _ACTIVATIONS.index(params.activation)],
+                  [("f8", a) for a in (params.w1, params.b1, params.w2, params.b2)])
 
 
 def load_params(path: str) -> EncoderParams:
-    """Read a file written by save_params.  The header fixes the exact file
-    size; any other size, an unknown magic or activation flag, a negative
-    dimension or a non-finite value in w1, b1, w2 or b2 is rejected with
-    ValueError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != _MAGIC:
-        raise ValueError("not an encoder checkpoint")
-    if len(data) < 40:
-        raise ValueError("encoder checkpoint is %d bytes, shorter than its 40-byte header" % len(data))
-    d_in, d_hidden, d_embed, act = struct.unpack_from("<qqqq", data, 8)
-    if not 0 <= act < len(_ACTIVATIONS) or min(d_in, d_hidden, d_embed) < 0:
-        raise ValueError("corrupt encoder checkpoint header: dimensions %d, %d, %d, activation flag %d"
-                         % (d_in, d_hidden, d_embed, act))
-    size = 40 + 8 * (d_hidden * (d_in + 1) + d_embed * (d_hidden + 1))
-    if len(data) != size:
-        raise ValueError("encoder checkpoint is %d bytes, its header implies %d" % (len(data), size))
-    template = EncoderParams(np.zeros((d_hidden, d_in)), np.zeros(d_hidden),
-                             np.zeros((d_embed, d_hidden)), np.zeros(d_embed), _ACTIVATIONS[act])
-    params = template.from_flat(np.frombuffer(data, "<f8", offset=40).astype(np.float64))
-    for name in ("w1", "b1", "w2", "b2"):
-        if not np.all(np.isfinite(getattr(params, name))):
-            raise ValueError("encoder checkpoint %s holds a non-finite value" % name)
-    return params
+    """Read a file written by save_params.  Beside the record's own
+    refusals, an unknown activation flag or a negative dimension is
+    rejected with ValueError."""
+
+    def layout(_, d_in, d_hidden, d_embed, act):
+        if not 0 <= act < len(_ACTIVATIONS) or min(d_in, d_hidden, d_embed) < 0:
+            raise ValueError("corrupt encoder checkpoint header: dimensions %d, %d, %d, activation flag %d"
+                             % (d_in, d_hidden, d_embed, act))
+        return [("w1", d_hidden * d_in, "f8"), ("b1", d_hidden, "f8"),
+                ("w2", d_embed * d_hidden, "f8"), ("b2", d_embed, "f8")]
+
+    _, (d_in, d_hidden, d_embed, act), (w1, b1, w2, b2) = _read_record(path, "encoder", (_MAGIC,), 4, layout)
+    return EncoderParams(w1.reshape(d_hidden, d_in), b1, w2.reshape(d_embed, d_hidden), b2, _ACTIVATIONS[act])

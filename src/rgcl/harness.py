@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import datasynth, loss, optimizer, oracle
-from .encoder import encode, init_encoder_params, save_params
+from .encoder import _ACTIVATIONS, encode, init_encoder_params, save_params
 from .loss import RgclConfig, ViewPairs
 from .numerics import RandomStream, spearman_rank_corr
 
@@ -97,6 +97,8 @@ class ExperimentConfig(RgclConfig):
             raise ValueError("unknown mode %r" % self.mode)
         if self.param_update not in optimizer._MODES:
             raise ValueError("unknown param_update %r" % self.param_update)
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError("unknown activation %r" % self.activation)
         if self.epochs < 0 or self.eval_every < 1:
             raise ValueError("epochs must be >= 0 and eval_every >= 1")
         if not (0 < self.held_out_fraction < 1):

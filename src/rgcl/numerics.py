@@ -1,5 +1,6 @@
-"""Shared numerical primitives: rank statistics and deterministic
-counter-based random streams.
+"""Shared numerical primitives: rank statistics, deterministic
+counter-based random streams, and the binary record that the encoder and
+optimizer checkpoints are written in.
 """
 
 from __future__ import annotations
@@ -101,3 +102,47 @@ class RandomStream:
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
+
+
+def _write_record(path: str, magic: bytes, header, sections) -> None:
+    """Write one record (see _read_record): magic, the int64 header, then
+    each (dtype, values) section of sections in turn."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.asarray(header, "<i8").tobytes())
+        for dtype, values in sections:
+            fh.write(np.asarray(values, "<" + dtype).tobytes())
+
+
+def _read_record(path: str, kind: str, magics: tuple, n_header: int, layout):
+    """Read the record at path, a checkpoint of kind ("encoder" or
+    "optimizer").  The record: an 8-byte magic, one of magics; n_header
+    little-endian int64; then the sections, each little-endian and
+    row-major, back to back to the end of the file.
+
+    layout(magic index, *header) applies the caller's header rules and
+    returns the sections as (name, count, dtype), dtype "f8" or "u1".
+    Returns the magic index, the header as a list of ints and the sections'
+    arrays in layout order.  ValueError refuses an unknown magic, a file
+    shorter than its header, any size the layout does not imply, and a
+    non-finite value in a named float64 section (one named None is not
+    checked)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:8] not in magics:
+        raise ValueError("not an %s checkpoint" % kind)
+    offset = 8 + 8 * n_header
+    if len(data) < offset:
+        raise ValueError("%s checkpoint is %d bytes, shorter than its %d-byte header" % (kind, len(data), offset))
+    index, header = magics.index(data[:8]), np.frombuffer(data, "<i8", n_header, 8).tolist()
+    sections = layout(index, *header)
+    size = offset + sum(count * np.dtype(dtype).itemsize for _, count, dtype in sections)
+    if len(data) != size:
+        raise ValueError("%s checkpoint is %d bytes, its header implies %d" % (kind, len(data), size))
+    arrays = []
+    for name, count, dtype in sections:
+        arrays.append(np.frombuffer(data, "<" + dtype, count, offset).astype(dtype))
+        offset += arrays[-1].nbytes
+        if name is not None and dtype == "f8" and not np.isfinite(arrays[-1]).all():
+            raise ValueError("%s checkpoint %s holds a non-finite value" % (kind, name))
+    return index, header, arrays

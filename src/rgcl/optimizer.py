@@ -26,7 +26,6 @@ update by momentum or an Adam-style rule; temperatures always by momentum.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,7 +34,7 @@ import numpy as np
 from .encoder import EncoderParams, encode, encode_backward
 from .loss import _ANCHOR_NAMES, RgclConfig, ViewPairs, _anchor_h_rows, _bimodal_h_rows, _encoder_pass
 from .loss import _require_finite_rows, _softmax_rows
-from .numerics import RandomStream
+from .numerics import RandomStream, _read_record, _write_record
 
 __all__ = [
     "OptimizerState",
@@ -251,89 +250,46 @@ def step_bimodal(
 # per-anchor tables, written side by side in this order
 _TABLES = ("s", "u", "tau")
 _EXTREMA = ("min_g_seen", "min_s_seen", "min_tau_seen", "max_tau_seen")
-_HEADER_BYTES = 8 + 6 * 8 + 4 * 8
 
 
 def save_optimizer_state(opt: OptimizerState, path: str) -> None:
-    """Binary checkpoint.  Layout: 8-byte magic (RGCLOPT1 for one side,
-    RGCLOPB1 for two), little-endian int64 header (mode flag, seed, step, n,
-    len(v), adam flag), four float64 extrema, then the flat float64 arrays:
-    v, s, u and tau of each side in turn, initialized as uint8, and the Adam
-    second moment when present."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGICS[opt.sides - 1])
-        fh.write(
-            struct.pack(
-                "<qqqqqq",
-                _MODES.index(opt.mode),
-                opt.seed,
-                opt.t,
-                opt.n,
-                opt.v.shape[0],
-                0 if opt.adam_m2 is None else 1,
-            )
-        )
-        fh.write(struct.pack("<dddd", *(getattr(opt, name) for name in _EXTREMA)))
-        fh.write(opt.v.astype("<f8").tobytes())
-        for side in range(opt.sides):
-            for name in _TABLES:
-                fh.write(getattr(opt, name)[side].astype("<f8").tobytes())
-        fh.write(opt.initialized.astype(np.uint8).tobytes())
-        if opt.adam_m2 is not None:
-            fh.write(opt.adam_m2.astype("<f8").tobytes())
+    """Write opt as a numerics record: magic RGCLOPT1 for one side, RGCLOPB1
+    for two; header mode flag, seed, step, n, len(v) and Adam flag;
+    sections the four extrema, v, then s, u and tau of each side in turn,
+    all float64, initialized as uint8, and the Adam second moment (float64)
+    when present."""
+    adam = [] if opt.adam_m2 is None else [("f8", opt.adam_m2)]
+    _write_record(path, _MAGICS[opt.sides - 1],
+                  [_MODES.index(opt.mode), opt.seed, opt.t, opt.n, opt.v.shape[0], len(adam)],
+                  [("f8", [getattr(opt, name) for name in _EXTREMA]), ("f8", opt.v),
+                   *(("f8", getattr(opt, name)[side]) for side in range(opt.sides) for name in _TABLES),
+                   ("u1", opt.initialized), *adam])
 
 
 def load_optimizer_state(path: str) -> OptimizerState:
-    """Read a checkpoint written by save_optimizer_state.  The header fixes
-    the exact file size; any other size, an unknown magic or mode flag, a
-    negative step or size, a malformed flag, an Adam flag that disagrees
-    with the mode flag, a NaN extremum or a non-finite value in v, s, u, tau
-    or the Adam second moment is rejected with ValueError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic = data[:8]
-    if len(data) < _HEADER_BYTES or magic not in _MAGICS:
-        raise ValueError("not an optimizer checkpoint")
-    sides = _MAGICS.index(magic) + 1
-    mode_flag, seed, t, n, nv, has_adam = struct.unpack_from("<qqqqqq", data, 8)
-    extrema = dict(zip(_EXTREMA, struct.unpack_from("<dddd", data, 56)))
-    # an adam state, and only an adam state, holds a second moment
-    if not (0 <= mode_flag < len(_MODES) and t >= 0 and n >= 0 and nv >= 0
-            and has_adam == (_MODES[mode_flag] == "adam")):
-        raise ValueError("corrupt checkpoint header: mode %d, step %d, n %d, len(v) %d, adam flag %d"
-                         % (mode_flag, t, n, nv, has_adam))
-    size = _HEADER_BYTES + 8 * nv * (1 + has_adam) + 8 * n * len(_TABLES) * sides + n
-    if len(data) != size:
-        raise ValueError("checkpoint is %d bytes, its header implies %d" % (len(data), size))
-    offset = _HEADER_BYTES
+    """Read a checkpoint written by save_optimizer_state.  Beside the
+    record's own refusals, an unknown mode flag, a negative step or size,
+    an Adam flag that disagrees with the mode flag, an initialized flag
+    other than 0 or 1 or a NaN extremum is rejected with ValueError."""
 
-    def take(count, dtype="<f8"):
-        nonlocal offset
-        out = np.frombuffer(data, dtype, count, offset)
-        offset += out.nbytes
-        return out
+    def layout(side_index, mode_flag, seed, t, n, nv, has_adam):
+        # an adam state, and only an adam state, holds a second moment
+        if not (0 <= mode_flag < len(_MODES) and t >= 0 and n >= 0 and nv >= 0
+                and has_adam == (_MODES[mode_flag] == "adam")):
+            raise ValueError("corrupt checkpoint header: mode %d, step %d, n %d, len(v) %d, adam flag %d"
+                             % (mode_flag, t, n, nv, has_adam))
+        # the extrema may be infinite, so their section goes unnamed past the finite check
+        return [(None, len(_EXTREMA), "f8"), ("v", nv, "f8"),
+                *((name, n, "f8") for _ in range(side_index + 1) for name in _TABLES),
+                ("initialized", n, "u1"), *[("adam_m2", nv, "f8")] * has_adam]
 
-    arrays = {"v": take(nv).astype(np.float64)}
-    arrays.update((name, np.empty((sides, n))) for name in _TABLES)
-    for side in range(sides):
-        for name in _TABLES:
-            arrays[name][side] = take(n)
-    flags = take(n, np.uint8)
+    _, (mode_flag, seed, t, *_, has_adam), arrays = _read_record(path, "optimizer", _MAGICS, 6, layout)
+    extrema, v, *tables, flags, adam_m2 = arrays + [None] * (1 - has_adam)
     if np.any(flags > 1):
         raise ValueError("checkpoint initialized flags must be 0 or 1")
-    if has_adam:
-        arrays["adam_m2"] = take(nv).astype(np.float64)
-    for name, value in arrays.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError("checkpoint %s holds a non-finite value" % name)
+    extrema = dict(zip(_EXTREMA, extrema.tolist()))
     for name, value in extrema.items():
         if math.isnan(value):
             raise ValueError("checkpoint %s is NaN" % name)
-    return OptimizerState(
-        mode=_MODES[mode_flag],
-        seed=seed,
-        t=t,
-        initialized=flags.astype(bool),
-        **arrays,
-        **extrema,
-    )
+    return OptimizerState(mode=_MODES[mode_flag], seed=seed, t=t, initialized=flags.astype(bool), v=v, adam_m2=adam_m2,
+                          **{name: np.array(tables[k :: len(_TABLES)]) for k, name in enumerate(_TABLES)}, **extrema)

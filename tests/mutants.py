@@ -29,8 +29,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "runs", "pyproject.toml")
-LOSS, OPTIMIZER, HARNESS, ORACLE, ENCODER = (
-    "src/rgcl/%s.py" % m for m in ("loss", "optimizer", "harness", "oracle", "encoder"))
+LOSS, OPTIMIZER, HARNESS, ORACLE, ENCODER, NUMERICS = (
+    "src/rgcl/%s.py" % m for m in ("loss", "optimizer", "harness", "oracle", "encoder", "numerics"))
 ACROSS_BLOCKS = "tests/test_bitwise_reference.py::test_evaluation_matches_oracle_across_blocks"
 VERIFY_REPORT = "tests/test_bitwise_reference.py::test_verify_report"
 
@@ -221,10 +221,19 @@ MUTANTS = [
      "    towers, _ = _span_towers(params, _encode_towers(params, inputs, range(n)))\n",
      "    towers = [b.embeddings for b in _encode_towers(params, inputs, range(n))]\n",
      ["tests/test_loss.py::TestSpanProjection"]),
-    ("load_params without its finite check", ENCODER,
-     "        if not np.all(np.isfinite(getattr(params, name))):\n",
+    ("the record reader without its finite check", NUMERICS,
+     'if name is not None and dtype == "f8" and not np.isfinite(arrays[-1]).all():',
+     "if False:",
+     ["tests/test_encoder.py::TestParams::test_load_rejects_non_finite_values",
+      "tests/test_optimizer.py::TestCheckpoint::test_non_finite_values_rejected"]),
+    ("record reader skipping the exact-size check", NUMERICS,
+     "    if len(data) != size:\n",
+     "    if False:\n",
+     ["tests/test_optimizer.py::TestCheckpoint::test_appended_bytes_rejected"]),
+    ("ExperimentConfig taking an unknown activation", HARNESS,
+     "        if self.activation not in _ACTIVATIONS:\n",
      "        if False:\n",
-     ["tests/test_encoder.py::TestParams::test_load_rejects_non_finite_values"]),
+     ["tests/test_harness.py::TestCli::test_rejected_before_any_output[activation-relu]"]),
     ("the oracle's negative role scaled by 0.999", ORACLE,
      "                    d_neg[j] += wk * anchor[i]\n",
      "                    d_neg[j] += 0.999 * wk * anchor[i]\n",

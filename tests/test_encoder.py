@@ -176,16 +176,10 @@ class TestParams:
         with pytest.raises(ValueError, match="activation flag"):
             load_params(str(path))
 
-    @pytest.mark.parametrize(
-        "cut,extra,match",
-        [
-            (20, b"", "is 20 bytes, shorter than its 40-byte header"),
-            (None, b"\x00", "is 449 bytes, its header implies 448"),
-            (None, struct.pack("<d", 1.5), "is 456 bytes, its header implies 448"),
-            (-8, b"", "is 440 bytes, its header implies 448"),
-        ],
-        ids=["truncated-header", "trailing-byte", "extra-float64", "missing-float64"],
-    )
+    # a cut at or near a section end, or appended bytes:
+    # tests/test_optimizer.py::TestCheckpoint, on an encoder checkpoint too
+    @pytest.mark.parametrize("cut,extra,match", [(-8, b"", "is 440 bytes, its header implies 448")],
+                             ids=["missing-float64"])
     def test_load_rejects_wrong_size(self, tmp_path, cut, extra, match):
         # d_in 4, d_hidden 6, d_embed 3: 51 float64, 408 bytes, after the 40-byte header
         path = tmp_path / "enc.ckpt"

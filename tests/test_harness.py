@@ -638,6 +638,7 @@ class TestCli:
               ("noise=-1", "noise must be nonnegative, not -1.0"),
               ("aug_strength=-0.5", "aug_strength must be nonnegative, not -0.5"),
               ("batch_size=1", "batch_size must be >= 2, not 1"),
+              ("activation=relu", "unknown activation 'relu'"),
               # the removed temperature-step scale, in an override or in the file
               ("tau_grad_scale=1", "unknown config keys: tau_grad_scale"),
           ]],
@@ -646,8 +647,8 @@ class TestCli:
         # json would keep the last value
         ('{"rho": 0.5, "rho": 0.9, "epochs": 1}', [], "repeated config key: rho"),
     ], ids=["array", "null", "seed-2**63", "knn_k-even", "knn_k-over-train", "d_in-0", "d_hidden-0", "d_embed-0",
-            "noise-negative", "aug_strength-negative", "batch_size-1", "tau_grad_scale-set", "tau_grad_scale-in-file",
-            "repeated-key"])
+            "noise-negative", "aug_strength-negative", "batch_size-1", "activation-relu", "tau_grad_scale-set",
+            "tau_grad_scale-in-file", "repeated-key"])
     def test_rejected_before_any_output(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "cfg.json"
         path.write_text(config)

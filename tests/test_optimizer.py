@@ -7,7 +7,7 @@ import pytest
 
 from rgcl import optimizer
 from rgcl.datasynth import gen_longtail_clusters
-from rgcl.encoder import encode, init_encoder_params
+from rgcl.encoder import encode, init_encoder_params, load_params, save_params
 from rgcl.harness import _vcheck_degeneration, _vcheck_tau_box
 from rgcl.loss import RgclConfig, ViewPairs, unimodal_value_and_grads
 from rgcl.numerics import RandomStream
@@ -445,6 +445,15 @@ class TestStateSizeChecked:
             getattr(optimizer, step)(opt, params, inputs[:1], cfg, 1, 0.3)
 
 
+# TestCheckpoint.checkpoint_sections's kinds: an optimizer checkpoint of one
+# side or two, and an encoder checkpoint
+CHECKPOINT_KINDS = [False, True, pytest.param(None, id="encoder")]
+
+
+def load_checkpoint(bimodal, path):
+    return (load_params if bimodal is None else load_optimizer_state)(str(path))
+
+
 class TestCheckpoint:
     def test_round_trip_unimodal(self, tmp_path):
         data, cfg, params, opt = training_setup(10)
@@ -555,7 +564,15 @@ class TestCheckpoint:
     def checkpoint_sections(tmp_path, bimodal):
         """Bytes of an adam-mode checkpoint and the offsets where its
         sections end: magic, int header, extrema, v, each per-anchor
-        array, initialized flags, adam second moments."""
+        array, initialized flags, adam second moments.  bimodal None
+        gives an encoder checkpoint instead: magic, int header, w1, b1,
+        w2, b2."""
+        if bimodal is None:
+            d_in, d_hidden, d_embed = 4, 6, 3
+            path = tmp_path / "enc.ckpt"
+            save_params(init_encoder_params(d_in, d_hidden, d_embed, "tanh", RandomStream(13)), str(path))
+            sizes = [8, 32, 8 * d_hidden * d_in, 8 * d_hidden, 8 * d_embed * d_hidden, 8 * d_embed]
+            return path, path.read_bytes(), np.cumsum(sizes)
         n, nv = 10, 7
         cfg = RgclConfig(rho=0.5, tau0=0.05, tau_init=0.6)
         opt = init_optimizer_state(n, nv, cfg, seed=1, mode="adam", sides=2 if bimodal else 1)
@@ -564,23 +581,25 @@ class TestCheckpoint:
         sizes = [8, 48, 32, 8 * nv] + [8 * n] * (6 if bimodal else 3) + [n, 8 * nv]
         return path, path.read_bytes(), np.cumsum(sizes)
 
-    @pytest.mark.parametrize("bimodal", [False, True])
+    @pytest.mark.parametrize("bimodal", CHECKPOINT_KINDS)
     def test_truncated_at_every_section_rejected(self, tmp_path, bimodal):
         path, data, ends = self.checkpoint_sections(tmp_path, bimodal)
         assert ends[-1] == len(data)
         for end in ends[:-1]:
             for cut in (end, end - 1, end + 1):
                 path.write_bytes(data[:cut])
-                with pytest.raises(ValueError):
-                    load_optimizer_state(str(path))
+                match = ("not an" if cut < 8 else "is %d bytes, shorter than its %d-byte header$" % (cut, ends[1])
+                         if cut < ends[1] else "is %d bytes, its header implies %d$" % (cut, len(data)))
+                with pytest.raises(ValueError, match=match):
+                    load_checkpoint(bimodal, path)
 
-    @pytest.mark.parametrize("bimodal", [False, True])
+    @pytest.mark.parametrize("bimodal", CHECKPOINT_KINDS)
     def test_appended_bytes_rejected(self, tmp_path, bimodal):
         path, data, _ = self.checkpoint_sections(tmp_path, bimodal)
         for extra in (b"\x00", b"\x00" * 8, b"RGCLOPT1"):
             path.write_bytes(data + extra)
-            with pytest.raises(ValueError, match="header implies"):
-                load_optimizer_state(str(path))
+            with pytest.raises(ValueError, match="is %d bytes, its header implies %d$" % (len(data + extra), len(data))):
+                load_checkpoint(bimodal, path)
 
     def test_cut_short_by_300_bytes_rejected(self, tmp_path):
         path = tmp_path / "opt.ckpt"
